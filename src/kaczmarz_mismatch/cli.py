@@ -17,8 +17,6 @@ import json
 import os
 import sys as _sys
 
-import numpy as np
-
 from . import __version__, experiments
 from .diagnostics import compute_diagnostics
 from .errors import (
@@ -48,8 +46,6 @@ from .problems import (
     assemble_underdetermined,
     gen_gaussian,
     mismatch_threshold,
-    parallel_beam_matrix,
-    smooth_phantom,
 )
 from .solver import SolverConfig, StepRule, make_system, run
 
@@ -169,12 +165,9 @@ def _cmd_generate(args, argv):
     params = {"kind": args.kind, "seed": args.seed}
     noise = None
     if args.kind == "ct":
-        angles = np.arange(0.0, 180.0, args.angle_step)
-        full = parallel_beam_matrix(args.grid, angles, args.rays, 1.4 * args.grid)
-        phantom = smooth_phantom(args.grid, args.seed)
-        from .problems import ct_mismatch_pair
-
-        sys_pair = ct_mismatch_pair(full, full @ phantom, truth=phantom)
+        sys_pair, _ = experiments.build_ct_instance(
+            args.grid, args.angle_step, args.rays, args.seed
+        )
         params.update(grid=args.grid, angle_step=args.angle_step, rays=args.rays)
     elif args.kind == "consistent":
         a = gen_gaussian(args.m, args.n, args.seed)

@@ -12,6 +12,10 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
   * range-restricted variants conjugated by an orthonormal basis Z of
     rg V^T, which replace the plain quantities for underdetermined systems.
 
+``expectation_operator`` is the single builder of V^T D A and W from
+(system, p, rule); every quantity above, and both objectives of ``probopt``,
+are read off its matrices.
+
 The three rate expressions coincide for V = A; under mismatch they are
 generally different, and their empirical ordering is recorded but never
 asserted.
@@ -55,11 +59,12 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ScalingPair:
-    """Diagonals of the expectation scaling matrices, plus the row pairings."""
+    """Diagonals of the expectation scaling matrices, the row pairings and step sizes."""
 
     d: np.ndarray  # p_i * omega_i
     s: np.ndarray  # omega_i * ||v_i||^2
     pairing: np.ndarray  # <a_i, v_i>
+    omega: np.ndarray  # static step size of row i
 
 
 @dataclass
@@ -117,27 +122,40 @@ class RateDiagnostics:
         )
 
 
-def scaling(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> ScalingPair:
-    """Exact componentwise scaling diagonals for a static step rule."""
+def _checked_p(sys, p):
     p = check_probability_vector(p)
     if len(p) != sys.m:
         raise InvalidInputError(f"p has length {len(p)}, expected {sys.m}")
+    return p
+
+
+def _scaling(sys, p, rule):
     omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
     return ScalingPair(
         d=p * omega,
         s=omega * sys.row_norms_sq("v"),
         pairing=sys.pairing.copy(),
+        omega=omega,
     )
 
 
-def _expectation_matrices(sys, p, rule):
-    """(M, W) with M = I - V^T D A and W = V^T D A + A^T D V - A^T S D A."""
-    pair = scaling(sys, p, rule)
+def scaling(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> ScalingPair:
+    """Exact componentwise scaling diagonals for a static step rule."""
+    return _scaling(sys, _checked_p(sys, p), rule)
+
+
+def expectation_operator(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT):
+    """(pair, V^T D A, W) with W = V^T D A + A^T D V - A^T S D A.
+
+    The one place where a row distribution becomes the expectation operator;
+    every rate in this module and in ``probopt`` is read off these matrices.
+    ``p`` is used as given, not validated, so the objectives can also be
+    evaluated just off the simplex; callers taking user input validate first.
+    """
+    pair = _scaling(sys, np.asarray(p, dtype=float), rule)
     vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-    atsda = sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
-    w = vtda + vtda.T - atsda
-    m = np.eye(sys.n) - vtda
-    return m, w, pair
+    w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+    return pair, vtda, w
 
 
 def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
@@ -147,15 +165,27 @@ def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXA
     rate (1 - lambda) per step.  Intended for the overdetermined analysis;
     use ``restricted_diagnostics`` for underdetermined systems.
     """
-    _, w, _ = _expectation_matrices(sys, p, rule)
+    _, _, w = expectation_operator(sys, _checked_p(sys, p), rule)
     lam, _ = symmetric_eig_min(w)
     return lam
 
 
 def asymptotic_rate(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
     """Spectral radius of I - V^T D A, the asymptotic rate of the expected error."""
-    m, _, _ = _expectation_matrices(sys, p, rule)
-    return spectral_radius(m)
+    _, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
+    return spectral_radius(np.eye(sys.n) - vtda)
+
+
+def _checked_norm(m) -> float:
+    """Spectral norm of M, cross-checked against ||M||^2 = rho(M^T M)."""
+    sigma = top_singular_triplet(m).sigma
+    radius = spectral_radius(m.T @ m)
+    if abs(sigma**2 - radius) > 1e-6 * max(radius, 1e-30):
+        raise NumericError(
+            f"spectral-norm identity violated: sigma^2 = {sigma**2:.12e} "
+            f"vs rho(M^T M) = {radius:.12e}"
+        )
+    return sigma
 
 
 def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
@@ -165,15 +195,8 @@ def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
     ||I - V^T D A||^2 = rho(I - V^T D A - A^T D V + A^T D V V^T D A)
     before returning.
     """
-    m, _, _ = _expectation_matrices(sys, p, rule)
-    sigma = top_singular_triplet(m).sigma
-    radius = spectral_radius(m.T @ m)
-    if abs(sigma**2 - radius) > 1e-6 * max(radius, 1e-30):
-        raise NumericError(
-            f"spectral-norm identity violated: sigma^2 = {sigma**2:.12e} "
-            f"vs rho(M^T M) = {radius:.12e}"
-        )
-    return sigma
+    _, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
+    return _checked_norm(np.eye(sys.n) - vtda)
 
 
 def noise_gamma(sys: SystemPair, p=None) -> float:
@@ -199,10 +222,9 @@ def expected_fixed_point_error(
     """Norm of the expectation fixed point (V^T D A)^{-1} V^T D r."""
     if sys.noise is None:
         raise InvalidInputError("fixed-point error needs a stored noise vector")
-    pair = scaling(sys, p, rule)
-    vtda = sys.v.T @ (pair.d[:, None] * sys.a)  # (n, n); singular when m < n
+    pair, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
     rhs = sys.v.T @ (pair.d * sys.noise)
-    z = lu_solve(vtda, rhs)
+    z = lu_solve(vtda, rhs)  # vtda is singular when m < n
     return float(np.linalg.norm(z))
 
 
@@ -230,16 +252,15 @@ def restricted_diagnostics(
     if not is_invertible(sys.a @ sys.v.T):
         raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
 
-    m_mat, w, _ = _expectation_matrices(sys, p, rule)
+    p = _checked_p(sys, p)
+    _, vtda, w = expectation_operator(sys, p, rule)
     lam, _ = symmetric_eig_min(z.T @ w @ z)
-    vtda = np.eye(sys.n) - m_mat
-    rho = spectral_radius(np.eye(z.shape[1]) - z.T @ vtda @ z)
-    norm = top_singular_triplet(np.eye(z.shape[1]) - z.T @ vtda @ z).sigma
+    m_restricted = np.eye(z.shape[1]) - z.T @ vtda @ z
     return RateDiagnostics(
         lam=lam,
-        rho_asymptotic=rho,
-        norm_expectation=norm,
-        positivity_ok=bool(np.all(np.asarray(p) >= POSITIVITY_FLOOR)),
+        rho_asymptotic=spectral_radius(m_restricted),
+        norm_expectation=top_singular_triplet(m_restricted).sigma,
+        positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
         restricted=True,
     )
 
@@ -256,18 +277,19 @@ def compute_diagnostics(
     when m < n.  Noise quantities are filled in when the system carries a
     noise vector.
     """
-    p = check_probability_vector(p)
+    p = _checked_p(sys, p)
     if restricted is None:
         restricted = sys.m < sys.n
     if restricted:
         diag = restricted_diagnostics(sys, p, rule)
     else:
-        m_mat, w, _ = _expectation_matrices(sys, p, rule)
+        _, vtda, w = expectation_operator(sys, p, rule)
+        m_mat = np.eye(sys.n) - vtda
         lam, _ = symmetric_eig_min(w)
         diag = RateDiagnostics(
             lam=lam,
             rho_asymptotic=spectral_radius(m_mat),
-            norm_expectation=expectation_norm(sys, p, rule),
+            norm_expectation=_checked_norm(m_mat),
             positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
             restricted=False,
         )

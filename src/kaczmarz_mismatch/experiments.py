@@ -19,7 +19,7 @@ from .diagnostics import (
     compute_diagnostics,
     inconsistent_bound,
 )
-from .errors import KaczmarzError
+from .errors import InvalidInputError
 from .fileio import provenance_lines, write_table_csv, write_vector_csv
 from .linalg import orthonormal_range_basis
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
@@ -50,7 +50,7 @@ def probability_scheme(sys, scheme):
         return p / p.sum()
     if scheme == "pairing":
         return sys.pairing / sys.pairing.sum()
-    raise KaczmarzError(f"unknown probability scheme {scheme!r}")
+    raise InvalidInputError(f"unknown probability scheme {scheme!r}")
 
 
 def write_trace_csv(path, trace, header_lines=()):

@@ -32,11 +32,16 @@ PIVOT_RTOL = 1e-12
 
 
 class SingularTriplet(NamedTuple):
-    """Top singular value with unit left/right vectors: M @ right = sigma * left."""
+    """Top singular value with unit left/right vectors: M @ right = sigma * left.
+
+    ``second`` is the next singular value (0.0 when M has only one), so a
+    tied top value can be detected without a second factorization.
+    """
 
     sigma: float
     left: np.ndarray
     right: np.ndarray
+    second: float
 
 
 def as_matrix(m, name="matrix") -> np.ndarray:
@@ -117,9 +122,10 @@ def top_singular_triplet(m) -> SingularTriplet:
         right = np.zeros(cols)
         left[0] = 1.0
         right[0] = 1.0
-        return SingularTriplet(0.0, left, right)
+        return SingularTriplet(0.0, left, right, 0.0)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SingularTriplet(float(s[0]), u[:, 0].copy(), vt[0].copy())
+    second = float(s[1]) if len(s) > 1 else 0.0
+    return SingularTriplet(float(s[0]), u[:, 0].copy(), vt[0].copy(), second)
 
 
 def spectral_norm(m) -> float:

@@ -5,6 +5,11 @@ constant lambda_min(W(p)) (concave in p, projected supergradient ascent) or
 minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
 best-iterate tracker, since subgradient methods are not monotone.
+
+Both objectives and their gradients take V^T D A and W from the single
+builder ``diagnostics.expectation_operator``.  Each gradient also returns the
+objective value from its own factorization, so the optimizer factors once per
+iterate.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import expectation_operator
 from .errors import DegenerateSubdifferentialError, InvalidInputError
 from .linalg import as_vector, symmetric_eigensystem, top_singular_triplet
 from .sampling import check_probability_vector, replicate_rng
-from .solver import StepRule, SystemPair, static_step_sizes
+from .solver import StepRule, SystemPair
 
 # Relative eigen/singular gap below which the extremal vector is flagged as a
 # degenerate (tied) subdifferential point.
@@ -84,24 +90,14 @@ def project_simplex(y) -> np.ndarray:
     return p / math.fsum(p.tolist())
 
 
-def _expectation_improvement_matrix(sys, p, rule):
-    omega = static_step_sizes(sys, rule)
-    d = p * omega
-    s = omega * sys.row_norms_sq("v")
-    vtda = sys.v.T @ (d[:, None] * sys.a)
-    return vtda + vtda.T - sys.a.T @ ((s * d)[:, None] * sys.a)
-
-
 def lambda_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    w = _expectation_improvement_matrix(sys, np.asarray(p, float), rule)
+    _, _, w = expectation_operator(sys, p, rule)
     vals, _ = symmetric_eigensystem(w)
     return float(vals[0])
 
 
 def norm_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    omega = static_step_sizes(sys, rule)
-    d = np.asarray(p, float) * omega
-    vtda = sys.v.T @ (d[:, None] * sys.a)
+    _, vtda, _ = expectation_operator(sys, p, rule)
     return top_singular_triplet(np.eye(sys.n) - vtda).sigma
 
 
@@ -110,34 +106,27 @@ def supergradient_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_E
 
     With x a unit eigenvector for the smallest eigenvalue of W, the component
     for row i is omega_i * <2 v_i - s_i a_i, x> * <a_i, x>.  Returns
-    (gradient, degenerate flag); the flag marks a (near-)tied smallest
-    eigenvalue, where any extremal eigenvector still yields a valid
-    supergradient element.
+    (gradient, degenerate flag, lambda_min(W(p))); the flag marks a
+    (near-)tied smallest eigenvalue, where any extremal eigenvector still
+    yields a valid supergradient element.
     """
     p = check_probability_vector(p)
-    w = _expectation_improvement_matrix(sys, p, rule)
+    pair, _, w = expectation_operator(sys, p, rule)
     vals, vecs = symmetric_eigensystem(w)
     x = vecs[:, 0]
     scale = max(abs(vals[0]), abs(vals[-1]), 1e-30)
     degenerate = len(vals) > 1 and (vals[1] - vals[0]) <= DEGENERACY_GAP_RTOL * scale
-    omega = static_step_sizes(sys, rule)
-    s = omega * sys.row_norms_sq("v")
     ax = sys.a @ x
     vx = sys.v @ x
-    return omega * (2.0 * vx - s * ax) * ax, degenerate
+    return pair.omega * (2.0 * vx - pair.s * ax) * ax, degenerate, float(vals[0])
 
 
 def _norm_subgradient_candidate(sys, p, rule):
     """Unsigned candidate from the top singular pair of I - V^T D A."""
-    omega = static_step_sizes(sys, rule)
-    d = p * omega
-    vtda = sys.v.T @ (d[:, None] * sys.a)
-    u_mat, s_vals, v_t = np.linalg.svd(np.eye(sys.n) - vtda)
-    sigma, left, right = float(s_vals[0]), u_mat[:, 0], v_t[0]
-    degenerate = len(s_vals) > 1 and (s_vals[0] - s_vals[1]) <= DEGENERACY_GAP_RTOL * max(
-        s_vals[0], 1e-30
-    )
-    candidate = -omega * (sys.v @ left) * (sys.a @ right)
+    pair, vtda, _ = expectation_operator(sys, p, rule)
+    sigma, left, right, second = top_singular_triplet(np.eye(sys.n) - vtda)
+    degenerate = sys.n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
+    candidate = -pair.omega * (sys.v @ left) * (sys.a @ right)
     return candidate, sigma, degenerate
 
 
@@ -183,13 +172,13 @@ def subgradient_norm(
 
     ``sign`` may carry a previously validated orientation (it is fixed per
     instance); when omitted, the sign is validated on the spot.  Returns
-    (gradient, degenerate flag).
+    (gradient, degenerate flag, ||I - V^T D A||).
     """
     p = check_probability_vector(p)
     if sign is None:
         sign = validate_subgradient_sign(sys, p, rule)
-    candidate, _, degenerate = _norm_subgradient_candidate(sys, p, rule)
-    return sign * candidate, degenerate
+    candidate, sigma, degenerate = _norm_subgradient_candidate(sys, p, rule)
+    return sign * candidate, degenerate, sigma
 
 
 def optimize_probabilities(
@@ -201,7 +190,8 @@ def optimize_probabilities(
 
     Ascent for the lambda objective, descent for the norm objective, exact
     simplex projection after every step, best iterate kept (the raw iterate
-    sequence is not monotone).
+    sequence is not monotone).  Each iterate's objective value comes with its
+    gradient; only the final iterate is evaluated on its own.
     """
     if sys.m < 2:
         raise InvalidInputError("probability optimization needs at least 2 rows")
@@ -214,27 +204,27 @@ def optimize_probabilities(
     if not maximizing:
         sign = validate_subgradient_sign(sys, p, rule, seed=cfg.seed)
 
-    values = [evaluate(sys, p, rule)]
-    best_p = p.copy()
-    best_value = values[0]
+    values: list[float] = []
+    best_p = best_value = None
     degenerate_iterations: list[int] = []
+
+    def record(q, value):
+        nonlocal best_p, best_value
+        values.append(value)
+        if best_value is None or (value > best_value if maximizing else value < best_value):
+            best_p, best_value = q, value
 
     for k in range(cfg.iterations):
         if maximizing:
-            g, degenerate = supergradient_lambda(sys, p, rule)
-            p = project_simplex(p + cfg.step_at(k) * g)
+            g, degenerate, value = supergradient_lambda(sys, p, rule)
         else:
-            g, degenerate = subgradient_norm(sys, p, rule, sign=sign)
-            p = project_simplex(p - cfg.step_at(k) * g)
+            g, degenerate, value = subgradient_norm(sys, p, rule, sign=sign)
+        record(p, value)
         if degenerate:
             degenerate_iterations.append(k)
-        value = evaluate(sys, p, rule)
-        values.append(value)
-        if (maximizing and value > best_value) or (
-            not maximizing and value < best_value
-        ):
-            best_value = value
-            best_p = p.copy()
+        step = cfg.step_at(k) * g
+        p = project_simplex(p + step if maximizing else p - step)
+    record(p, evaluate(sys, p, rule))
 
     objective_evals = np.array(values)
     history = list(enumerate(values)) if cfg.record_history else []

@@ -229,8 +229,8 @@ def test_criterion_07_gradient_oracles():
             q = rng.dirichlet(np.ones(8))
             h = 1e-6
 
-            g_lam, degenerate_lam = supergradient_lambda(sys, p)
-            g_norm, degenerate_norm = subgradient_norm(sys, p)
+            g_lam, degenerate_lam, _ = supergradient_lambda(sys, p)
+            g_norm, degenerate_norm, _ = subgradient_norm(sys, p)
             if degenerate_lam or degenerate_norm:
                 continue
             dd_lam = g_lam @ (q - p)

@@ -299,5 +299,14 @@ class TestExitCodes:
         assert run_cli(["frobnicate"]) == 1
 
     def test_invalid_params(self, tmp_path):
-        assert run_cli(["generate", "--kind", "underdetermined", "--m", "50",
-                        "--n", "10", "--out", str(tmp_path / "x")]) == 1
+        system = str(tmp_path / "sys")
+        assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
+                        "--out", system]) == 0
+        out = str(tmp_path / "x")
+        for argv in (
+            ["generate", "--kind", "underdetermined", "--m", "50", "--n", "10",
+             "--out", out],
+            ["diagnose", "--system-dir", system, "--p", "bogus"],
+            ["solve", "--system-dir", system, "--p", "bogus", "--out", out],
+        ):
+            assert run_cli(argv) == 1, argv

@@ -135,10 +135,16 @@ class TestTopSingularTriplet:
         assert sigma1 == pytest.approx(trip.sigma, rel=1e-8)
         assert sigma2 < sigma1
 
+    def test_second_singular_value(self):
+        trip = linalg.top_singular_triplet(np.diag([3.0, 2.0, 1.0]))
+        assert trip.second == pytest.approx(2.0, abs=1e-12)
+        assert linalg.top_singular_triplet(np.ones((3, 1))).second == 0.0
+        assert linalg.top_singular_triplet(np.zeros((3, 2))).second == 0.0
+
     def test_triplet_consistency(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((6, 4))
-        sigma, left, right = linalg.top_singular_triplet(m)
+        sigma, left, right, _ = linalg.top_singular_triplet(m)
         assert np.linalg.norm(m @ right - sigma * left) <= 1e-10 * sigma
         assert np.linalg.norm(m.T @ left - sigma * right) <= 1e-10 * sigma
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-10)

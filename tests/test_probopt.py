@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kaczmarz_mismatch.errors import InvalidInputError
 from kaczmarz_mismatch.probopt import (
@@ -95,12 +100,51 @@ class TestProjectSimplex:
             assert np.linalg.norm(p1 - p2) <= np.linalg.norm(y1 - y2) + 1e-12
 
 
+vectors = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
+)
+
+
+@st.composite
+def vector_and_simplex_point(draw):
+    y = draw(vectors)
+    w = draw(arrays(np.float64, len(y), elements=st.floats(0.0, 1.0)))
+    w[draw(st.integers(0, len(y) - 1))] = 1.0  # keep the weights off zero
+    return y, w / math.fsum(w.tolist())
+
+
+class TestProjectSimplexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(vectors)
+    def test_on_simplex(self, y):
+        p = project_simplex(y)
+        assert p.shape == y.shape
+        assert np.all(p >= 0)
+        assert abs(math.fsum(p.tolist()) - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(vectors)
+    def test_idempotent(self, y):
+        p = project_simplex(y)
+        np.testing.assert_allclose(project_simplex(p), p, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vector_and_simplex_point())
+    def test_optimal(self, case):
+        # <y - P(y), q - P(y)> <= 0 for every simplex point q characterizes
+        # the Euclidean projection.
+        y, q = case
+        p = project_simplex(y)
+        scale = 1.0 + np.abs(y).max()
+        assert (y - p) @ (q - p) <= 1e-12 * scale
+
+
 class TestSupergradientLambda:
     def test_matched_identity_closed_form(self):
         # A = V = I2, p = (0.3, 0.7): W = diag(0.3, 0.7), minimal eigenvector
         # e1, supergradient (1, 0).
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
-        g, degenerate = supergradient_lambda(sys, np.array([0.3, 0.7]))
+        g, degenerate, _ = supergradient_lambda(sys, np.array([0.3, 0.7]))
         np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
         assert not degenerate
 
@@ -110,7 +154,7 @@ class TestSupergradientLambda:
             sys = mismatched_instance(8, 5, 0.4, seed)
             p = random_simplex(rng, 8)
             f_p = lambda_objective(sys, p)
-            g, _ = supergradient_lambda(sys, p)
+            g, _, _ = supergradient_lambda(sys, p)
             for q in random_simplex(rng, 8, size=200):
                 assert lambda_objective(sys, q) <= f_p + g @ (q - p) + 1e-10
 
@@ -122,7 +166,7 @@ class TestSupergradientLambda:
             seed += 1
             sys = mismatched_instance(8, 5, 0.4, seed)
             p = random_simplex(rng, 8)
-            g, degenerate = supergradient_lambda(sys, p)
+            g, degenerate, _ = supergradient_lambda(sys, p)
             if degenerate:
                 continue
             q = random_simplex(rng, 8)
@@ -152,7 +196,7 @@ class TestSubgradientNorm:
         # coordinates of each row over its squared norm.
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
         p = np.array([0.5, 0.5])
-        g, _ = subgradient_norm(sys, p)
+        g, _, _ = subgradient_norm(sys, p)
         # Validated sign must give a genuine subgradient.
         rng = np.random.default_rng(8)
         f_p = norm_objective(sys, p)
@@ -164,7 +208,7 @@ class TestSubgradientNorm:
         for seed in range(5):
             sys = mismatched_instance(8, 5, 0.4, 20 + seed)
             p = random_simplex(rng, 8)
-            g, _ = subgradient_norm(sys, p)
+            g, _, _ = subgradient_norm(sys, p)
             f_p = norm_objective(sys, p)
             for q in random_simplex(rng, 8, size=200):
                 assert norm_objective(sys, q) >= f_p + g @ (q - p) - 1e-8
@@ -177,7 +221,7 @@ class TestSubgradientNorm:
             seed += 1
             sys = mismatched_instance(8, 5, 0.4, 40 + seed)
             p = random_simplex(rng, 8)
-            g, degenerate = subgradient_norm(sys, p)
+            g, degenerate, _ = subgradient_norm(sys, p)
             if degenerate:
                 continue
             q = random_simplex(rng, 8)
@@ -256,6 +300,23 @@ class TestOptimize:
         assert len(result.history) == 26  # initial point plus one per iteration
         assert len(result.objective_evals) == 26
         assert result.history[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "objective, evaluate, better",
+        [
+            (Objective.MAX_LAMBDA_MIN, lambda_objective, np.argmax),
+            (Objective.MIN_SPECTRAL_NORM, norm_objective, np.argmin),
+        ],
+    )
+    def test_values_paired_with_iterates(self, objective, evaluate, better):
+        # Values come with the gradients; a shift between values and
+        # iterates would pair best_p with a neighbour's value.
+        sys = assemble_scaled_for_probopt(20, 8, 0.05, 66)
+        cfg = ProbOptConfig(objective=objective, iterations=25)
+        result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+        assert 0 < better(result.objective_evals) < 25  # best is a middle iterate
+        assert result.best_objective == evaluate(sys, result.best_p)
+        assert result.objective_evals[0] == evaluate(sys, np.full(20, 1 / 20))
 
     def test_requires_two_rows(self):
         sys = make_system(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
