@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
@@ -32,7 +32,7 @@ from .probopt import (  # noqa: E402
     subgradient_norm,
     supergradient_lambda,
 )
-from .sampling import DiscreteSampler, build_sampler, replicate_rng  # noqa: E402
+from .sampling import DiscreteSampler, replicate_rng  # noqa: E402
 from .solver import (  # noqa: E402
     SolverConfig,
     StepRule,

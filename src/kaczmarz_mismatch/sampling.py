@@ -83,10 +83,6 @@ class DiscreteSampler:
         return np.where(keep, j, self._alias_table[j])
 
 
-def build_sampler(p) -> DiscreteSampler:
-    return DiscreteSampler(p)
-
-
 def replicate_rng(seed, replicate_id=0) -> np.random.Generator:
     """Deterministic, pairwise-independent stream for one replicate.
 

@@ -9,6 +9,11 @@ With the default step size omega_i = 1/<a_i, v_i> the update is the oblique
 projection onto the hyperplane {x : <a_i, x> = beta_i}; with V = A it reduces
 to the classical randomized Kaczmarz projection.  beta is the right-hand side
 in use: b, or b plus the stored noise vector for inconsistent systems.
+
+``_sweep`` is the one implementation of the update: ``run`` and ``rkma_step``
+both call it, and a static-rule step is one BLAS ``ddot`` and one ``daxpy``
+on ``x`` in place.  ``run_replicates`` keeps its own loop, vectorized across
+replicates.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionError, InvalidInputError, NumericError
 from .linalg import as_matrix, as_vector
-from .sampling import build_sampler, check_probability_vector, replicate_rng
+from .sampling import DiscreteSampler, check_probability_vector, replicate_rng
 
 # Rows whose pairing <a_i, v_i> falls below this relative threshold make the
 # oblique step division meaningless and are rejected at construction.
@@ -29,6 +35,10 @@ PAIRING_RTOL = 1e-12
 CONSISTENCY_RTOL = 1e-8
 # Residual magnitude below which the adaptive step is defined as a no-op.
 ADAPTIVE_RESIDUAL_FLOOR = 1e-14
+# Rows drawn per ``DiscreteSampler.draw_array`` call in ``run``.  The size is
+# fixed, so the row sequence depends on the seed alone, not on the iteration
+# count or the logging stride.
+ROW_BLOCK = 1024
 
 
 class StepRule(enum.Enum):
@@ -193,6 +203,30 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
     return np.zeros(sys.n)
 
 
+def _sweep(x, a_rows, v_rows, omega, beta, rows):
+    """Apply the row updates for ``rows``, in order, to ``x`` in place.
+
+    Static rules (``omega`` holds the step sizes): x <- x - omega_i (<a_i, x> - beta_i) v_i.
+    Adaptive rule (``omega`` is None): x <- x - (<v_i, x> - beta_i) / ||v_i||^2 v_i,
+    skipped while |<a_i, x> - beta_i| <= ADAPTIVE_RESIDUAL_FLOOR.
+
+    ``x`` must be a contiguous float64 vector: ``daxpy`` silently updates a
+    copy of anything else.  ``omega`` is not folded into a scaled copy of V,
+    which would cost a third m x n matrix for a few percent per step.
+    """
+    n = x.shape[0]  # passed positionally: daxpy parses keywords much more slowly
+    if omega is None:
+        for i in rows:
+            beta_i = beta[i]
+            if abs(ddot(a_rows[i], x) - beta_i) <= ADAPTIVE_RESIDUAL_FLOOR:
+                continue
+            v_i = v_rows[i]
+            daxpy(v_i, x, n, (beta_i - ddot(v_i, x)) / ddot(v_i, v_i))
+    else:
+        for i in rows:
+            daxpy(v_rows[i], x, n, omega[i] * (beta[i] - ddot(a_rows[i], x)))
+
+
 def rkma_step(sys: SystemPair, x, i, rule: StepRule = StepRule.OBLIQUE_EXACT):
     """One row update; returns the new iterate (input x is not modified)."""
     x = as_vector(x, "x")
@@ -200,21 +234,10 @@ def rkma_step(sys: SystemPair, x, i, rule: StepRule = StepRule.OBLIQUE_EXACT):
         raise DimensionError(f"x has length {x.shape[0]}, expected {sys.n}")
     if not 0 <= i < sys.m:
         raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
-    beta = sys.rhs[i]
-    a_i = sys.a[i]
-    v_i = sys.v[i]
-    residual = a_i @ x - beta
-    if rule is StepRule.OBLIQUE_EXACT:
-        coeff = residual / sys.pairing[i]
-    elif rule is StepRule.INVERSE_ROW_NORM_A:
-        coeff = residual / (a_i @ a_i)
-    elif rule is StepRule.INVERSE_ROW_NORM_V:
-        coeff = residual / (v_i @ v_i)
-    else:  # adaptive: lands on the v-hyperplane; no-op when already on the a-one
-        if abs(residual) <= ADAPTIVE_RESIDUAL_FLOOR:
-            return x.copy()
-        coeff = (v_i @ x - beta) / (v_i @ v_i)
-    x_new = x - coeff * v_i
+    omega = [float(static_step_sizes(sys, rule)[i])] if rule.is_static else None
+    x_new = x.copy()
+    # The kernel over the one-row system (a_i, v_i, beta_i).
+    _sweep(x_new, [sys.a[i]], [sys.v[i]], omega, [float(sys.rhs[i])], [0])
     if not np.all(np.isfinite(x_new)):
         raise NumericError(f"non-finite iterate produced by row {i}")
     return x_new
@@ -225,17 +248,22 @@ def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
 
     Iterations 0 and the final iterate are always logged.  Early stopping on
     the relative residual is checked at the logging points (keeping the
-    per-step cost at O(n)).  Deterministic for a fixed config seed.
+    per-step cost at O(n)).  Rows are drawn in blocks of ``ROW_BLOCK``, so a
+    fixed config seed fixes the row sequence for every ``max_iterations`` and
+    ``log_stride``: a shorter run is a prefix of a longer one.
     """
     p = check_probability_vector(p)
     if len(p) != sys.m:
         raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
-    sampler = build_sampler(p)
+    sampler = DiscreteSampler(p)
     rng = replicate_rng(cfg.seed)
-    omega = static_step_sizes(sys, cfg.rule) if cfg.rule.is_static else None
+    omega = static_step_sizes(sys, cfg.rule).tolist() if cfg.rule.is_static else None
+    a_rows = list(sys.a)
+    v_rows = list(sys.v)
+    rhs = sys.rhs
+    beta = rhs.tolist()
 
     x = initial_iterate(sys, cfg)
-    rhs = sys.rhs
     rhs_norm = np.linalg.norm(rhs)
     tol_abs = cfg.residual_tolerance * rhs_norm
     rows_visited = np.zeros(sys.m, dtype=np.int64)
@@ -259,25 +287,24 @@ def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
         return residual
 
     log_point(0)
-    a, v = sys.a, sys.v
-    for k in range(1, cfg.max_iterations + 1):
-        i = sampler.draw(rng)
-        rows_visited[i] += 1
-        a_i = a[i]
-        residual_i = a_i @ x - rhs[i]
-        if cfg.rule.is_static:
-            coeff = residual_i * omega[i]
-        elif abs(residual_i) <= ADAPTIVE_RESIDUAL_FLOOR:
-            coeff = 0.0
-        else:
-            v_i = v[i]
-            coeff = (v_i @ x - rhs[i]) / (v_i @ v_i)
-        x = x - coeff * v[i]
-        if k % cfg.log_stride == 0 or k == cfg.max_iterations:
-            residual = log_point(k)
-            if k < cfg.max_iterations and cfg.residual_tolerance > 0 and residual <= tol_abs:
-                stopped_early = True
-                break
+    block = np.empty(0, dtype=np.intp)
+    used = 0
+    k = 0
+    while k < cfg.max_iterations:
+        k_log = min(k + cfg.log_stride, cfg.max_iterations)
+        while k < k_log:
+            if used == block.size:
+                block = sampler.draw_array(rng, ROW_BLOCK)
+                used = 0
+            segment = block[used:used + k_log - k]
+            _sweep(x, a_rows, v_rows, omega, beta, segment.tolist())
+            rows_visited += np.bincount(segment, minlength=sys.m)
+            used += segment.size
+            k += segment.size
+        residual = log_point(k)
+        if k < cfg.max_iterations and cfg.residual_tolerance > 0 and residual <= tol_abs:
+            stopped_early = True
+            break
 
     return Trace(
         logged_k=logged_k,
@@ -315,7 +342,7 @@ def run_replicates(sys: SystemPair, p, cfg: SolverConfig, n_replicates) -> Repli
     p = check_probability_vector(p)
     if len(p) != sys.m:
         raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
-    sampler = build_sampler(p)
+    sampler = DiscreteSampler(p)
     rng = replicate_rng(cfg.seed)
     omega = static_step_sizes(sys, cfg.rule)  # adaptive rule not supported here
 

@@ -314,12 +314,15 @@ def test_criterion_09_probability_optimization_orderings():
         norm_uniform = norm_objective(sys, p_uniform)
         norm_pairing = norm_objective(sys, p_pairing)
         assert opt_norm.best_objective < min(norm_uniform, norm_pairing)
-        # Optimized rows solve faster than uniform rows to the same target.
-        cfg = SolverConfig(max_iterations=6 * 10**4, log_stride=100, seed=5)
-        iters_uniform = iterations_to_error(run(sys, p_uniform, cfg), 1e-6)
-        iters_opt = iterations_to_error(run(sys, opt_lam.best_p, cfg), 1e-6)
-        assert iters_uniform is not None and iters_opt is not None
-        assert iters_opt < iters_uniform
+        # Optimized rows solve faster than uniform rows to the same target, on
+        # average over solver seeds: single runs can tie at the log resolution.
+        iters_uniform, iters_opt = [], []
+        for seed in range(8):
+            cfg = SolverConfig(max_iterations=6 * 10**4, log_stride=100, seed=seed)
+            iters_uniform.append(iterations_to_error(run(sys, p_uniform, cfg), 1e-6))
+            iters_opt.append(iterations_to_error(run(sys, opt_lam.best_p, cfg), 1e-6))
+        assert None not in iters_uniform and None not in iters_opt
+        assert np.mean(iters_opt) < np.mean(iters_uniform)
 
 
 def test_criterion_10_ct_reconstruction_advantage():

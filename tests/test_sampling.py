@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz_mismatch.errors import InvalidDistributionError
 from kaczmarz_mismatch.sampling import (
     DiscreteSampler,
-    build_sampler,
     check_probability_vector,
     replicate_rng,
 )
@@ -33,13 +34,13 @@ class TestValidation:
 
 class TestAliasSampler:
     def test_degenerate_always_first(self):
-        sampler = build_sampler([1.0, 0.0])
+        sampler = DiscreteSampler([1.0, 0.0])
         rng = replicate_rng(1)
         draws = sampler.draw_array(rng, 1000)
         assert np.all(draws == 0)
 
     def test_fair_coin_frequency(self):
-        sampler = build_sampler([0.5, 0.5])
+        sampler = DiscreteSampler([0.5, 0.5])
         rng = replicate_rng(2)
         draws = sampler.draw_array(rng, 10**6)
         freq0 = np.mean(draws == 0)
@@ -47,7 +48,7 @@ class TestAliasSampler:
 
     def test_three_point_frequencies_within_3_sigma(self):
         p = np.array([0.2, 0.3, 0.5])
-        sampler = build_sampler(p)
+        sampler = DiscreteSampler(p)
         rng = replicate_rng(3)
         n = 10**6
         draws = sampler.draw_array(rng, n)
@@ -56,13 +57,13 @@ class TestAliasSampler:
             assert abs(np.mean(draws == i) - pi) <= 3 * se
 
     def test_zero_weight_never_drawn(self):
-        sampler = build_sampler([0.4, 0.0, 0.6])
+        sampler = DiscreteSampler([0.4, 0.0, 0.6])
         rng = replicate_rng(4)
         draws = sampler.draw_array(rng, 10**5)
         assert not np.any(draws == 1)
 
     def test_scalar_draw_matches_distribution_support(self):
-        sampler = build_sampler([0.25, 0.25, 0.5])
+        sampler = DiscreteSampler([0.25, 0.25, 0.5])
         rng = replicate_rng(5)
         draws = {sampler.draw(rng) for _ in range(200)}
         assert draws <= {0, 1, 2}
@@ -85,6 +86,29 @@ class TestAliasSampler:
         for counts in (alias_counts, ref_counts):
             result = scipy.stats.chisquare(counts, expected)
             assert result.pvalue > 0.001
+
+
+class TestAliasSamplerProperties:
+    # Integer weights keep every positive p_i >= 1/300, so each expected
+    # count is at least 100 and the chi-square approximation holds.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10), min_size=1, max_size=30).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_frequencies_match_p(self, weights, seed):
+        p = np.array(weights, dtype=float)
+        p /= p.sum()
+        n = 30000
+        counts = np.bincount(
+            DiscreteSampler(p).draw_array(replicate_rng(seed), n), minlength=len(p)
+        )
+        assert len(counts) == len(p)
+        assert not np.any(counts[p == 0])
+        support = p > 0
+        if support.sum() > 1:
+            result = scipy.stats.chisquare(counts[support], n * p[support])
+            assert result.pvalue > 1e-6
 
 
 class TestReplicateStreams:

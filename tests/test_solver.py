@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kaczmarz_mismatch.errors import (
     DimensionError,
@@ -7,6 +10,8 @@ from kaczmarz_mismatch.errors import (
 )
 from kaczmarz_mismatch.sampling import replicate_rng
 from kaczmarz_mismatch.solver import (
+    ADAPTIVE_RESIDUAL_FLOOR,
+    ROW_BLOCK,
     SolverConfig,
     StepRule,
     exact_one_step_expectation,
@@ -15,7 +20,10 @@ from kaczmarz_mismatch.solver import (
     run,
     run_replicates,
     static_step_sizes,
+    _sweep,
 )
+
+ALL_RULES = list(StepRule)
 
 
 def random_pair(rng, m, n, tau=0.5):
@@ -169,6 +177,114 @@ class TestStep:
             i = 1
             expected = x - omega[i] * (sys.a[i] @ x - sys.b[i]) * sys.v[i]
             np.testing.assert_allclose(rkma_step(sys, x, i, rule), expected, atol=1e-14)
+
+
+def reference_step(sys, x, i, rule):
+    """The row update written out in numpy, as the kernel's reference."""
+    a_i, v_i, beta = sys.a[i], sys.v[i], sys.rhs[i]
+    residual = a_i @ x - beta
+    if rule.is_static:
+        coeff = residual * static_step_sizes(sys, rule)[i]
+    elif abs(residual) <= ADAPTIVE_RESIDUAL_FLOOR:
+        return x.copy()
+    else:
+        coeff = (v_i @ x - beta) / (v_i @ v_i)
+    return x - coeff * v_i
+
+
+class TestKernel:
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
+    def test_sweep_matches_composed_steps(self, rule):
+        rng = np.random.default_rng(40)
+        a = rng.standard_normal((12, 7))
+        v = np.where(np.abs(a) >= 0.3, a, 0.0)
+        v[~v.any(axis=1)] = a[~v.any(axis=1)]
+        sys = make_system(a, v, rng.standard_normal(12), noise=0.1 * rng.standard_normal(12))
+        rows = rng.integers(12, size=60).tolist()
+        x0 = rng.standard_normal(7)
+
+        x = x0.copy()
+        omega = static_step_sizes(sys, rule).tolist() if rule.is_static else None
+        _sweep(x, list(sys.a), list(sys.v), omega, sys.rhs.tolist(), rows)
+        composed = x0
+        reference = x0
+        for i in rows:
+            composed = rkma_step(sys, composed, i, rule)
+            reference = reference_step(sys, reference, i, rule)
+        assert np.linalg.norm(x - x0) > 1e-3  # the sweep moved x itself
+        np.testing.assert_allclose(x, composed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", [StepRule.OBLIQUE_EXACT, StepRule.ADAPTIVE_V_HYPERPLANE],
+                             ids=lambda r: r.value)
+    def test_shorter_run_is_prefix_of_longer_run(self, rule):
+        rng = np.random.default_rng(41)
+        sys = random_pair(rng, 20, 6, tau=0.4)
+        p = rng.random(20)
+        p /= p.sum()
+        horizon = 2 * ROW_BLOCK + 300
+        long_run = run(sys, p, SolverConfig(
+            rule=rule, max_iterations=horizon, log_stride=1, seed=3,
+            keep_logged_iterates=True,
+        ))
+        for k, stride in [(1, 1), (7, 3), (50, 50), (300, 7), (ROW_BLOCK, 100),
+                          (ROW_BLOCK + 1, ROW_BLOCK + 1), (2 * ROW_BLOCK + 17, 500)]:
+            short = run(sys, p, SolverConfig(rule=rule, max_iterations=k, log_stride=stride, seed=3))
+            np.testing.assert_array_equal(short.final_x, long_run.logged_x[k])
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-10])
+    def test_rows_visited_counts_steps_taken(self, tolerance):
+        sys = make_system(np.eye(3), np.eye(3), np.ones(3), truth=np.ones(3))
+        p = np.full(3, 1 / 3)
+        cfg = SolverConfig(max_iterations=5000, log_stride=10, seed=2,
+                           residual_tolerance=tolerance)
+        trace = run(sys, p, cfg)
+        assert trace.stopped_early == (tolerance > 0)
+        steps = trace.logged_k[-1]
+        assert trace.rows_visited.sum() == steps
+        # Rows drawn into the block but never applied are not counted.
+        exact = run(sys, p, SolverConfig(max_iterations=steps, log_stride=steps, seed=2))
+        np.testing.assert_array_equal(trace.rows_visited, exact.rows_visited)
+
+
+# Small integer entries keep every pairing cosine above 1/200 and the rounding
+# of one step far below the tolerances used here.
+small_ints = st.integers(-5, 5).map(float)
+
+
+@st.composite
+def single_row_case(draw):
+    n = draw(st.integers(1, 8))
+    a = draw(arrays(np.float64, n, elements=small_ints))
+    v = draw(arrays(np.float64, n, elements=small_ints))
+    assume(a @ v != 0.0)
+    # Subnormal numbers carry no relative precision; the bounds below are relative.
+    x = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+    beta = draw(st.floats(-10.0, 10.0, allow_subnormal=False))
+    return a, v, x, beta
+
+
+class TestStepProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(single_row_case())
+    def test_oblique_step_lands_on_a_hyperplane(self, case):
+        a, v, x, beta = case
+        sys = make_system(a[None, :], v[None, :], [beta])
+        x_new = rkma_step(sys, x, 0, StepRule.OBLIQUE_EXACT)
+        gap = abs(a @ x_new - beta)
+        # Rounding scale of the residual, the update x + c v and the final dot product.
+        scale = abs(beta) + np.abs(a) @ (np.abs(x) + np.abs(x_new) + np.abs(x_new - x))
+        assert gap <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(single_row_case(), st.sampled_from(ALL_RULES),
+           st.one_of(st.just(-1.0), st.floats(1e-2, 1e2)))
+    def test_row_sign_flip_and_scaling_invariance(self, case, rule, factor):
+        a, v, x, beta = case
+        assume(abs(a @ x - beta) > 1e-10)  # the adaptive rule's no-op test is not scale-free
+        base = rkma_step(make_system(a[None, :], v[None, :], [beta]), x, 0, rule)
+        scaled = make_system(factor * a[None, :], factor * v[None, :], [factor * beta])
+        np.testing.assert_allclose(rkma_step(scaled, x, 0, rule), base, rtol=0, atol=1e-9)
 
 
 class TestRun:
