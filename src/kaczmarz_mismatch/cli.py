@@ -3,7 +3,10 @@
 Subcommands: ``generate`` (write a problem instance to a directory),
 ``diagnose`` (convergence quantities), ``solve`` (run the iteration, write a
 trace), ``optimize`` (row-probability optimization), ``experiment`` (the
-named benchmark pipelines).
+named benchmark pipelines).  The parameter flags of ``generate`` and
+``experiment`` and their defaults come from ``problems.INSTANCES`` and
+``experiments.EXPERIMENTS``; a flag the chosen kind or pipeline does not take
+is invalid input.
 
 Exit codes: 0 success, 1 invalid input, 2 numeric failure, 3 analysis
 completed but no convergence guarantee holds.  Identical invocations write
@@ -13,11 +16,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys as _sys
 
-from . import __version__, experiments
+from . import __version__, experiments, problems
 from .diagnostics import compute_diagnostics
 from .errors import (
     InvalidInputError,
@@ -39,14 +41,6 @@ from .probopt import (
     StepSchedule,
     optimize_probabilities,
 )
-from .problems import (
-    assemble_consistent,
-    assemble_inconsistent,
-    assemble_scaled_for_probopt,
-    assemble_underdetermined,
-    gen_gaussian,
-    mismatch_threshold,
-)
 from .solver import SolverConfig, StepRule, make_system, run
 
 EXIT_OK = 0
@@ -54,7 +48,9 @@ EXIT_INVALID_INPUT = 1
 EXIT_NUMERIC_FAILURE = 2
 EXIT_NO_GUARANTEE = 3
 
-GENERATE_KINDS = ("consistent", "inconsistent", "underdetermined", "probopt", "ct")
+# Flags of generate/experiment that select and place the output rather than
+# set a parameter of the chosen kind or pipeline.
+_FIXED_FLAGS = ("command", "kind", "name", "out")
 
 
 class _UsageError(Exception):
@@ -67,21 +63,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_parameter_flags(parser, defaults_by_entry):
+    """One flag per parameter of any entry, absent unless given on the command line.
+
+    ``defaults_by_entry`` maps each kind or pipeline to {flag: default}; a
+    flag's type is its default's, and its help lists each entry's default.
+    """
+    uses = {}
+    for entry, defaults in defaults_by_entry.items():
+        for dest, default in defaults.items():
+            uses.setdefault(dest, []).append((entry, default))
+    for dest, entries in uses.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=type(entries[0][1]),
+            default=argparse.SUPPRESS,
+            help="default: " + ", ".join(f"{entry} {default}" for entry, default in entries),
+        )
+
+
 def _build_parser():
     parser = _Parser(prog="kaczmarz-mismatch", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a problem instance to a directory")
-    gen.add_argument("--kind", choices=GENERATE_KINDS, required=True)
-    gen.add_argument("--m", type=int, default=200)
-    gen.add_argument("--n", type=int, default=50)
-    gen.add_argument("--tau", type=float, default=0.5, help="mismatch threshold")
-    gen.add_argument("--noise-scale", type=float, default=0.05)
-    gen.add_argument("--zero-frac", type=float, default=0.05)
-    gen.add_argument("--grid", type=int, default=32, help="tomography grid size")
-    gen.add_argument("--angle-step", type=float, default=5.0)
-    gen.add_argument("--rays", type=int, default=90, help="rays per angle")
+    gen.add_argument("--kind", choices=tuple(problems.INSTANCES), required=True)
+    _add_parameter_flags(
+        gen, {kind: recipe.defaults for kind, recipe in problems.INSTANCES.items()}
+    )
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
@@ -122,18 +132,10 @@ def _build_parser():
     opt.add_argument("--out", required=True)
 
     exp = sub.add_parser("experiment", help="run a named benchmark pipeline")
-    exp.add_argument("--name", choices=experiments.EXPERIMENT_NAMES, required=True)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--m", type=int, default=None)
-    exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--tau", type=float, default=None)
-    exp.add_argument("--noise-scale", type=float, default=None)
-    exp.add_argument("--zero-frac", type=float, default=None)
-    exp.add_argument("--grid", type=int, default=None)
-    exp.add_argument("--rays", type=int, default=None)
-    exp.add_argument("--sweeps", type=int, default=None)
-    exp.add_argument("--iters", type=int, default=None)
-    exp.add_argument("--log-stride", type=int, default=None)
+    exp.add_argument("--name", choices=tuple(experiments.EXPERIMENTS), required=True)
+    _add_parameter_flags(
+        exp, {name: pipeline.flags() for name, pipeline in experiments.EXPERIMENTS.items()}
+    )
     exp.add_argument("--out", required=True)
     return parser
 
@@ -159,58 +161,38 @@ def _resolve_probabilities(sys_pair, source):
     return experiments.probability_scheme(sys_pair, source)
 
 
+def _given_flags(args, accepted, owner):
+    """The parameter flags given on the command line; each must be one ``owner`` takes."""
+    given = {k: v for k, v in vars(args).items() if k not in _FIXED_FLAGS}
+    for dest in given:
+        if dest not in accepted:
+            raise InvalidInputError(f"--{dest.replace('_', '-')} does not apply to {owner}")
+    return given
+
+
 def _cmd_generate(args, argv):
+    recipe = problems.INSTANCES[args.kind]
+    given = _given_flags(args, {"seed", *recipe.defaults}, f"--kind {args.kind}")
+    seed = given.pop("seed")
+    params = recipe.parameters(given)
+    sys_pair = problems.build_instance(args.kind, seed, **params)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    params = {"kind": args.kind, "seed": args.seed}
-    noise = None
-    if args.kind == "ct":
-        sys_pair, _ = experiments.build_ct_instance(
-            args.grid, args.angle_step, args.rays, args.seed
-        )
-        params.update(grid=args.grid, angle_step=args.angle_step, rays=args.rays)
-    elif args.kind == "consistent":
-        a = gen_gaussian(args.m, args.n, args.seed)
-        sys_pair = assemble_consistent(a, mismatch_threshold(a, args.tau), args.seed)
-        params.update(m=args.m, n=args.n, tau=args.tau)
-    elif args.kind == "inconsistent":
-        a = gen_gaussian(args.m, args.n, args.seed)
-        sys_pair = assemble_inconsistent(
-            a, mismatch_threshold(a, args.tau), args.noise_scale, args.seed
-        )
-        noise = sys_pair.noise
-        params.update(m=args.m, n=args.n, tau=args.tau, noise_scale=args.noise_scale)
-    elif args.kind == "underdetermined":
-        sys_pair = assemble_underdetermined(args.m, args.n, args.tau, args.seed)
-        params.update(m=args.m, n=args.n, tau=args.tau)
-    else:  # probopt
-        sys_pair = assemble_scaled_for_probopt(
-            args.m, args.n, args.zero_frac, args.seed
-        )
-        params.update(m=args.m, n=args.n, zero_frac=args.zero_frac)
 
     command = _command_string(argv)
-    headers = provenance_lines(__version__, command, args.seed)
+    headers = provenance_lines(__version__, command, seed)
     comment = "\n".join(headers)
     write_matrix_market(os.path.join(out, "A.mtx"), sys_pair.a, comment=comment)
     write_matrix_market(os.path.join(out, "V.mtx"), sys_pair.v, comment=comment)
     write_vector_csv(os.path.join(out, "b.csv"), sys_pair.b, headers)
-    if noise is not None:
-        write_vector_csv(os.path.join(out, "r.csv"), noise, headers)
+    if sys_pair.noise is not None:
+        write_vector_csv(os.path.join(out, "r.csv"), sys_pair.noise, headers)
     if sys_pair.truth is not None:
         write_vector_csv(os.path.join(out, "xhat.csv"), sys_pair.truth, headers)
-    manifest = {
-        "tool_version": __version__,
-        "format_version": "1",
-        "command": command,
-        "seed": args.seed,
-        "parameters": params,
-        "rows": sys_pair.m,
-        "cols": sys_pair.n,
-    }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    experiments.write_manifest(
+        out, command, seed, {"kind": args.kind, **params},
+        rows=sys_pair.m, cols=sys_pair.n,
+    )
     print(f"wrote {args.kind} instance ({sys_pair.m} x {sys_pair.n}) to {out}")
     return EXIT_OK
 
@@ -298,42 +280,13 @@ def _cmd_optimize(args, argv):
 
 
 def _cmd_experiment(args, argv):
-    command = _command_string(argv)
-    overrides = {}
-
-    def put(key, value):
-        if value is not None:
-            overrides[key] = value
-
-    put("seed", args.seed)
-    name = args.name
-    if name in ("fig1", "fig2", "fig3"):
-        put("m", args.m)
-        put("n", args.n)
-        put("tau", args.tau)
-        put("iterations", args.iters)
-        put("log_stride", args.log_stride)
-        if name == "fig2":
-            put("noise_scale", args.noise_scale)
-        runner = {
-            "fig1": experiments.experiment_fig1,
-            "fig2": experiments.experiment_fig2,
-            "fig3": experiments.experiment_fig3,
-        }[name]
-        runner(args.out, command=command, **overrides)
-    elif name == "ct":
-        put("grid_n", args.grid)
-        put("rays_per_angle", args.rays)
-        put("sweeps", args.sweeps)
-        experiments.experiment_ct(args.out, command=command, **overrides)
-    else:  # table1
-        put("m", args.m)
-        put("n", args.n)
-        put("zero_frac", args.zero_frac)
-        put("opt_iterations", args.iters)
-        put("log_stride", args.log_stride)
-        experiments.experiment_table1(args.out, command=command, **overrides)
-    print(f"experiment {name} written to {args.out}")
+    params = _given_flags(
+        args, experiments.EXPERIMENTS[args.name].flags(), f"--name {args.name}"
+    )
+    # Looked up at call time, so a wrapper installed on the module sees the call.
+    runner = getattr(experiments, f"experiment_{args.name}")
+    runner(args.out, command=_command_string(argv), **params)
+    print(f"experiment {args.name} written to {args.out}")
     return EXIT_OK
 
 

@@ -223,6 +223,10 @@ def expected_fixed_point_error(
     if sys.noise is None:
         raise InvalidInputError("fixed-point error needs a stored noise vector")
     pair, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
+    return _fixed_point_error(sys, pair, vtda)
+
+
+def _fixed_point_error(sys, pair, vtda) -> float:
     rhs = sys.v.T @ (pair.d * sys.noise)
     z = lu_solve(vtda, rhs)  # vtda is singular when m < n
     return float(np.linalg.norm(z))
@@ -282,8 +286,10 @@ def compute_diagnostics(
         restricted = sys.m < sys.n
     if restricted:
         diag = restricted_diagnostics(sys, p, rule)
+        operator = None
     else:
-        _, vtda, w = expectation_operator(sys, p, rule)
+        operator = expectation_operator(sys, p, rule)
+        _, vtda, w = operator
         m_mat = np.eye(sys.n) - vtda
         lam, _ = symmetric_eig_min(w)
         diag = RateDiagnostics(
@@ -295,8 +301,9 @@ def compute_diagnostics(
         )
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
+        pair, vtda, _ = operator or expectation_operator(sys, p, rule)
         try:
-            diag.fixed_point_error = expected_fixed_point_error(sys, p, rule)
+            diag.fixed_point_error = _fixed_point_error(sys, pair, vtda)
         except (SingularMatrixError, InvalidInputError):
             diag.fixed_point_error = None
     return diag

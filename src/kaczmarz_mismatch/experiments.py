@@ -1,42 +1,77 @@
 """Named experiment pipelines producing plot-ready CSV directories.
 
-Each experiment builds its instance, runs the relevant solves, and writes
-traces, diagnostics, and theoretical-bound curves with provenance headers.
-Defaults are desk scale (seconds to minutes); the flags of ``cmd_experiment``
-reach the published problem sizes.
+Each experiment builds its instance through ``problems.build_instance``,
+runs the relevant solves, and writes traces, diagnostics, and
+theoretical-bound curves with provenance headers.  ``EXPERIMENTS`` lists
+each pipeline's instance kind, parameters with their desk-scale defaults
+(seconds to minutes), and the ``experiment`` flags that reach the published
+problem sizes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, problems
 from .diagnostics import (
     CSV_COLUMNS,
     compute_diagnostics,
     inconsistent_bound,
 )
 from .errors import InvalidInputError
-from .fileio import provenance_lines, write_table_csv, write_vector_csv
+from .fileio import FORMAT_VERSION, provenance_lines, write_table_csv, write_vector_csv
 from .linalg import orthonormal_range_basis
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
-from .problems import (
-    assemble_consistent,
-    assemble_inconsistent,
-    assemble_scaled_for_probopt,
-    assemble_underdetermined,
-    ct_mismatch_pair,
-    gen_gaussian,
-    mismatch_threshold,
-    parallel_beam_matrix,
-    smooth_phantom,
-)
 from .solver import SolverConfig, StepRule, make_system, run
 
-EXPERIMENT_NAMES = ("fig1", "fig2", "fig3", "ct", "table1")
+
+@dataclass(frozen=True)
+class Experiment:
+    """One named pipeline, run by the function ``experiment_<name>`` of this module.
+
+    ``kind`` is the instance it builds (a key of ``problems.INSTANCES``).
+    ``defaults`` holds its seed, its own parameters and the instance defaults
+    it overrides.  Each parameter is also an ``experiment`` flag of the same
+    name, except those in ``python_only``.
+    """
+
+    kind: str
+    defaults: dict[str, object]
+    python_only: tuple[str, ...] = ()
+
+    def parameters(self, given):
+        """``given`` over every default; a parameter the pipeline lacks is invalid input."""
+        params = {**problems.INSTANCES[self.kind].defaults, **self.defaults}
+        unknown = sorted(set(given) - set(params))
+        if unknown:
+            raise InvalidInputError(f"pipeline takes no parameter {', '.join(unknown)}")
+        return {**params, **given}
+
+    def flags(self):
+        """The parameters the ``experiment`` flags reach, with their defaults."""
+        params = self.parameters({})
+        return {key: value for key, value in params.items() if key not in self.python_only}
+
+
+EXPERIMENTS = {
+    "fig1": Experiment("consistent", {"seed": 1, "iters": 20000, "log_stride": 500}),
+    "fig2": Experiment("inconsistent", {"seed": 2, "iters": 20000, "log_stride": 500}),
+    "fig3": Experiment("underdetermined", {"seed": 3, "iters": 20000, "log_stride": 500}),
+    "ct": Experiment("ct", {"seed": 4, "sweeps": 20}, python_only=("angle_step",)),
+    # iters counts optimizer iterations; each solve runs solve_iterations.
+    "table1": Experiment(
+        "probopt",
+        {
+            "seed": 5, "m": 150, "iters": 500, "solve_iterations": 40000,
+            "log_stride": 200, "error_target": 1e-6,
+        },
+        python_only=("solve_iterations", "error_target"),
+    ),
+}
 
 TRACE_COLUMNS = ("k", "error_norm", "residual_norm")
 
@@ -65,47 +100,56 @@ def write_diagnostics_csv(path, diag, header_lines=()):
     write_table_csv(path, CSV_COLUMNS, [diag.csv_row()], header_lines=header_lines)
 
 
-def _write_manifest(out_dir, name, params, command, seed):
+def write_manifest(out_dir, command, seed, parameters, **fields):
+    """``manifest.json`` of an output directory: provenance, parameters and ``fields``."""
     manifest = {
-        "experiment": name,
         "tool_version": __version__,
-        "format_version": "1",
+        "format_version": FORMAT_VERSION,
         "command": command,
         "seed": seed,
-        "parameters": params,
+        "parameters": parameters,
+        **fields,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _headers(command, seed, extra=()):
-    return list(provenance_lines(__version__, command, seed)) + list(extra)
+def _headers(command, seed, params):
+    return list(provenance_lines(__version__, command, seed)) + [
+        f"{key}: {value}" for key, value in params.items()
+    ]
 
 
-def experiment_fig1(
-    out_dir,
-    seed=1,
-    m=200,
-    n=50,
-    tau=0.5,
-    iterations=20000,
-    log_stride=500,
-    command="experiment fig1",
-):
-    """Overdetermined consistent comparison: matched vs mismatched adjoint."""
+def _setup(name, out_dir, given):
+    """(seed, instance parameters, own parameters, instance) of pipeline ``name``."""
+    exp = EXPERIMENTS[name]
+    params = exp.parameters(given)
+    seed = params.pop("seed")
+    instance = {key: params.pop(key) for key in problems.INSTANCES[exp.kind].defaults}
     os.makedirs(out_dir, exist_ok=True)
-    a = gen_gaussian(m, n, seed)
-    sys_mis = assemble_consistent(a, mismatch_threshold(a, tau), seed)
-    sys_matched = make_system(a, a, sys_mis.b, truth=sys_mis.truth)
+    return seed, instance, params, problems.build_instance(exp.kind, seed, **instance)
+
+
+def _write_manifest(out_dir, name, command, seed, instance, params):
+    kind = EXPERIMENTS[name].kind
+    write_manifest(
+        out_dir, command, seed, {"kind": kind, **instance, **params}, experiment=name
+    )
+
+
+def experiment_fig1(out_dir, command="experiment fig1", **params):
+    """Overdetermined consistent comparison: matched vs mismatched adjoint."""
+    seed, instance, own, sys_mis = _setup("fig1", out_dir, params)
+    sys_matched = make_system(sys_mis.a, sys_mis.a, sys_mis.b, truth=sys_mis.truth)
     p = probability_scheme(sys_mis, "rownorm-a")
 
     diag = compute_diagnostics(sys_mis, p)
-    cfg = SolverConfig(max_iterations=iterations, log_stride=log_stride, seed=seed)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace_mis = run(sys_mis, p, cfg)
     trace_matched = run(sys_matched, p, cfg)
 
-    headers = _headers(command, seed, [f"m: {m}", f"n: {n}", f"tau: {tau}"])
+    headers = _headers(command, seed, instance)
     write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
     write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
@@ -121,38 +165,20 @@ def experiment_fig1(
         rows,
         header_lines=headers,
     )
-    _write_manifest(
-        out_dir, "fig1",
-        {"m": m, "n": n, "tau": tau, "iterations": iterations, "log_stride": log_stride},
-        command, seed,
-    )
+    _write_manifest(out_dir, "fig1", command, seed, instance, own)
     return diag
 
 
-def experiment_fig2(
-    out_dir,
-    seed=2,
-    m=200,
-    n=50,
-    tau=0.5,
-    noise_scale=0.05,
-    iterations=20000,
-    log_stride=500,
-    command="experiment fig2",
-):
+def experiment_fig2(out_dir, command="experiment fig2", **params):
     """Inconsistent right-hand side: error decays to a nonzero floor."""
-    os.makedirs(out_dir, exist_ok=True)
-    a = gen_gaussian(m, n, seed)
-    sys = assemble_inconsistent(a, mismatch_threshold(a, tau), noise_scale, seed)
+    seed, instance, own, sys = _setup("fig2", out_dir, params)
     p = probability_scheme(sys, "rownorm-a")
 
     diag = compute_diagnostics(sys, p)
-    cfg = SolverConfig(max_iterations=iterations, log_stride=log_stride, seed=seed)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace = run(sys, p, cfg)
 
-    headers = _headers(
-        command, seed, [f"m: {m}", f"n: {n}", f"tau: {tau}", f"noise_scale: {noise_scale}"]
-    )
+    headers = _headers(command, seed, instance)
     write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace, headers)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
 
@@ -167,42 +193,25 @@ def experiment_fig2(
         rows,
         header_lines=headers,
     )
-    _write_manifest(
-        out_dir, "fig2",
-        {
-            "m": m, "n": n, "tau": tau, "noise_scale": noise_scale,
-            "iterations": iterations, "log_stride": log_stride,
-        },
-        command, seed,
-    )
+    _write_manifest(out_dir, "fig2", command, seed, instance, own)
     return diag
 
 
-def experiment_fig3(
-    out_dir,
-    seed=3,
-    m=60,
-    n=300,
-    tau=0.3,
-    iterations=20000,
-    log_stride=500,
-    command="experiment fig3",
-):
+def experiment_fig3(out_dir, command="experiment fig3", **params):
     """Underdetermined case: solution in rg V^T, out of reach for matched rows."""
-    os.makedirs(out_dir, exist_ok=True)
-    sys = assemble_underdetermined(m, n, tau, seed)
+    seed, instance, own, sys = _setup("fig3", out_dir, params)
     sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
     p = probability_scheme(sys, "rownorm-a")
 
     diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
-    cfg = SolverConfig(max_iterations=iterations, log_stride=log_stride, seed=seed)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace_mis = run(sys, p, cfg)
     trace_matched = run(sys_matched, p, cfg)
 
     za = orthonormal_range_basis(sys.a.T)
     plateau = float(np.linalg.norm(sys.truth - za @ (za.T @ sys.truth)))
 
-    headers = _headers(command, seed, [f"m: {m}", f"n: {n}", f"tau: {tau}"])
+    headers = _headers(command, seed, instance)
     write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
     write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
@@ -212,65 +221,28 @@ def experiment_fig3(
         [(plateau,)],
         header_lines=headers,
     )
-    _write_manifest(
-        out_dir, "fig3",
-        {"m": m, "n": n, "tau": tau, "iterations": iterations, "log_stride": log_stride},
-        command, seed,
-    )
+    _write_manifest(out_dir, "fig3", command, seed, instance, own)
     return diag
 
 
-def build_ct_instance(grid_n, angle_step_deg, rays_per_angle, seed, span_factor=1.4):
-    """Projection pair plus phantom for the tomography experiment."""
-    angles = np.arange(0.0, 180.0, angle_step_deg)
-    full = parallel_beam_matrix(
-        grid_n, angles, rays_per_angle, span_factor * grid_n
-    )
-    phantom = smooth_phantom(grid_n, seed)
-    sys = ct_mismatch_pair(full, full @ phantom, truth=phantom)
-    return sys, phantom
-
-
-def experiment_ct(
-    out_dir,
-    seed=4,
-    grid_n=32,
-    angle_step_deg=5.0,
-    rays_per_angle=90,
-    sweeps=20,
-    command="experiment ct",
-):
+def experiment_ct(out_dir, command="experiment ct", **params):
     """Tomography reconstruction with a detector-bin-averaged backprojector."""
-    os.makedirs(out_dir, exist_ok=True)
-    sys, phantom = build_ct_instance(grid_n, angle_step_deg, rays_per_angle, seed)
+    seed, instance, own, sys = _setup("ct", out_dir, params)
     sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
 
-    iterations = sweeps * sys.m
+    iterations = own["sweeps"] * sys.m
     cfg = SolverConfig(max_iterations=iterations, log_stride=sys.m, seed=seed)
     trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
     trace_matched = run(sys_matched, probability_scheme(sys_matched, "rownorm-a"), cfg)
 
-    headers = _headers(
-        command, seed,
-        [
-            f"grid_n: {grid_n}", f"angle_step_deg: {angle_step_deg}",
-            f"rays_per_angle: {rays_per_angle}", f"rows: {sys.m}",
-            f"sweeps: {sweeps}",
-        ],
-    )
+    own = {"rows": sys.m, **own}
+    headers = _headers(command, seed, {**instance, **own})
     write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
     write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
-    write_vector_csv(os.path.join(out_dir, "phantom.csv"), phantom, headers)
+    write_vector_csv(os.path.join(out_dir, "phantom.csv"), sys.truth, headers)
     write_vector_csv(os.path.join(out_dir, "recon_rkma.csv"), trace_mis.final_x, headers)
     write_vector_csv(os.path.join(out_dir, "recon_rk.csv"), trace_matched.final_x, headers)
-    _write_manifest(
-        out_dir, "ct",
-        {
-            "grid_n": grid_n, "angle_step_deg": angle_step_deg,
-            "rays_per_angle": rays_per_angle, "rows": sys.m, "sweeps": sweeps,
-        },
-        command, seed,
-    )
+    _write_manifest(out_dir, "ct", command, seed, instance, own)
     return trace_mis, trace_matched
 
 
@@ -282,26 +254,15 @@ def iterations_to_error(trace, target):
     return None
 
 
-def experiment_table1(
-    out_dir,
-    seed=5,
-    m=150,
-    n=50,
-    zero_frac=0.05,
-    opt_iterations=500,
-    solve_iterations=40000,
-    log_stride=200,
-    error_target=1e-6,
-    command="experiment table1",
-):
+def experiment_table1(out_dir, command="experiment table1", **params):
     """Probability optimization study: rate quantities and solve traces.
 
     Produces the quantity table for uniform, pairing-proportional, and the
     two optimized distributions, plus a solve trace and an
     iterations-to-target summary per distribution.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    sys = assemble_scaled_for_probopt(m, n, zero_frac, seed)
+    seed, instance, own, sys = _setup("table1", out_dir, params)
+    opt_iterations = own["iters"]
 
     opt_lam = optimize_probabilities(
         sys, StepRule.OBLIQUE_EXACT,
@@ -318,10 +279,7 @@ def experiment_table1(
         "opt_norm": opt_norm.best_p,
     }
 
-    headers = _headers(
-        command, seed,
-        [f"m: {m}", f"n: {n}", f"zero_frac: {zero_frac}", f"opt_iterations: {opt_iterations}"],
-    )
+    headers = _headers(command, seed, {**instance, "iters": opt_iterations})
 
     quantities = {}
     for name, p in schemes.items():
@@ -354,7 +312,10 @@ def experiment_table1(
         )
 
     summary_rows = []
-    cfg = SolverConfig(max_iterations=solve_iterations, log_stride=log_stride, seed=seed)
+    cfg = SolverConfig(
+        max_iterations=own["solve_iterations"], log_stride=own["log_stride"], seed=seed
+    )
+    error_target = own["error_target"]
     for name, p in schemes.items():
         trace = run(sys, p, cfg)
         write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), trace, headers)
@@ -367,13 +328,5 @@ def experiment_table1(
         summary_rows,
         header_lines=headers + [f"error_target: {error_target}"],
     )
-    _write_manifest(
-        out_dir, "table1",
-        {
-            "m": m, "n": n, "zero_frac": zero_frac,
-            "opt_iterations": opt_iterations, "solve_iterations": solve_iterations,
-            "log_stride": log_stride, "error_target": error_target,
-        },
-        command, seed,
-    )
+    _write_manifest(out_dir, "table1", command, seed, instance, own)
     return quantities

@@ -1,14 +1,20 @@
-"""Experiment instance generators.
+"""Experiment instance generators and the registry of named instances.
 
 Gaussian systems (overdetermined, noisy, underdetermined), thresholded and
 entry-zeroed surrogate adjoints, row-scaled instances for the probability
 optimization study, and a parallel-beam tomography pair built from an exact
 Siddon-style ray tracer over a unit-pixel grid.
+
+``INSTANCES`` names the five instances of the paper's examples, each with
+the one recipe that builds it and that recipe's parameters and defaults;
+``build_instance`` builds one by name.  ``generate --kind`` and every
+``experiment`` pipeline go through it.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -52,6 +58,19 @@ def assemble_inconsistent(a, v, noise_scale, seed) -> SystemPair:
     truth = rng.standard_normal(a.shape[1])
     noise = noise_scale * rng.standard_normal(a.shape[0])
     return make_system(a, v, a @ truth, noise=noise, truth=truth)
+
+
+def gaussian_instance(m, n, tau, seed, noise_scale=None) -> SystemPair:
+    """Gaussian A with its threshold mismatch V (``tau``) and a Gaussian solution.
+
+    With ``noise_scale`` the right-hand side carries Gaussian noise of that
+    scale (``assemble_inconsistent``); without, it is consistent.
+    """
+    a = gen_gaussian(m, n, seed)
+    v = mismatch_threshold(a, tau)
+    if noise_scale is None:
+        return assemble_consistent(a, v, seed)
+    return assemble_inconsistent(a, v, noise_scale, seed)
 
 
 def assemble_underdetermined(m, n, tau, seed) -> SystemPair:
@@ -200,3 +219,55 @@ def smooth_phantom(grid_n, seed) -> np.ndarray:
     smooth = scipy.ndimage.gaussian_filter(field, sigma=max(1.0, grid_n / 12.0))
     smooth /= smooth.max()
     return smooth.reshape(-1)
+
+
+def build_ct_instance(grid, angle_step, rays, seed, span_factor=1.4) -> SystemPair:
+    """Tomography pair whose solution is a smooth phantom.
+
+    ``grid`` x ``grid`` unit pixels, parallel-beam angles 0, ``angle_step``,
+    ... below 180 degrees, and ``rays`` rays per angle spread over
+    ``span_factor * grid``; ``truth`` is the phantom.
+    """
+    angles = np.arange(0.0, 180.0, angle_step)
+    full = parallel_beam_matrix(grid, angles, rays, span_factor * grid)
+    phantom = smooth_phantom(grid, seed)
+    return ct_mismatch_pair(full, full @ phantom, truth=phantom)
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """How one named instance is built.
+
+    ``builder`` names the function of this module that builds it; the name is
+    looked up when the instance is built, so a wrapper installed on the module
+    attribute sees every call.  ``defaults`` maps each of its parameters, in
+    call order, to its default; the default's type is the parameter's type.
+    """
+
+    builder: str
+    defaults: dict[str, object]
+
+    def parameters(self, given):
+        """``given`` over the defaults; a parameter the recipe lacks is invalid input."""
+        unknown = sorted(set(given) - set(self.defaults))
+        if unknown:
+            raise InvalidInputError(f"{self.builder} takes no parameter {', '.join(unknown)}")
+        return {**self.defaults, **given}
+
+
+# The instances of the paper's numerical examples, by ``generate --kind``.
+INSTANCES = {
+    "consistent": Recipe("gaussian_instance", {"m": 200, "n": 50, "tau": 0.5}),
+    "inconsistent": Recipe(
+        "gaussian_instance", {"m": 200, "n": 50, "tau": 0.5, "noise_scale": 0.05}
+    ),
+    "underdetermined": Recipe("assemble_underdetermined", {"m": 60, "n": 300, "tau": 0.3}),
+    "probopt": Recipe("assemble_scaled_for_probopt", {"m": 200, "n": 50, "zero_frac": 0.05}),
+    "ct": Recipe("build_ct_instance", {"grid": 32, "angle_step": 5.0, "rays": 90}),
+}
+
+
+def build_instance(kind, seed, **params) -> SystemPair:
+    """The instance ``kind`` of ``INSTANCES``; parameters not given take their defaults."""
+    recipe = INSTANCES[kind]
+    return globals()[recipe.builder](seed=seed, **recipe.parameters(params))

@@ -18,11 +18,7 @@ from kaczmarz_mismatch.diagnostics import (
     restricted_diagnostics,
     scaling,
 )
-from kaczmarz_mismatch.experiments import (
-    build_ct_instance,
-    iterations_to_error,
-    probability_scheme,
-)
+from kaczmarz_mismatch.experiments import iterations_to_error, probability_scheme
 from kaczmarz_mismatch.linalg import (
     lu_solve,
     orthonormal_range_basis,
@@ -45,6 +41,7 @@ from kaczmarz_mismatch.problems import (
     assemble_inconsistent,
     assemble_scaled_for_probopt,
     assemble_underdetermined,
+    build_ct_instance,
     gen_gaussian,
     mismatch_threshold,
 )
@@ -329,7 +326,7 @@ def test_criterion_10_ct_reconstruction_advantage():
     with criterion(10, "bin-averaged backprojector reconstructs markedly better", 300.0):
         ratios = []
         for seed in range(5):
-            sys, _ = build_ct_instance(32, 5.0, 90, seed)
+            sys = build_ct_instance(32, 5.0, 90, seed)
             sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
             cfg = SolverConfig(
                 max_iterations=20 * sys.m, log_stride=sys.m, seed=seed

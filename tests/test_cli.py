@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from kaczmarz_mismatch import fileio
+from kaczmarz_mismatch import experiments, fileio
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
 
@@ -78,6 +78,15 @@ class TestGenerate:
             assert (tmp_path / "s1" / name).read_bytes() == (
                 tmp_path / "s1_again" / name
             ).read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "kind", ["consistent", "inconsistent", "underdetermined", "probopt", "ct"]
+    )
+    def test_every_kind_runs_on_its_defaults(self, tmp_path, kind):
+        out = str(tmp_path / kind)
+        assert run_cli(["generate", "--kind", kind, "--out", out]) == 0
+        assert os.path.exists(os.path.join(out, "A.mtx"))
 
 
 class TestDiagnose:
@@ -286,6 +295,46 @@ class TestExperiments:
                       "recon_rkma.csv", "recon_rk.csv", "manifest.json"):
             assert os.path.exists(os.path.join(out, name)), name
 
+    # Each pipeline solves the instance that generate writes for its kind at
+    # the same seed and size, bit for bit after the file round trip.
+    @pytest.mark.parametrize("name, kind, size", [
+        ("fig1", "consistent", ["--m", "30", "--n", "8", "--tau", "0.4"]),
+        ("fig2", "inconsistent", ["--m", "30", "--n", "8", "--tau", "0.4",
+                                  "--noise-scale", "0.1"]),
+        ("fig3", "underdetermined", ["--m", "12", "--n", "40", "--tau", "0.3"]),
+        ("ct", "ct", ["--grid", "8", "--rays", "24"]),
+        ("table1", "probopt", ["--m", "30", "--n", "8", "--zero-frac", "0.1"]),
+    ])
+    def test_instance_matches_generate(self, tmp_path, monkeypatch, name, kind, size):
+        class Solved(Exception):
+            pass
+
+        def first_solve(sys_pair, p, cfg):
+            raise Solved(sys_pair)
+
+        monkeypatch.setattr(experiments, "run", first_solve)
+        with pytest.raises(Solved) as solved:
+            run_cli(["experiment", "--name", name, "--seed", "6", *size,
+                     "--out", str(tmp_path / "exp")])
+        built = solved.value.args[0]
+        out = str(tmp_path / "gen")
+        assert run_cli(["generate", "--kind", kind, "--seed", "6", *size,
+                        "--out", out]) == 0
+
+        def read(name):
+            path = os.path.join(out, name)
+            if name.endswith(".mtx"):
+                return fileio.read_matrix_market(path)
+            return fileio.read_vector_csv(path) if os.path.exists(path) else None
+
+        for field, file in (("a", "A.mtx"), ("v", "V.mtx"), ("b", "b.csv"),
+                            ("truth", "xhat.csv"), ("noise", "r.csv")):
+            expected, written = getattr(built, field), read(file)
+            if expected is None:
+                assert written is None, field
+            else:
+                assert np.array_equal(expected, written), field
+
     def test_unknown_experiment_rejected(self, tmp_path):
         assert run_cli(["experiment", "--name", "fig9",
                         "--out", str(tmp_path / "x")]) == 1
@@ -310,3 +359,14 @@ class TestExitCodes:
             ["solve", "--system-dir", system, "--p", "bogus", "--out", out],
         ):
             assert run_cli(argv) == 1, argv
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["experiment", "--name", "ct", "--m", "100"], "--m"),
+        (["experiment", "--name", "ct", "--tau", "9"], "--tau"),
+        (["experiment", "--name", "fig1", "--zero-frac", "0.3"], "--zero-frac"),
+        (["generate", "--kind", "ct", "--m", "7"], "--m"),
+    ])
+    def test_unused_flag_rejected(self, tmp_path, capsys, argv, flag):
+        assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

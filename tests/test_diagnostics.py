@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kaczmarz_mismatch import diagnostics
 from kaczmarz_mismatch.diagnostics import (
     CSV_COLUMNS,
     RateDiagnostics,
@@ -285,6 +286,22 @@ class TestAssembledDiagnostics:
         diag = compute_diagnostics(sys, row_norm_probabilities(sys))
         assert diag.gamma > 0
         assert diag.fixed_point_error > 0
+
+    def test_noisy_system_builds_expectation_operator_once(self, monkeypatch):
+        a = gen_gaussian(60, 15, 14)
+        sys = assemble_inconsistent(a, mismatch_threshold(a, 0.4), 0.1, 14)
+        p = row_norm_probabilities(sys)
+        calls = []
+        build = diagnostics.expectation_operator
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "expectation_operator", counted)
+        diag = compute_diagnostics(sys, p)
+        assert len(calls) == 1
+        assert diag.fixed_point_error == expected_fixed_point_error(sys, p)
 
     def test_positivity_flag(self):
         sys = thresholded_instance(4, 2, 0.4, 13)
