@@ -279,7 +279,8 @@ def compute_diagnostics(
 
     ``restricted=None`` selects the range-restricted analysis automatically
     when m < n.  Noise quantities are filled in when the system carries a
-    noise vector.
+    noise vector; the fixed-point error stays None when m < n, where
+    V^T D A is singular.
     """
     p = _checked_p(sys, p)
     if restricted is None:
@@ -301,9 +302,10 @@ def compute_diagnostics(
         )
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
-        pair, vtda, _ = operator or expectation_operator(sys, p, rule)
-        try:
-            diag.fixed_point_error = _fixed_point_error(sys, pair, vtda)
-        except (SingularMatrixError, InvalidInputError):
-            diag.fixed_point_error = None
+        if sys.m >= sys.n:  # for m < n, V^T D A (rank <= m) is singular
+            pair, vtda, _ = operator or expectation_operator(sys, p, rule)
+            try:
+                diag.fixed_point_error = _fixed_point_error(sys, pair, vtda)
+            except (SingularMatrixError, InvalidInputError):
+                diag.fixed_point_error = None
     return diag

@@ -1,9 +1,11 @@
 """Matrix Market and CSV readers/writers with provenance headers.
 
-Matrices travel as Matrix Market files (array or coordinate format, both
-readable); vectors and traces as CSV with '#' comment headers.  Writers are
-deterministic: identical data and header text produce byte-identical files,
-and floats are rendered with 17 significant digits so round-trips are exact.
+Matrices travel as Matrix Market files: a matrix with at most half of its
+entries non-zero (the tomography operators) is written in coordinate format,
+any other in array format, and both are readable.  Vectors and traces travel
+as CSV with '#' comment headers.  Writers are deterministic: identical data
+and header text produce byte-identical files, and floats are rendered with
+17 significant digits so round-trips are exact.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ def provenance_lines(tool_version, command, seed):
 
 
 def write_matrix_market(path, m, comment=""):
+    """Write ``m`` in coordinate format if at most half its entries are non-zero.
+
+    Otherwise in array format.  Coordinate files hold only the non-zero
+    entries; a zero of either sign is left out and reads back as +0.
+    """
     m = as_matrix(m)
+    if 2 * np.count_nonzero(m) <= m.size:
+        m = scipy.sparse.coo_array(m)
     scipy.io.mmwrite(path, m, comment=comment, precision=17)
 
 

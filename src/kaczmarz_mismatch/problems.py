@@ -121,6 +121,12 @@ def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> n
     spacing).  Row ordering is angle-major, ray-minor.  Each entry is the
     exact intersection length of the ray with a pixel; rays that miss the
     grid produce zero rows, which are kept at this stage.
+
+    The rays of one angle are traced together (Siddon's method): each ray's
+    entry and exit parameters bound its traversal of the square, the
+    grid-line crossings inside that traversal are sorted, and every segment
+    between consecutive crossings adds its length to the pixel holding its
+    midpoint.
     """
     if grid_n < 2:
         raise InvalidInputError(f"grid_n = {grid_n} must be >= 2")
@@ -130,48 +136,55 @@ def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> n
     )
     rows = np.zeros((len(angles_deg) * rays_per_angle, grid_n * grid_n))
     edges = np.arange(grid_n + 1) - half  # shared x and y grid-line coordinates
-    row_idx = 0
-    for angle in angles_deg:
+    for k, angle in enumerate(angles_deg):
         theta = np.deg2rad(angle)
         d = np.array([np.cos(theta), np.sin(theta)])  # ray direction
         u = np.array([-np.sin(theta), np.cos(theta)])  # lateral (detector) axis
-        for t in offsets:
-            origin = t * u
-            _trace_ray(rows[row_idx], origin, d, edges, grid_n, half)
-            row_idx += 1
+        block = rows[k * rays_per_angle : (k + 1) * rays_per_angle]
+        _trace_angle(block, offsets[:, None] * u[None, :], d, edges, grid_n, half)
     return rows
 
 
-def _trace_ray(out, origin, d, edges, grid_n, half):
-    """Accumulate intersection lengths of one ray into a flat pixel row."""
+def _trace_angle(out, origins, d, edges, grid_n, half):
+    """Accumulate intersection lengths of parallel rays into their rows of ``out``.
+
+    Ray r passes through ``origins[r]`` along the direction ``d``.
+    """
     # Parametric entry/exit of the bounding square along each axis.
-    s_min, s_max = -np.inf, np.inf
+    s_min = np.full(len(origins), -np.inf)
+    s_max = np.full(len(origins), np.inf)
+    hit = np.ones(len(origins), dtype=bool)
+    crossings = []
     for axis in range(2):
+        o = origins[:, axis]
         if abs(d[axis]) < 1e-14:
-            if not -half <= origin[axis] <= half:
-                return  # parallel to the axis and outside the slab
+            hit &= (-half <= o) & (o <= half)  # parallel to the axis: inside the slab
         else:
-            s0 = (-half - origin[axis]) / d[axis]
-            s1 = (half - origin[axis]) / d[axis]
-            s_min = max(s_min, min(s0, s1))
-            s_max = min(s_max, max(s0, s1))
-    if not s_min < s_max:
-        return
-    # All grid-line crossings inside the traversal interval.
-    crossings = [np.array([s_min, s_max])]
-    for axis in range(2):
-        if abs(d[axis]) >= 1e-14:
-            s_cross = (edges - origin[axis]) / d[axis]
-            crossings.append(s_cross[(s_cross > s_min) & (s_cross < s_max)])
-    s = np.unique(np.concatenate(crossings))
-    mids = 0.5 * (s[1:] + s[:-1])
-    lengths = np.diff(s)
-    points = origin[None, :] + mids[:, None] * d[None, :]
-    cols = np.clip(np.floor(points[:, 0] + half).astype(int), 0, grid_n - 1)
-    rows_img = np.clip(
-        grid_n - 1 - np.floor(points[:, 1] + half).astype(int), 0, grid_n - 1
-    )
-    np.add.at(out, rows_img * grid_n + cols, lengths)
+            s0 = (-half - o) / d[axis]
+            s1 = (half - o) / d[axis]
+            s_min = np.maximum(s_min, np.minimum(s0, s1))
+            s_max = np.minimum(s_max, np.maximum(s0, s1))
+            crossings.append((edges[None, :] - o[:, None]) / d[axis])
+    hit &= s_min < s_max
+    ray = np.flatnonzero(hit)
+    lo, hi = s_min[ray, None], s_max[ray, None]
+    # Grid-line crossings inside each traversal, the others moved onto its exit,
+    # where they bound only zero-length segments.
+    s = np.concatenate([c[ray] for c in crossings], axis=1)
+    s = np.where((s > lo) & (s < hi), s, hi)
+    s = np.sort(np.concatenate([lo, hi, s], axis=1), axis=1)
+    lengths = s[:, 1:] - s[:, :-1]
+    mids = 0.5 * (s[:, 1:] + s[:, :-1])
+    # Zero-length segments: repeated crossings (grid corners) and the moved ones.
+    seg = np.flatnonzero(lengths > 0)
+    r = ray[seg // lengths.shape[1]]
+    mid = mids.reshape(-1)[seg]
+    x = origins[:, 0][r] + mid * d[0]
+    y = origins[:, 1][r] + mid * d[1]
+    cols = np.clip(np.floor(x + half).astype(int), 0, grid_n - 1)
+    rows_img = np.clip(grid_n - 1 - np.floor(y + half).astype(int), 0, grid_n - 1)
+    flat = r * out.shape[1] + rows_img * grid_n + cols
+    np.add.at(out.reshape(-1), flat, lengths.reshape(-1)[seg])
 
 
 def ct_mismatch_pair(full, b_full, truth=None) -> SystemPair:

@@ -1,9 +1,10 @@
-"""Independent numerical oracles used to cross-check the linalg kernel.
+"""Independent numerical oracles used to cross-check the package.
 
-Everything here is deliberately written from scratch (Householder
+The linalg oracles are deliberately written from scratch (Householder
 tridiagonalization + Sturm bisection, power iteration, Faddeev-LeVerrier +
-Aberth) so it shares no code path with the LAPACK-backed implementations
-under test.
+Aberth) so they share no code path with the LAPACK-backed implementations
+under test.  ``reference_parallel_beam_matrix`` traces one ray at a time,
+the plain form of the per-angle tracer in ``problems``.
 """
 
 import numpy as np
@@ -195,3 +196,54 @@ def matrix_with_known_spectrum(real_eigs, complex_pairs, seed=0):
         [abs(r) for r in real_eigs] + [np.hypot(re, im) for re, im in complex_pairs]
     )
     return m, float(radius)
+
+
+def reference_parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span):
+    """``problems.parallel_beam_matrix`` traced ray by ray, in the same arithmetic."""
+    half = grid_n / 2.0
+    offsets = (np.arange(rays_per_angle) + 0.5 - rays_per_angle / 2.0) * (
+        detector_span / rays_per_angle
+    )
+    rows = np.zeros((len(angles_deg) * rays_per_angle, grid_n * grid_n))
+    edges = np.arange(grid_n + 1) - half  # shared x and y grid-line coordinates
+    row_idx = 0
+    for angle in angles_deg:
+        theta = np.deg2rad(angle)
+        d = np.array([np.cos(theta), np.sin(theta)])  # ray direction
+        u = np.array([-np.sin(theta), np.cos(theta)])  # lateral (detector) axis
+        for t in offsets:
+            _trace_ray(rows[row_idx], t * u, d, edges, grid_n, half)
+            row_idx += 1
+    return rows
+
+
+def _trace_ray(out, origin, d, edges, grid_n, half):
+    """Accumulate intersection lengths of one ray into a flat pixel row."""
+    # Parametric entry/exit of the bounding square along each axis.
+    s_min, s_max = -np.inf, np.inf
+    for axis in range(2):
+        if abs(d[axis]) < 1e-14:
+            if not -half <= origin[axis] <= half:
+                return  # parallel to the axis and outside the slab
+        else:
+            s0 = (-half - origin[axis]) / d[axis]
+            s1 = (half - origin[axis]) / d[axis]
+            s_min = max(s_min, min(s0, s1))
+            s_max = min(s_max, max(s0, s1))
+    if not s_min < s_max:
+        return
+    # All grid-line crossings inside the traversal interval.
+    crossings = [np.array([s_min, s_max])]
+    for axis in range(2):
+        if abs(d[axis]) >= 1e-14:
+            s_cross = (edges - origin[axis]) / d[axis]
+            crossings.append(s_cross[(s_cross > s_min) & (s_cross < s_max)])
+    s = np.unique(np.concatenate(crossings))
+    mids = 0.5 * (s[1:] + s[:-1])
+    lengths = np.diff(s)
+    points = origin[None, :] + mids[:, None] * d[None, :]
+    cols = np.clip(np.floor(points[:, 0] + half).astype(int), 0, grid_n - 1)
+    rows_img = np.clip(
+        grid_n - 1 - np.floor(points[:, 1] + half).astype(int), 0, grid_n - 1
+    )
+    np.add.at(out, rows_img * grid_n + cols, lengths)

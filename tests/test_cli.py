@@ -88,6 +88,14 @@ class TestGenerate:
         assert run_cli(["generate", "--kind", kind, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "A.mtx"))
 
+    @pytest.mark.parametrize("kind, fmt", [("ct", "coordinate"), ("consistent", "array")])
+    def test_matrix_market_format_follows_density(self, tmp_path, kind, fmt):
+        out = tmp_path / kind
+        assert run_cli(["generate", "--kind", kind, "--out", str(out)]) == 0
+        for name in ("A.mtx", "V.mtx"):
+            with open(out / name) as fh:
+                assert fh.readline().split()[2] == fmt
+
 
 class TestDiagnose:
     def test_underdetermined_sets_restricted_flag(self, tmp_path):

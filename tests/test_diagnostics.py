@@ -27,6 +27,7 @@ from kaczmarz_mismatch.problems import (
     assemble_inconsistent,
     assemble_scaled_for_probopt,
     assemble_underdetermined,
+    gaussian_instance,
     gen_gaussian,
     mismatch_threshold,
 )
@@ -302,6 +303,29 @@ class TestAssembledDiagnostics:
         diag = compute_diagnostics(sys, p)
         assert len(calls) == 1
         assert diag.fixed_point_error == expected_fixed_point_error(sys, p)
+
+    def test_noisy_wide_system_skips_fixed_point(self, monkeypatch):
+        # V^T D A has rank <= m < n: neither built again nor LU-factored.
+        sys = gaussian_instance(40, 120, 0.5, 5, noise_scale=0.05)
+        p = row_norm_probabilities(sys)
+        calls = {"build": 0, "lu": 0}
+        build, lu = diagnostics.expectation_operator, diagnostics.lu_solve
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_lu(*args, **kwargs):
+            calls["lu"] += 1
+            return lu(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "expectation_operator", counted_build)
+        monkeypatch.setattr(diagnostics, "lu_solve", counted_lu)
+        diag = compute_diagnostics(sys, p)
+        assert diag.restricted
+        assert calls == {"build": 1, "lu": 0}
+        assert diag.gamma > 0
+        assert diag.fixed_point_error is None
 
     def test_positivity_flag(self):
         sys = thresholded_instance(4, 2, 0.4, 13)

@@ -5,6 +5,61 @@ from kaczmarz_mismatch import fileio
 from kaczmarz_mismatch.errors import InvalidInputError
 
 
+def header(path):
+    with open(path) as fh:
+        return fh.readline().split()
+
+
+def sparse_matrix(m, n, nnz, seed):
+    rng = np.random.default_rng(seed)
+    out = np.zeros((m, n))
+    out.flat[rng.choice(m * n, size=nnz, replace=False)] = rng.standard_normal(nnz)
+    return out
+
+
+class TestMatrixMarketFormat:
+    """Coordinate format at most half non-zero, array format otherwise."""
+
+    def test_two_percent_dense_is_coordinate(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        fileio.write_matrix_market(path, sparse_matrix(40, 50, 40, 1))
+        assert header(path)[2] == "coordinate"
+
+    def test_dense_is_array(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        fileio.write_matrix_market(path, np.random.default_rng(2).standard_normal((6, 4)))
+        assert header(path)[2] == "array"
+
+    def test_exactly_half_nonzero_is_coordinate(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        fileio.write_matrix_market(path, sparse_matrix(4, 6, 12, 3))
+        assert header(path)[2] == "coordinate"
+
+    def test_one_past_half_is_array(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        fileio.write_matrix_market(path, sparse_matrix(4, 6, 13, 3))
+        assert header(path)[2] == "array"
+
+    @pytest.mark.parametrize(
+        "fmt, matrix",
+        [
+            ("coordinate", sparse_matrix(30, 70, 42, 4)),
+            ("array", np.random.default_rng(5).standard_normal((9, 7))),
+        ],
+    )
+    def test_round_trip_bitwise_with_provenance(self, tmp_path, fmt, matrix):
+        lines = fileio.provenance_lines("0.2.0", "generate --kind test", 11)
+        first, second = tmp_path / "first.mtx", tmp_path / "second.mtx"
+        fileio.write_matrix_market(first, matrix, comment="\n".join(lines))
+        assert header(first)[2] == fmt
+        back = fileio.read_matrix_market(first)
+        np.testing.assert_array_equal(back.view(np.int64), matrix.view(np.int64))
+        text = first.read_text().splitlines()
+        assert text[1 : 1 + len(lines)] == [f"%{line}" for line in lines]
+        fileio.write_matrix_market(second, back, comment="\n".join(lines))
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestMatrixMarket:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm as normal_dist
 
 from kaczmarz_mismatch.errors import EmptySystemError, InvalidInputError
@@ -15,6 +17,8 @@ from kaczmarz_mismatch.problems import (
     parallel_beam_matrix,
     smooth_phantom,
 )
+
+import oracles
 
 
 class TestGaussian:
@@ -177,6 +181,55 @@ class TestParallelBeam:
         x = smooth_phantom(50, 0)
         sys = ct_mismatch_pair(full, full @ x, truth=x)
         assert 1400 <= sys.m <= 1800
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestTracerOracle:
+    """The per-angle tracer against the ray-by-ray reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid_n, angles, rays, span",
+        [
+            (4, [0.0, 45.0, 90.0, 135.0], 6, 5.6),  # axis-parallel and diagonal rays
+            (4, [0.0, 45.0, 90.0, 135.0], 8, 20.0),  # outer rays miss the grid
+            (5, [0.0, 30.0, 90.0, 160.0], 1, 7.0),  # one ray per angle
+            (2, [0.0, 45.0, 90.0, 135.0], 2, 2.0),  # grid 2, rays along pixel centers
+            (2, [0.0, 45.0, 90.0, 135.0], 4, 2.0),  # even count: a ray on the center line
+            (32, np.arange(0.0, 180.0, 5.0), 90, 44.8),  # generate --kind ct defaults
+            (50, np.arange(0.0, 180.0, 5.0), 150, 70.0),  # paper scale
+        ],
+    )
+    def test_matches_reference(self, grid_n, angles, rays, span):
+        got = parallel_beam_matrix(grid_n, angles, rays, span)
+        want = oracles.reference_parallel_beam_matrix(grid_n, angles, rays, span)
+        assert_bitwise_equal(got, want)
+
+    def test_missing_rays_give_zero_rows(self):
+        rows = parallel_beam_matrix(4, [0.0, 45.0, 90.0, 135.0], 8, 20.0)
+        hits = rows.any(axis=1)
+        assert 0 < hits.sum() < len(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_n=st.integers(2, 16),
+        angles=st.lists(
+            st.sampled_from([0.0, 45.0, 90.0, 135.0])
+            | st.floats(0.0, 180.0, exclude_max=True),
+            min_size=1,
+            max_size=6,
+        ),
+        rays=st.integers(1, 25),
+        span_factor=st.floats(0.5, 3.0),
+    )
+    def test_matches_reference_on_any_geometry(self, grid_n, angles, rays, span_factor):
+        span = span_factor * grid_n
+        got = parallel_beam_matrix(grid_n, angles, rays, span)
+        want = oracles.reference_parallel_beam_matrix(grid_n, angles, rays, span)
+        assert_bitwise_equal(got, want)
 
 
 class TestCtPair:
