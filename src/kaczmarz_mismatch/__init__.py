@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
@@ -38,7 +38,6 @@ from .solver import (  # noqa: E402
     StepRule,
     SystemPair,
     Trace,
-    exact_one_step_expectation,
     make_system,
     rkma_step,
     run,

@@ -276,6 +276,8 @@ def _cmd_optimize(args, argv):
         result.history, header_lines=headers,
     )
     print(f"best {args.objective} objective: {result.best_objective:.9g}")
+    print(f"best_iteration: {result.best_iteration}")
+    print(f"degenerate_iterations: {len(result.degenerate_iterations)}")
     return EXIT_OK
 
 

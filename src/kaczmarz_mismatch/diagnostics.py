@@ -14,7 +14,10 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
 
 ``expectation_operator`` is the single builder of V^T D A and W from
 (system, p, rule); every quantity above, and both objectives of ``probopt``,
-are read off its matrices.
+are read off its matrices.  It forms each matrix on first use with one GEMM,
+W as sym(A^T D (2V - S A)), so a caller that reads one of them never pays
+for the other.  The spectral norm is read off the top singular pair alone;
+its identity ||M||^2 = rho(M^T M) is checked in the tests.
 
 The three rate expressions coincide for V = A; under mismatch they are
 generally different, and their empirical ordering is recorded but never
@@ -24,13 +27,13 @@ asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     InvalidInputError,
     NoGuaranteeError,
-    NumericError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -144,18 +147,44 @@ def scaling(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> Scal
     return _scaling(sys, _checked_p(sys, p), rule)
 
 
-def expectation_operator(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT):
-    """(pair, V^T D A, W) with W = V^T D A + A^T D V - A^T S D A.
+class ExpectationOperator:
+    """The scaling pair of (system, p, rule) and its two expectation matrices.
+
+    ``vtda`` (V^T D A) and ``w`` (W = V^T D A + A^T D V - A^T S D A) are
+    each formed on first read, by one matrix product, and kept.
+    """
+
+    def __init__(self, sys: SystemPair, pair: ScalingPair):
+        self.sys = sys
+        self.pair = pair
+
+    @cached_property
+    def vtda(self) -> np.ndarray:
+        return self.sys.v.T @ (self.pair.d[:, None] * self.sys.a)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        # A^T D (2V - S A) has symmetric part W: its 2 A^T D V term
+        # symmetrizes to V^T D A + A^T D V, and A^T S D A is symmetric.
+        a, pair = self.sys.a, self.pair
+        rows = 2.0 * self.sys.v
+        rows -= pair.s[:, None] * a
+        rows *= pair.d[:, None]
+        g = a.T @ rows
+        return 0.5 * (g + g.T)
+
+
+def expectation_operator(
+    sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
+) -> ExpectationOperator:
+    """The expectation operator of (system, p, rule): ``pair``, ``vtda``, ``w``.
 
     The one place where a row distribution becomes the expectation operator;
-    every rate in this module and in ``probopt`` is read off these matrices.
+    every rate in this module and in ``probopt`` is read off its matrices.
     ``p`` is used as given, not validated, so the objectives can also be
     evaluated just off the simplex; callers taking user input validate first.
     """
-    pair = _scaling(sys, np.asarray(p, dtype=float), rule)
-    vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-    w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
-    return pair, vtda, w
+    return ExpectationOperator(sys, _scaling(sys, np.asarray(p, dtype=float), rule))
 
 
 def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
@@ -165,38 +194,20 @@ def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXA
     rate (1 - lambda) per step.  Intended for the overdetermined analysis;
     use ``restricted_diagnostics`` for underdetermined systems.
     """
-    _, _, w = expectation_operator(sys, _checked_p(sys, p), rule)
-    lam, _ = symmetric_eig_min(w)
+    lam, _ = symmetric_eig_min(expectation_operator(sys, _checked_p(sys, p), rule).w)
     return lam
 
 
 def asymptotic_rate(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
     """Spectral radius of I - V^T D A, the asymptotic rate of the expected error."""
-    _, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
+    vtda = expectation_operator(sys, _checked_p(sys, p), rule).vtda
     return spectral_radius(np.eye(sys.n) - vtda)
 
 
-def _checked_norm(m) -> float:
-    """Spectral norm of M, cross-checked against ||M||^2 = rho(M^T M)."""
-    sigma = top_singular_triplet(m).sigma
-    radius = spectral_radius(m.T @ m)
-    if abs(sigma**2 - radius) > 1e-6 * max(radius, 1e-30):
-        raise NumericError(
-            f"spectral-norm identity violated: sigma^2 = {sigma**2:.12e} "
-            f"vs rho(M^T M) = {radius:.12e}"
-        )
-    return sigma
-
-
 def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    """Spectral norm of I - V^T D A.
-
-    Cross-checked against the symmetric-product identity
-    ||I - V^T D A||^2 = rho(I - V^T D A - A^T D V + A^T D V V^T D A)
-    before returning.
-    """
-    _, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
-    return _checked_norm(np.eye(sys.n) - vtda)
+    """Spectral norm of I - V^T D A."""
+    vtda = expectation_operator(sys, _checked_p(sys, p), rule).vtda
+    return top_singular_triplet(np.eye(sys.n) - vtda).sigma
 
 
 def noise_gamma(sys: SystemPair, p=None) -> float:
@@ -222,13 +233,12 @@ def expected_fixed_point_error(
     """Norm of the expectation fixed point (V^T D A)^{-1} V^T D r."""
     if sys.noise is None:
         raise InvalidInputError("fixed-point error needs a stored noise vector")
-    pair, vtda, _ = expectation_operator(sys, _checked_p(sys, p), rule)
-    return _fixed_point_error(sys, pair, vtda)
+    return _fixed_point_error(sys, expectation_operator(sys, _checked_p(sys, p), rule))
 
 
-def _fixed_point_error(sys, pair, vtda) -> float:
-    rhs = sys.v.T @ (pair.d * sys.noise)
-    z = lu_solve(vtda, rhs)  # vtda is singular when m < n
+def _fixed_point_error(sys, op) -> float:
+    rhs = sys.v.T @ (op.pair.d * sys.noise)
+    z = lu_solve(op.vtda, rhs)  # vtda is singular when m < n
     return float(np.linalg.norm(z))
 
 
@@ -257,9 +267,9 @@ def restricted_diagnostics(
         raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
 
     p = _checked_p(sys, p)
-    _, vtda, w = expectation_operator(sys, p, rule)
-    lam, _ = symmetric_eig_min(z.T @ w @ z)
-    m_restricted = np.eye(z.shape[1]) - z.T @ vtda @ z
+    op = expectation_operator(sys, p, rule)
+    lam, _ = symmetric_eig_min(z.T @ op.w @ z)
+    m_restricted = np.eye(z.shape[1]) - z.T @ op.vtda @ z
     return RateDiagnostics(
         lam=lam,
         rho_asymptotic=spectral_radius(m_restricted),
@@ -285,27 +295,27 @@ def compute_diagnostics(
     p = _checked_p(sys, p)
     if restricted is None:
         restricted = sys.m < sys.n
+    op = None
     if restricted:
         diag = restricted_diagnostics(sys, p, rule)
-        operator = None
     else:
-        operator = expectation_operator(sys, p, rule)
-        _, vtda, w = operator
-        m_mat = np.eye(sys.n) - vtda
-        lam, _ = symmetric_eig_min(w)
+        op = expectation_operator(sys, p, rule)
+        m_mat = np.eye(sys.n) - op.vtda
+        lam, _ = symmetric_eig_min(op.w)
         diag = RateDiagnostics(
             lam=lam,
             rho_asymptotic=spectral_radius(m_mat),
-            norm_expectation=_checked_norm(m_mat),
+            norm_expectation=top_singular_triplet(m_mat).sigma,
             positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
             restricted=False,
         )
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
         if sys.m >= sys.n:  # for m < n, V^T D A (rank <= m) is singular
-            pair, vtda, _ = operator or expectation_operator(sys, p, rule)
+            if op is None:
+                op = expectation_operator(sys, p, rule)
             try:
-                diag.fixed_point_error = _fixed_point_error(sys, pair, vtda)
+                diag.fixed_point_error = _fixed_point_error(sys, op)
             except (SingularMatrixError, InvalidInputError):
                 diag.fixed_point_error = None
     return diag

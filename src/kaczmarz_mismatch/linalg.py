@@ -4,10 +4,20 @@ Matrices are plain float64 numpy arrays (row-major); vectors are 1-d arrays.
 The heavy factorizations are delegated to LAPACK via numpy/scipy, wrapped
 behind small functions that pin down the contracts the rest of the package
 relies on (symmetrization policy, rank drop tolerance, pivot checks).
+
+The symmetric and singular-value functions compute only the end of the
+spectrum they return, by LAPACK ``syevr`` over an index range:
+``symmetric_eig_min`` the lowest eigenpair, ``symmetric_eigensystem`` the
+lowest two (and lambda_max only when a tie test needs it), and
+``top_singular_triplet`` the top two eigenpairs of the smaller Gram matrix.
+Each factorizing function makes its own LAPACK calls instead of calling
+another factorizing function, so counting calls to them counts
+factorizations.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -69,12 +79,21 @@ def _require_square(m, name):
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
 
 
+def _eigh_range(sym, lo, hi, eigvals_only=False):
+    """Eigenvalues lo..hi (0-based, ascending), with eigenvectors unless
+    ``eigvals_only``, of a symmetric matrix by LAPACK syevr."""
+    return scipy.linalg.eigh(
+        sym, eigvals_only=eigvals_only, subset_by_index=[lo, hi],
+        driver="evr", check_finite=False,
+    )
+
+
 def symmetric_eig_min(m) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector of a symmetric matrix.
 
     The input may carry rounding skew up to ``SYMMETRY_RTOL * max|M|``; it is
     symmetrized by averaging with its transpose before solving.  Larger
-    asymmetry is rejected.
+    asymmetry is rejected.  Only the smallest eigenpair is computed.
     """
     m = as_matrix(m, "symmetric matrix")
     _require_square(m, "symmetric matrix")
@@ -85,16 +104,36 @@ def symmetric_eig_min(m) -> tuple[float, np.ndarray]:
             f"matrix is not symmetric: max skew {skew:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} * max|M| = {SYMMETRY_RTOL * scale:.3e}"
         )
-    sym = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = _eigh_range(0.5 * (m + m.T), 0, 0)
     return float(vals[0]), vecs[:, 0].copy()
 
 
-def symmetric_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (ascending) and eigenvectors of a symmetric matrix."""
+def symmetric_eigensystem(m, tie_rtol) -> tuple[float, np.ndarray, bool]:
+    """Smallest eigenvalue, a unit eigenvector for it, and whether it is tied.
+
+    The input is symmetrized by averaging with its transpose.  The smallest
+    eigenvalue lambda_0 counts as tied when the gap to the next one is at
+    most ``tie_rtol * max(|lambda_0|, |lambda_max|)``; a 1x1 matrix has no
+    tie.  Only the two lowest eigenpairs are computed.  The threshold lies
+    between ``tie_rtol * max(|lambda_0|, |lambda_1|)`` and
+    ``tie_rtol * ||M||_F`` (which bounds |lambda_max|), so lambda_max is
+    solved for only when the gap falls between those two.
+    """
     m = as_matrix(m, "symmetric matrix")
     _require_square(m, "symmetric matrix")
-    return np.linalg.eigh(0.5 * (m + m.T))
+    sym = 0.5 * (m + m.T)
+    n = sym.shape[0]
+    vals, vecs = _eigh_range(sym, 0, min(1, n - 1))
+    low, x = float(vals[0]), vecs[:, 0].copy()
+    if n == 1:
+        return low, x, False
+    gap = vals[1] - vals[0]
+    if gap > tie_rtol * max(float(np.linalg.norm(sym)), 1e-30):
+        return low, x, False
+    if gap <= tie_rtol * max(abs(vals[0]), abs(vals[1]), 1e-30):
+        return low, x, True
+    top = _eigh_range(sym, n - 1, n - 1, eigvals_only=True)[0]
+    return low, x, bool(gap <= tie_rtol * max(abs(vals[0]), abs(top), 1e-30))
 
 
 def spectral_radius(m) -> float:
@@ -114,18 +153,41 @@ def spectral_radius(m) -> float:
 
 
 def top_singular_triplet(m) -> SingularTriplet:
-    """Spectral norm of M together with the corresponding singular vectors."""
+    """Spectral norm of M together with the corresponding singular vectors.
+
+    Read off the top two eigenpairs of the smaller Gram matrix, M^T M (or
+    M M^T for a wide M): sigma and ``second`` are the square roots of their
+    eigenvalues, the top eigenvector is ``right`` (``left``), and the other
+    vector is M right / sigma (M^T left / sigma).  ``second`` is accurate to
+    about eps * sigma when it is close to sigma, where tie tests read it, and
+    to about sqrt(eps) * sigma when it is close to zero.  A zero matrix gives
+    sigma = 0 with the first coordinate vectors.
+    """
     m = as_matrix(m, "matrix")
     rows, cols = m.shape
-    if not m.any():
+    peak = np.abs(m).max()
+    if peak == 0.0:
         left = np.zeros(rows)
         right = np.zeros(cols)
         left[0] = 1.0
         right[0] = 1.0
         return SingularTriplet(0.0, left, right, 0.0)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    second = float(s[1]) if len(s) > 1 else 0.0
-    return SingularTriplet(float(s[0]), u[:, 0].copy(), vt[0].copy(), second)
+    # Scaling by a power of two is exact and keeps the Gram matrix from
+    # overflowing or underflowing for any finite M.
+    exponent = int(np.frexp(peak)[1])
+    m = np.ldexp(m, -exponent)
+    wide = rows < cols
+    gram = m @ m.T if wide else m.T @ m
+    k = gram.shape[0]
+    vals, vecs = _eigh_range(gram, max(k - 2, 0), k - 1)
+    sigma = math.sqrt(vals[-1])
+    second = math.sqrt(max(vals[0], 0.0)) if k > 1 else 0.0
+    top = vecs[:, -1].copy()
+    other = (m.T @ top if wide else m @ top) / sigma
+    left, right = (top, other) if wide else (other, top)
+    return SingularTriplet(
+        math.ldexp(sigma, exponent), left, right, math.ldexp(second, exponent)
+    )
 
 
 def spectral_norm(m) -> float:

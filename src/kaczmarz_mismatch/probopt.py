@@ -6,10 +6,13 @@ minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
 best-iterate tracker, since subgradient methods are not monotone.
 
-Both objectives and their gradients take V^T D A and W from the single
-builder ``diagnostics.expectation_operator``.  Each gradient also returns the
-objective value from its own factorization, so the optimizer factors once per
-iterate.
+Both objectives and their gradients take their matrix from the single
+builder ``diagnostics.expectation_operator``: the lambda side forms only W
+and solves only for its two lowest eigenpairs (``symmetric_eigensystem``,
+which also decides the tie flag), the norm side forms only V^T D A and
+solves only for the top singular pair of I - V^T D A.  Each gradient also
+returns the objective value from its own factorization, so the optimizer
+factors once per iterate.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class ProbOptResult:
     best_objective: float
     history: list[tuple[int, float]]
     objective_evals: np.ndarray
+    best_iteration: int  # index of best_p in objective_evals
     degenerate_iterations: list[int] = field(default_factory=list)
 
 
@@ -91,13 +95,14 @@ def project_simplex(y) -> np.ndarray:
 
 
 def lambda_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    _, _, w = expectation_operator(sys, p, rule)
-    vals, _ = symmetric_eigensystem(w)
-    return float(vals[0])
+    lam, _, _ = symmetric_eigensystem(
+        expectation_operator(sys, p, rule).w, DEGENERACY_GAP_RTOL
+    )
+    return lam
 
 
 def norm_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    _, vtda, _ = expectation_operator(sys, p, rule)
+    vtda = expectation_operator(sys, p, rule).vtda
     return top_singular_triplet(np.eye(sys.n) - vtda).sigma
 
 
@@ -111,22 +116,19 @@ def supergradient_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_E
     yields a valid supergradient element.
     """
     p = check_probability_vector(p)
-    pair, _, w = expectation_operator(sys, p, rule)
-    vals, vecs = symmetric_eigensystem(w)
-    x = vecs[:, 0]
-    scale = max(abs(vals[0]), abs(vals[-1]), 1e-30)
-    degenerate = len(vals) > 1 and (vals[1] - vals[0]) <= DEGENERACY_GAP_RTOL * scale
+    op = expectation_operator(sys, p, rule)
+    lam, x, degenerate = symmetric_eigensystem(op.w, DEGENERACY_GAP_RTOL)
     ax = sys.a @ x
     vx = sys.v @ x
-    return pair.omega * (2.0 * vx - pair.s * ax) * ax, degenerate, float(vals[0])
+    return op.pair.omega * (2.0 * vx - op.pair.s * ax) * ax, degenerate, lam
 
 
 def _norm_subgradient_candidate(sys, p, rule):
     """Unsigned candidate from the top singular pair of I - V^T D A."""
-    pair, vtda, _ = expectation_operator(sys, p, rule)
-    sigma, left, right, second = top_singular_triplet(np.eye(sys.n) - vtda)
+    op = expectation_operator(sys, p, rule)
+    sigma, left, right, second = top_singular_triplet(np.eye(sys.n) - op.vtda)
     degenerate = sys.n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
-    candidate = -pair.omega * (sys.v @ left) * (sys.a @ right)
+    candidate = -op.pair.omega * (sys.v @ left) * (sys.a @ right)
     return candidate, sigma, degenerate
 
 
@@ -206,13 +208,14 @@ def optimize_probabilities(
 
     values: list[float] = []
     best_p = best_value = None
+    best_iteration = 0
     degenerate_iterations: list[int] = []
 
     def record(q, value):
-        nonlocal best_p, best_value
-        values.append(value)
+        nonlocal best_p, best_value, best_iteration
         if best_value is None or (value > best_value if maximizing else value < best_value):
-            best_p, best_value = q, value
+            best_p, best_value, best_iteration = q, value, len(values)
+        values.append(value)
 
     for k in range(cfg.iterations):
         if maximizing:
@@ -233,5 +236,6 @@ def optimize_probabilities(
         best_objective=best_value,
         history=history,
         objective_evals=objective_evals,
+        best_iteration=best_iteration,
         degenerate_iterations=degenerate_iterations,
     )

@@ -5,9 +5,16 @@ tridiagonalization + Sturm bisection, power iteration, Faddeev-LeVerrier +
 Aberth) so they share no code path with the LAPACK-backed implementations
 under test.  ``reference_parallel_beam_matrix`` traces one ray at a time,
 the plain form of the per-angle tracer in ``problems``.
+``exact_one_step_expectation`` sums one step over every row, the oracle for
+the closed-form expectation matrices of ``diagnostics``.
 """
 
 import numpy as np
+
+from kaczmarz_mismatch.errors import DimensionError, InvalidInputError, NumericError
+from kaczmarz_mismatch.linalg import as_vector
+from kaczmarz_mismatch.sampling import check_probability_vector
+from kaczmarz_mismatch.solver import StepRule, rkma_step, static_step_sizes
 
 
 def tridiagonalize(m):
@@ -247,3 +254,57 @@ def _trace_ray(out, origin, d, edges, grid_n, half):
         grid_n - 1 - np.floor(points[:, 1] + half).astype(int), 0, grid_n - 1
     )
     np.add.at(out, rows_img * grid_n + cols, lengths)
+
+
+def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):
+    """Exact one-step expectation by direct summation over all rows.
+
+    Returns (mean, mean_sq_error) where mean = sum_i p_i * step(x, i) and
+    mean_sq_error = sum_i p_i * ||step(x, i) - truth||^2.  Before returning,
+    both values are cross-checked against the closed matrix forms
+
+        mean - truth = (I - V^T D A)(x - truth)
+        mean_sq_error = ||e||^2 - <e, (2 V^T D A - A^T S D A) e>,  e = x - truth
+
+    with D = diag(p_i * omega_i), S = diag(omega_i * ||v_i||^2); a mismatch
+    beyond 1e-10 (relative) raises ``NumericError``.
+    """
+    if sys.truth is None:
+        raise InvalidInputError("exact expectation needs the known solution")
+    if sys.noise is not None:
+        raise InvalidInputError("exact expectation is defined for consistent systems")
+    if not rule.is_static:
+        raise InvalidInputError("adaptive rule has no static expectation matrices")
+    p = check_probability_vector(p)
+    if len(p) != sys.m:
+        raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
+    x = as_vector(x, "x")
+
+    mean = np.zeros(sys.n)
+    mean_sq = 0.0
+    for i in range(sys.m):
+        stepped = rkma_step(sys, x, i, rule)
+        mean += p[i] * stepped
+        diff = stepped - sys.truth
+        mean_sq += p[i] * float(diff @ diff)
+
+    # Closed-form cross-check (the defining identities of the scaling matrices).
+    omega = static_step_sizes(sys, rule)
+    d = p * omega
+    s = omega * sys.row_norms_sq("v")
+    e = x - sys.truth
+    vtda_e = sys.v.T @ (d * (sys.a @ e))
+    scale = max(float(np.linalg.norm(e)), 1.0)
+    mean_err = np.linalg.norm((mean - sys.truth) - (e - vtda_e))
+    if mean_err > 1e-10 * scale:
+        raise NumericError(
+            f"one-step mean deviates from (I - V^T D A) e by {mean_err:.3e}"
+        )
+    ae = sys.a @ e
+    quad = float(e @ e) - (2.0 * float(e @ vtda_e) - float(ae @ (s * d * ae)))
+    if abs(mean_sq - quad) > 1e-10 * max(abs(quad), scale**2):
+        raise NumericError(
+            f"one-step mean squared error deviates from the quadratic form: "
+            f"{mean_sq:.16e} vs {quad:.16e}"
+        )
+    return mean, mean_sq

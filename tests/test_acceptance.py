@@ -48,7 +48,6 @@ from kaczmarz_mismatch.problems import (
 from kaczmarz_mismatch.solver import (
     SolverConfig,
     StepRule,
-    exact_one_step_expectation,
     make_system,
     rkma_step,
     run,
@@ -57,6 +56,7 @@ from kaczmarz_mismatch.solver import (
 )
 
 import oracles
+from oracles import exact_one_step_expectation
 
 
 @contextmanager

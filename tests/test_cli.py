@@ -230,6 +230,39 @@ class TestOptimize:
         p = fileio.read_vector_csv(os.path.join(out, "p_opt.csv"))
         np.testing.assert_allclose(p, np.full(3, 1 / 3), atol=1e-9)
 
+    def test_reports_best_iteration_and_degenerate_count(self, tmp_path, capsys):
+        # A = V = I: W = diag(p), so lambda_min is tied at the uniform start
+        # and at the vertex of the simplex that the first step reaches.
+        sys_dir = tmp_path / "sys"
+        sys_dir.mkdir()
+        eye = np.eye(3)
+        fileio.write_matrix_market(sys_dir / "A.mtx", eye)
+        fileio.write_matrix_market(sys_dir / "V.mtx", eye)
+        fileio.write_vector_csv(sys_dir / "b.csv", np.zeros(3))
+        assert run_cli(["optimize", "--system-dir", str(sys_dir), "--iters", "7",
+                        "--out", str(tmp_path / "eye")]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "best_iteration: 0", "degenerate_iterations: 2",
+        ]
+
+        inst = str(tmp_path / "inst")
+        run_cli(["generate", "--kind", "probopt", "--m", "30", "--n", "10",
+                 "--seed", "10", "--out", inst])
+        capsys.readouterr()
+        opt_dir = str(tmp_path / "opt")
+        assert run_cli(["optimize", "--system-dir", inst, "--objective", "norm",
+                        "--iters", "40", "--out", opt_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        _, rows = read_csv(os.path.join(opt_dir, "history.csv"))
+        values = [row[1] for row in rows]
+        best = int(np.argmin(values))
+        assert 0 < best
+        assert lines == [
+            f"best norm objective: {values[best]:.9g}",
+            f"best_iteration: {best}",
+            "degenerate_iterations: 0",
+        ]
+
     def test_history_best_so_far_monotone_norm(self, tmp_path):
         out = str(tmp_path / "sys")
         run_cli(["generate", "--kind", "probopt", "--m", "30", "--n", "10",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaczmarz_mismatch import diagnostics
+from kaczmarz_mismatch import diagnostics, experiments, problems
 from kaczmarz_mismatch.diagnostics import (
     CSV_COLUMNS,
     RateDiagnostics,
@@ -9,6 +9,7 @@ from kaczmarz_mismatch.diagnostics import (
     compute_diagnostics,
     contraction_lambda,
     expectation_norm,
+    expectation_operator,
     expected_fixed_point_error,
     inconsistent_bound,
     noise_gamma,
@@ -21,7 +22,12 @@ from kaczmarz_mismatch.errors import (
     RankDeficiencyError,
     SingularMatrixError,
 )
-from kaczmarz_mismatch.linalg import symmetric_eig_min
+from kaczmarz_mismatch.linalg import (
+    orthonormal_range_basis,
+    spectral_radius,
+    symmetric_eig_min,
+    top_singular_triplet,
+)
 from kaczmarz_mismatch.problems import (
     assemble_consistent,
     assemble_inconsistent,
@@ -46,6 +52,19 @@ def row_norm_probabilities(sys):
 
 def pairing_probabilities(sys):
     return sys.pairing / sys.pairing.sum()
+
+
+def pipeline_instance(name):
+    """The instance the ``experiment`` pipeline ``name`` builds at its defaults."""
+    exp = experiments.EXPERIMENTS[name]
+    params = exp.parameters({})
+    instance = {key: params[key] for key in problems.INSTANCES[exp.kind].defaults}
+    return problems.build_instance(exp.kind, params["seed"], **instance)
+
+
+# One pipeline per Gaussian kind: consistent, inconsistent, underdetermined
+# (fig3, analysed range-restricted) and probopt.
+GAUSSIAN_PIPELINES = ("fig1", "fig2", "fig3", "table1")
 
 
 class TestScaling:
@@ -124,8 +143,6 @@ class TestRateExpressions:
             assert abs((1 - lam) - nrm) <= 1e-8
 
     def test_norm_identity_against_expanded_product(self):
-        from kaczmarz_mismatch.linalg import spectral_radius
-
         sys = thresholded_instance(25, 8, 0.5, 4)
         p = row_norm_probabilities(sys)
         pair = scaling(sys, p)
@@ -171,6 +188,51 @@ class TestRateExpressions:
         sys = thresholded_instance(30, 10, 0.5, 20)
         diag = compute_diagnostics(sys, row_norm_probabilities(sys))
         assert isinstance(diag.ordering_observed, bool)
+
+
+class TestExpectationOperator:
+    @pytest.mark.parametrize("name", GAUSSIAN_PIPELINES + ("ct",))
+    def test_matrices_match_two_product_formulas(self, name):
+        sys = (
+            problems.build_ct_instance(8, 30.0, 12, 4) if name == "ct"
+            else pipeline_instance(name)
+        )
+        p = row_norm_probabilities(sys)
+        op = expectation_operator(sys, p)
+        pair = scaling(sys, p)
+        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
+        w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+        assert np.linalg.norm(op.vtda - vtda) <= 1e-13 * np.linalg.norm(vtda)
+        assert np.linalg.norm(op.w - w) <= 1e-13 * np.linalg.norm(w)
+        np.testing.assert_array_equal(op.w, op.w.T)
+
+    def test_matrices_formed_on_first_read_only(self):
+        sys = thresholded_instance(30, 8, 0.5, 3)
+        op = expectation_operator(sys, row_norm_probabilities(sys))
+        assert "vtda" not in vars(op) and "w" not in vars(op)
+        w = op.w
+        assert "vtda" not in vars(op)
+        assert op.w is w
+        vtda = op.vtda
+        assert op.vtda is vtda
+
+
+class TestNormCrossCheck:
+    """||M|| from the top singular pair against a full SVD and rho(M^T M)."""
+
+    @pytest.mark.parametrize("name", GAUSSIAN_PIPELINES)
+    def test_norm_matches_svd_and_gram_radius(self, name):
+        sys = pipeline_instance(name)
+        p = row_norm_probabilities(sys)
+        vtda = expectation_operator(sys, p).vtda
+        m = np.eye(sys.n) - vtda
+        if sys.m < sys.n:  # fig3: the range-restricted matrix
+            z = orthonormal_range_basis(sys.v.T)
+            m = np.eye(z.shape[1]) - z.T @ vtda @ z
+        sigma = top_singular_triplet(m).sigma
+        assert sigma == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
+        assert sigma**2 == pytest.approx(spectral_radius(m.T @ m), rel=1e-12)
+        assert compute_diagnostics(sys, p).norm_expectation == pytest.approx(sigma, rel=1e-13)
 
 
 class TestNoiseQuantities:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz_mismatch import linalg
 from kaczmarz_mismatch.errors import (
@@ -11,6 +13,37 @@ from kaczmarz_mismatch.errors import (
 )
 
 import oracles
+
+
+# Tie threshold of the optimizer's lambda objective.
+TIE_RTOL = 1e-10
+
+
+def full_spectrum_tie(vals, rtol=TIE_RTOL):
+    """The tie rule on a full ascending spectrum: the oracle for the partial solve."""
+    return len(vals) > 1 and vals[1] - vals[0] <= rtol * max(abs(vals[0]), abs(vals[-1]), 1e-30)
+
+
+def planted_symmetric(low, gap, scale, n, seed):
+    """Symmetric n x n matrix with eigenvalues low, low + gap, the rest spread
+    above them up to ``scale``, and a random orthonormal eigenbasis."""
+    rng = np.random.default_rng(seed)
+    rest = np.linspace(low + gap + 0.1 * (scale - low), scale, n - 2)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.concatenate([[low, low + gap], rest])) @ q.T
+    return 0.5 * (m + m.T)
+
+
+# Planted spectra: lambda_0 = c * scale with c = -1 (|lambda_0| sets the
+# threshold) or |c| <= 1e-3 (|lambda_max| = scale sets it), and a gap of
+# 1e-8 or 1e-12 times the scale, a hundred times on either side of TIE_RTOL.
+planted_spectra = st.tuples(
+    st.sampled_from([-1.0, -0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.2]),
+    st.sampled_from([1e-8, 1e-12]),
+    st.sampled_from([1e-3, 1.0, 1e4]),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
 
 
 class TestSymmetricEigMin:
@@ -63,6 +96,73 @@ class TestSymmetricEigMin:
         m = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
         lam, _ = linalg.symmetric_eig_min(m)
         assert lam == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPartialSymmetricSolves:
+    """The partial LAPACK solves against the full spectrum of ``np.linalg.eigh``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_spectra)
+    def test_against_full_eigh(self, case):
+        c, g, scale, n, seed = case
+        m = planted_symmetric(c * scale, g * scale, scale, n, seed)
+        vals = np.linalg.eigh(m)[0]
+        assert full_spectrum_tie(vals) == (g == 1e-12)  # the plant took
+        low, x_low, tied = linalg.symmetric_eigensystem(m, TIE_RTOL)
+        for lam, x in (linalg.symmetric_eig_min(m), (low, x_low)):
+            assert abs(lam - vals[0]) <= 1e-12 * scale
+            assert np.linalg.norm(m @ x - lam * x) <= 1e-12 * scale
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert tied == full_spectrum_tie(vals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.floats(min_value=-6, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_random_symmetric(self, n, log_scale, seed):
+        g = np.random.default_rng(seed).standard_normal((n, n)) * 10.0**log_scale
+        m = g + g.T
+        vals = np.linalg.eigh(m)[0]
+        bound = 1e-12 * np.abs(vals).max()
+        lam, x, tied = linalg.symmetric_eigensystem(m, TIE_RTOL)
+        assert abs(lam - vals[0]) <= bound
+        assert np.linalg.norm(m @ x - lam * x) <= bound
+        assert tied == full_spectrum_tie(vals)
+        assert linalg.symmetric_eig_min(m)[0] == pytest.approx(lam, abs=bound)
+
+    @pytest.mark.parametrize(
+        "c, g, tied, solves",
+        [
+            (0.2, 1e-8, False, 1),  # gap > rtol * ||M||_F
+            (-1.0, 1e-12, True, 1),  # gap <= rtol * max(|lambda_0|, |lambda_1|)
+            (1e-3, 1e-12, True, 2),  # in between: lambda_max decides
+            (1e-3, 2e-10, False, 2),
+        ],
+    )
+    def test_lambda_max_solved_only_between_the_bounds(self, monkeypatch, c, g, tied, solves):
+        calls = []
+        solve = linalg._eigh_range
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eigh_range", counted)
+        m = planted_symmetric(c, g, 1.0, 50, 3)
+        assert linalg.symmetric_eigensystem(m, TIE_RTOL)[2] == tied
+        assert full_spectrum_tie(np.linalg.eigh(m)[0]) == tied
+        assert calls == [(0, 1), (49, 49)][:solves]
+
+    def test_one_by_one_has_no_tie(self):
+        lam, x, tied = linalg.symmetric_eigensystem(np.array([[-2.5]]), TIE_RTOL)
+        assert (lam, abs(x[0]), tied) == (-2.5, 1.0, False)
+
+    def test_exact_tie(self):
+        lam, _, tied = linalg.symmetric_eigensystem(np.diag([1.0, 1.0, 4.0]), TIE_RTOL)
+        assert lam == pytest.approx(1.0, abs=1e-15)
+        assert tied
 
 
 class TestSpectralRadius:
@@ -163,6 +263,65 @@ class TestTopSingularTriplet:
         for _ in range(20):
             m = rng.standard_normal((6, 6))
             assert linalg.spectral_radius(m) <= linalg.spectral_norm(m) + 1e-10
+
+
+def shaped_matrix(rows, cols, rank, seed):
+    """rows x cols Gaussian matrix of the given rank (full when rank is None)."""
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        return rng.standard_normal((rows, cols))
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+class TestTopSingularTripletOracle:
+    """The Gram-matrix triplet against the full ``np.linalg.svd``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(6, 6), (9, 4), (4, 9), (1, 1), (1, 7), (7, 1), (12, 12)]),
+        st.sampled_from([None, 1, 0]),
+        st.floats(min_value=-6, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_against_full_svd(self, shape, rank, log_scale, seed):
+        m = shaped_matrix(*shape, rank, seed) * 10.0**log_scale
+        sigma, left, right, second = linalg.top_singular_triplet(m)
+        u, s, vt = np.linalg.svd(m)
+        if rank == 0:
+            assert (sigma, second) == (0.0, 0.0)
+            assert left[0] == right[0] == 1.0
+            return
+        assert sigma == pytest.approx(s[0], rel=1e-13)
+        # second comes from an eigenvalue of the Gram matrix: accurate to
+        # about eps * sigma near sigma, to about sqrt(eps) * sigma near 0.
+        assert second == pytest.approx(s[1] if len(s) > 1 else 0.0, abs=1e-7 * sigma)
+        assert np.linalg.norm(m @ right - sigma * left) <= 1e-12 * sigma
+        assert np.linalg.norm(m.T @ left - sigma * right) <= 1e-12 * sigma
+        assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(right) == pytest.approx(1.0, abs=1e-12)
+        if len(s) == 1 or s[0] - s[1] > 1e-3 * s[0]:
+            assert abs(left @ u[:, 0]) == pytest.approx(1.0, abs=1e-9)
+            assert abs(right @ vt[0]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_extreme_scales(self, scale):
+        # Entries whose squares under- or overflow: the Gram matrix is formed
+        # after an exact power-of-two rescaling.
+        m = shaped_matrix(6, 4, None, 41)
+        trip = linalg.top_singular_triplet(m * scale)
+        s = np.linalg.svd(m, compute_uv=False)
+        assert trip.sigma == pytest.approx(s[0] * scale, rel=1e-13)
+        assert trip.second == pytest.approx(s[1] * scale, rel=1e-10)
+        assert np.linalg.norm(trip.left) == pytest.approx(1.0, abs=1e-12)
+
+    def test_close_pair_second_accurate(self):
+        # Near a tie, second is as accurate as sigma: the tie test reads it.
+        rng = np.random.default_rng(37)
+        q1, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = q1[:, :3] @ np.diag([3.0, 3.0 * (1 - 1e-11), 1.0]) @ q2.T
+        trip = linalg.top_singular_triplet(m)
+        assert trip.sigma - trip.second == pytest.approx(3e-11, rel=1e-3)
 
 
 class TestOrthonormalRangeBasis:

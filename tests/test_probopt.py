@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kaczmarz_mismatch import probopt
 from kaczmarz_mismatch.errors import InvalidInputError
 from kaczmarz_mismatch.probopt import (
     Objective,
@@ -249,6 +250,34 @@ class TestSubgradientNorm:
         assert sign in (1.0, -1.0)
 
 
+class TestOneMatrixPerObjective:
+    """Each objective's gradient forms only the expectation matrix it reads."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        ops = []
+        build = probopt.expectation_operator
+
+        def recorded(*args, **kwargs):
+            ops.append(build(*args, **kwargs))
+            return ops[-1]
+
+        monkeypatch.setattr(probopt, "expectation_operator", recorded)
+        return ops
+
+    def test_supergradient_never_forms_vtda(self, built):
+        sys = mismatched_instance(12, 5, 0.4, 71)
+        supergradient_lambda(sys, np.full(12, 1 / 12))
+        lambda_objective(sys, np.full(12, 1 / 12))
+        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in built] == [["w"], ["w"]]
+
+    def test_subgradient_never_forms_w(self, built):
+        sys = mismatched_instance(12, 5, 0.4, 72)
+        subgradient_norm(sys, np.full(12, 1 / 12))  # validates the sign: 24 probes
+        assert len(built) == 26
+        assert all(sorted(vars(op).keys() & {"vtda", "w"}) == ["vtda"] for op in built)
+
+
 class TestOptimize:
     def test_matched_identity_stays_uniform(self):
         m = 4
@@ -316,6 +345,7 @@ class TestOptimize:
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         assert 0 < better(result.objective_evals) < 25  # best is a middle iterate
         assert result.best_objective == evaluate(sys, result.best_p)
+        assert result.best_iteration == better(result.objective_evals)
         assert result.objective_evals[0] == evaluate(sys, np.full(20, 1 / 20))
 
     def test_requires_two_rows(self):

@@ -14,7 +14,6 @@ from kaczmarz_mismatch.solver import (
     ROW_BLOCK,
     SolverConfig,
     StepRule,
-    exact_one_step_expectation,
     make_system,
     rkma_step,
     run,
@@ -22,6 +21,8 @@ from kaczmarz_mismatch.solver import (
     static_step_sizes,
     _sweep,
 )
+
+from oracles import exact_one_step_expectation
 
 ALL_RULES = list(StepRule)
 
