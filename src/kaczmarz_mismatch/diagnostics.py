@@ -210,7 +210,7 @@ def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
     return top_singular_triplet(np.eye(sys.n) - vtda).sigma
 
 
-def noise_gamma(sys: SystemPair, p=None) -> float:
+def noise_gamma(sys: SystemPair) -> float:
     """Worst-row noise amplification max_i |r_i| ||v_i|| / <a_i, v_i>."""
     if sys.noise is None:
         raise InvalidInputError("gamma needs a stored noise vector")
@@ -268,14 +268,19 @@ def restricted_diagnostics(
 
     p = _checked_p(sys, p)
     op = expectation_operator(sys, p, rule)
-    lam, _ = symmetric_eig_min(z.T @ op.w @ z)
-    m_restricted = np.eye(z.shape[1]) - z.T @ op.vtda @ z
+    return _rate_diagnostics(p, z.T @ op.w @ z, z.T @ op.vtda @ z, restricted=True)
+
+
+def _rate_diagnostics(p, w, vtda, restricted) -> RateDiagnostics:
+    """lambda, rho and ||I - V^T D A|| from W and V^T D A, or their restrictions."""
+    lam, _ = symmetric_eig_min(w)
+    m_mat = np.eye(vtda.shape[0]) - vtda
     return RateDiagnostics(
         lam=lam,
-        rho_asymptotic=spectral_radius(m_restricted),
-        norm_expectation=top_singular_triplet(m_restricted).sigma,
+        rho_asymptotic=spectral_radius(m_mat),
+        norm_expectation=top_singular_triplet(m_mat).sigma,
         positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
-        restricted=True,
+        restricted=restricted,
     )
 
 
@@ -300,15 +305,7 @@ def compute_diagnostics(
         diag = restricted_diagnostics(sys, p, rule)
     else:
         op = expectation_operator(sys, p, rule)
-        m_mat = np.eye(sys.n) - op.vtda
-        lam, _ = symmetric_eig_min(op.w)
-        diag = RateDiagnostics(
-            lam=lam,
-            rho_asymptotic=spectral_radius(m_mat),
-            norm_expectation=top_singular_triplet(m_mat).sigma,
-            positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
-            restricted=False,
-        )
+        diag = _rate_diagnostics(p, op.w, op.vtda, restricted=False)
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
         if sys.m >= sys.n:  # for m < n, V^T D A (rank <= m) is singular

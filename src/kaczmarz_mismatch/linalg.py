@@ -190,10 +190,6 @@ def top_singular_triplet(m) -> SingularTriplet:
     )
 
 
-def spectral_norm(m) -> float:
-    return top_singular_triplet(m).sigma
-
-
 def orthonormal_range_basis(m) -> np.ndarray:
     """Orthonormal basis Z of range(M), detected by column-pivoted QR.
 

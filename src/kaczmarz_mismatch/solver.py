@@ -10,10 +10,10 @@ projection onto the hyperplane {x : <a_i, x> = beta_i}; with V = A it reduces
 to the classical randomized Kaczmarz projection.  beta is the right-hand side
 in use: b, or b plus the stored noise vector for inconsistent systems.
 
-``_sweep`` is the one implementation of the update: ``run`` and ``rkma_step``
-both call it, and a static-rule step is one BLAS ``ddot`` and one ``daxpy``
-on ``x`` in place.  ``run_replicates`` keeps its own loop, vectorized across
-replicates.
+``_sweep`` is the one implementation of the update: ``rkma_step`` calls it
+directly, and ``run`` and ``run_replicates`` through ``_run``, the logged
+iteration on one random stream.  A static-rule step is one BLAS ``ddot`` and
+one ``daxpy`` on ``x`` in place.
 """
 
 from __future__ import annotations
@@ -252,11 +252,18 @@ def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
     fixed config seed fixes the row sequence for every ``max_iterations`` and
     ``log_stride``: a shorter run is a prefix of a longer one.
     """
+    return _run(sys, _sampler(sys, p), cfg, replicate_rng(cfg.seed))
+
+
+def _sampler(sys: SystemPair, p) -> DiscreteSampler:
     p = check_probability_vector(p)
     if len(p) != sys.m:
         raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
-    sampler = DiscreteSampler(p)
-    rng = replicate_rng(cfg.seed)
+    return DiscreteSampler(p)
+
+
+def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> Trace:
+    """The logged iteration of ``run``, drawing rows from ``sampler`` with ``rng``."""
     omega = static_step_sizes(sys, cfg.rule).tolist() if cfg.rule.is_static else None
     a_rows = list(sys.a)
     v_rows = list(sys.v)
@@ -331,41 +338,25 @@ class ReplicateStats:
 
 
 def run_replicates(sys: SystemPair, p, cfg: SolverConfig, n_replicates) -> ReplicateStats:
-    """Run many independent replicates of the same configuration at once.
+    """Run ``n_replicates`` independent copies of ``run`` for error statistics.
 
-    The batch is vectorized across replicates (one row draw per replicate per
-    step) and is deterministic given the config seed.  Requires a known truth
-    since the point of replication is error statistics.
+    Replicate r is the ``run`` iteration on the stream ``replicate_rng(cfg.seed,
+    r)``, so replicate 0 is ``run(sys, p, cfg)`` itself.  Requires a known
+    truth, since the point of replication is error statistics, and no early
+    stop, which would leave the replicates with traces of different lengths.
     """
     if sys.truth is None:
         raise InvalidInputError("replicate statistics need a known solution")
-    p = check_probability_vector(p)
-    if len(p) != sys.m:
-        raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
-    sampler = DiscreteSampler(p)
-    rng = replicate_rng(cfg.seed)
-    omega = static_step_sizes(sys, cfg.rule)  # adaptive rule not supported here
-
-    x0 = initial_iterate(sys, cfg)
-    x = np.tile(x0, (n_replicates, 1))  # (R, n)
-    rhs = sys.rhs
-    truth = sys.truth
-
-    logged_k = [0]
-    sq_errors = [np.einsum("rj,rj->r", x - truth, x - truth)]
-    a, v = sys.a, sys.v
-    for k in range(1, cfg.max_iterations + 1):
-        idx = sampler.draw_array(rng, n_replicates)
-        rows_a = a[idx]  # (R, n)
-        residuals = np.einsum("rj,rj->r", rows_a, x) - rhs[idx]
-        coeff = residuals * omega[idx]
-        x -= coeff[:, None] * v[idx]
-        if k % cfg.log_stride == 0 or k == cfg.max_iterations:
-            logged_k.append(k)
-            diff = x - truth
-            sq_errors.append(np.einsum("rj,rj->r", diff, diff))
+    if n_replicates < 1:
+        raise InvalidInputError(f"n_replicates must be >= 1, got {n_replicates}")
+    if cfg.residual_tolerance > 0:
+        raise InvalidInputError("replicate statistics need residual_tolerance = 0")
+    sampler = _sampler(sys, p)
+    traces = [
+        _run(sys, sampler, cfg, replicate_rng(cfg.seed, r)) for r in range(n_replicates)
+    ]
     return ReplicateStats(
-        logged_k=logged_k,
-        sq_errors=np.array(sq_errors),
-        final_x=x,
+        logged_k=traces[0].logged_k,
+        sq_errors=np.square(np.column_stack([t.error_norms for t in traces])),
+        final_x=np.array([t.final_x for t in traces]),
     )

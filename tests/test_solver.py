@@ -8,7 +8,7 @@ from kaczmarz_mismatch.errors import (
     DimensionError,
     InvalidInputError,
 )
-from kaczmarz_mismatch.sampling import replicate_rng
+from kaczmarz_mismatch.sampling import DiscreteSampler, replicate_rng
 from kaczmarz_mismatch.solver import (
     ADAPTIVE_RESIDUAL_FLOOR,
     ROW_BLOCK,
@@ -19,6 +19,7 @@ from kaczmarz_mismatch.solver import (
     run,
     run_replicates,
     static_step_sizes,
+    _run,
     _sweep,
 )
 
@@ -525,3 +526,40 @@ class TestReplicates:
             paired = stats.sq_errors[k + 1] - (1 - lam) * stats.sq_errors[k]
             se = paired.std(ddof=1) / np.sqrt(paired.shape[0])
             assert paired.mean() <= 3 * se
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
+        st.sampled_from(ALL_RULES), st.integers(0, 2**32 - 1),
+        st.integers(1, 300), st.integers(1, 80), st.integers(1, 4),
+    )
+    def test_replicate_r_is_run_on_stream_r(self, sys_seed, m, n, rule, seed,
+                                            iterations, stride, reps):
+        rng = np.random.default_rng(sys_seed)
+        sys = random_pair(rng, m, n)
+        p = rng.random(m) + 0.1
+        p /= p.sum()
+        cfg = SolverConfig(rule=rule, max_iterations=iterations, log_stride=stride, seed=seed)
+        stats = run_replicates(sys, p, cfg, reps)
+        trace = run(sys, p, cfg)
+        assert stats.logged_k == trace.logged_k
+        assert stats.sq_errors.shape == (len(trace.logged_k), reps)
+        assert stats.final_x.shape == (reps, n)
+        np.testing.assert_array_equal(stats.final_x[0], trace.final_x)
+        np.testing.assert_array_equal(stats.sq_errors[:, 0], np.square(trace.error_norms))
+        for r in range(1, reps):
+            other = _run(sys, DiscreteSampler(p), cfg, replicate_rng(seed, r))
+            np.testing.assert_array_equal(stats.final_x[r], other.final_x)
+            np.testing.assert_array_equal(stats.sq_errors[:, r], np.square(other.error_norms))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_empty_batch(self, reps):
+        sys = make_system(np.eye(2), np.eye(2), np.ones(2), truth=np.ones(2))
+        with pytest.raises(InvalidInputError):
+            run_replicates(sys, [0.5, 0.5], SolverConfig(), reps)
+
+    def test_rejects_early_stop(self):
+        sys = make_system(np.eye(2), np.eye(2), np.ones(2), truth=np.ones(2))
+        cfg = SolverConfig(residual_tolerance=1e-8)
+        with pytest.raises(InvalidInputError):
+            run_replicates(sys, [0.5, 0.5], cfg, 3)
