@@ -128,7 +128,9 @@ def _build_parser():
     opt.add_argument("--step", type=float, default=1.0)
     opt.add_argument("--schedule", choices=[s.value for s in StepSchedule],
                      default="sqrt")
-    opt.add_argument("--seed", type=int, default=0)
+    opt.add_argument("--seed", type=int, default=0,
+                     help="recorded in the output headers only: the optimizer "
+                          "draws no random numbers")
     opt.add_argument("--out", required=True)
 
     exp = sub.add_parser("experiment", help="run a named benchmark pipeline")
@@ -256,8 +258,6 @@ def _cmd_optimize(args, argv):
         iterations=args.iters,
         schedule=StepSchedule(args.schedule),
         base_step=args.step,
-        record_history=True,
-        seed=args.seed,
     )
     result = optimize_probabilities(sys_pair, StepRule(args.rule), cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -273,7 +273,7 @@ def _cmd_optimize(args, argv):
     )
     write_table_csv(
         os.path.join(args.out, "history.csv"), ("iter", "objective"),
-        result.history, header_lines=headers,
+        enumerate(result.objective_evals), header_lines=headers,
     )
     print(f"best {args.objective} objective: {result.best_objective:.9g}")
     print(f"best_iteration: {result.best_iteration}")

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DimensionError,
     InvalidInputError,
     NoGuaranteeError,
     RankDeficiencyError,
@@ -125,14 +126,9 @@ class RateDiagnostics:
         )
 
 
-def _checked_p(sys, p):
-    p = check_probability_vector(p)
-    if len(p) != sys.m:
-        raise InvalidInputError(f"p has length {len(p)}, expected {sys.m}")
-    return p
-
-
 def _scaling(sys, p, rule):
+    if p.shape != (sys.m,):
+        raise DimensionError(f"p has shape {p.shape}, expected ({sys.m},)")
     omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
     return ScalingPair(
         d=p * omega,
@@ -144,7 +140,7 @@ def _scaling(sys, p, rule):
 
 def scaling(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> ScalingPair:
     """Exact componentwise scaling diagonals for a static step rule."""
-    return _scaling(sys, _checked_p(sys, p), rule)
+    return _scaling(sys, check_probability_vector(p), rule)
 
 
 class ExpectationOperator:
@@ -181,8 +177,9 @@ def expectation_operator(
 
     The one place where a row distribution becomes the expectation operator;
     every rate in this module and in ``probopt`` is read off its matrices.
-    ``p`` is used as given, not validated, so the objectives can also be
-    evaluated just off the simplex; callers taking user input validate first.
+    ``p`` must have one entry per row, but is not checked to lie on the
+    simplex, so the objectives can also be evaluated just off it; callers
+    taking user input validate it first.
     """
     return ExpectationOperator(sys, _scaling(sys, np.asarray(p, dtype=float), rule))
 
@@ -194,19 +191,20 @@ def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXA
     rate (1 - lambda) per step.  Intended for the overdetermined analysis;
     use ``restricted_diagnostics`` for underdetermined systems.
     """
-    lam, _ = symmetric_eig_min(expectation_operator(sys, _checked_p(sys, p), rule).w)
+    p = check_probability_vector(p)
+    lam, _ = symmetric_eig_min(expectation_operator(sys, p, rule).w)
     return lam
 
 
 def asymptotic_rate(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
     """Spectral radius of I - V^T D A, the asymptotic rate of the expected error."""
-    vtda = expectation_operator(sys, _checked_p(sys, p), rule).vtda
+    vtda = expectation_operator(sys, check_probability_vector(p), rule).vtda
     return spectral_radius(np.eye(sys.n) - vtda)
 
 
 def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
     """Spectral norm of I - V^T D A."""
-    vtda = expectation_operator(sys, _checked_p(sys, p), rule).vtda
+    vtda = expectation_operator(sys, check_probability_vector(p), rule).vtda
     return top_singular_triplet(np.eye(sys.n) - vtda).sigma
 
 
@@ -233,7 +231,8 @@ def expected_fixed_point_error(
     """Norm of the expectation fixed point (V^T D A)^{-1} V^T D r."""
     if sys.noise is None:
         raise InvalidInputError("fixed-point error needs a stored noise vector")
-    return _fixed_point_error(sys, expectation_operator(sys, _checked_p(sys, p), rule))
+    p = check_probability_vector(p)
+    return _fixed_point_error(sys, expectation_operator(sys, p, rule))
 
 
 def _fixed_point_error(sys, op) -> float:
@@ -266,7 +265,7 @@ def restricted_diagnostics(
     if not is_invertible(sys.a @ sys.v.T):
         raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
 
-    p = _checked_p(sys, p)
+    p = check_probability_vector(p)
     op = expectation_operator(sys, p, rule)
     return _rate_diagnostics(p, z.T @ op.w @ z, z.T @ op.vtda @ z, restricted=True)
 
@@ -285,23 +284,17 @@ def _rate_diagnostics(p, w, vtda, restricted) -> RateDiagnostics:
 
 
 def compute_diagnostics(
-    sys: SystemPair,
-    p,
-    rule: StepRule = StepRule.OBLIQUE_EXACT,
-    restricted: bool | None = None,
+    sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
 ) -> RateDiagnostics:
     """Assemble the full diagnostics record for a system and row distribution.
 
-    ``restricted=None`` selects the range-restricted analysis automatically
-    when m < n.  Noise quantities are filled in when the system carries a
-    noise vector; the fixed-point error stays None when m < n, where
-    V^T D A is singular.
+    The range-restricted analysis is used when m < n.  Noise quantities are
+    filled in when the system carries a noise vector; the fixed-point error
+    stays None when m < n, where V^T D A is singular.
     """
-    p = _checked_p(sys, p)
-    if restricted is None:
-        restricted = sys.m < sys.n
+    p = check_probability_vector(p)
     op = None
-    if restricted:
+    if sys.m < sys.n:
         diag = restricted_diagnostics(sys, p, rule)
     else:
         op = expectation_operator(sys, p, rule)

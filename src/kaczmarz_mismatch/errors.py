@@ -44,10 +44,6 @@ class RankDeficiencyError(NumericError):
     """A matrix required to have full (row) rank does not."""
 
 
-class DegenerateSubdifferentialError(NumericError):
-    """Neither candidate sign yields a valid subgradient (tied singular values)."""
-
-
 class EmptySystemError(InvalidInputError):
     """Row filtering removed every equation of a system."""
 

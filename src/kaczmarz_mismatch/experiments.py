@@ -127,8 +127,9 @@ def _setup(name, out_dir, given):
     params = exp.parameters(given)
     seed = params.pop("seed")
     instance = {key: params.pop(key) for key in problems.INSTANCES[exp.kind].defaults}
+    sys = problems.build_instance(exp.kind, seed, **instance)
     os.makedirs(out_dir, exist_ok=True)
-    return seed, instance, params, problems.build_instance(exp.kind, seed, **instance)
+    return seed, instance, params, sys
 
 
 def _write_manifest(out_dir, name, command, seed, instance, params):
@@ -266,11 +267,11 @@ def experiment_table1(out_dir, command="experiment table1", **params):
 
     opt_lam = optimize_probabilities(
         sys, StepRule.OBLIQUE_EXACT,
-        ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations, seed=seed),
+        ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations),
     )
     opt_norm = optimize_probabilities(
         sys, StepRule.OBLIQUE_EXACT,
-        ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations, seed=seed),
+        ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations),
     )
     schemes = {
         "uniform": probability_scheme(sys, "uniform"),
@@ -307,7 +308,7 @@ def experiment_table1(out_dir, command="experiment table1", **params):
         write_table_csv(
             os.path.join(out_dir, f"history_{label}.csv"),
             ("iter", "objective"),
-            result.history,
+            enumerate(result.objective_evals),
             header_lines=headers,
         )
 

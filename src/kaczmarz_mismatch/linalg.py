@@ -10,6 +10,8 @@ spectrum they return, by LAPACK ``syevr`` over an index range:
 ``symmetric_eig_min`` the lowest eigenpair, ``symmetric_eigensystem`` the
 lowest two (and lambda_max only when a tie test needs it), and
 ``top_singular_triplet`` the top two eigenpairs of the smaller Gram matrix.
+Where syevr drops eigenvalues of a cluster that the range splits, the full
+decomposition is used instead.
 Each factorizing function makes its own LAPACK calls instead of calling
 another factorizing function, so counting calls to them counts
 factorizations.
@@ -81,11 +83,27 @@ def _require_square(m, name):
 
 def _eigh_range(sym, lo, hi, eigvals_only=False):
     """Eigenvalues lo..hi (0-based, ascending), with eigenvectors unless
-    ``eigvals_only``, of a symmetric matrix by LAPACK syevr."""
-    return scipy.linalg.eigh(
-        sym, eigvals_only=eigvals_only, subset_by_index=[lo, hi],
-        driver="evr", check_finite=False,
-    )
+    ``eigvals_only``, of a symmetric matrix by LAPACK syevr.
+
+    syevr can return fewer eigenvalues than asked for, or fail, when the
+    index range splits a cluster of equal eigenvalues, as in the Gram matrix
+    of an oblique projector I - v a^T / <a, v>; the full decomposition is
+    sliced instead.
+    """
+    try:
+        found = scipy.linalg.eigh(
+            sym, eigvals_only=eigvals_only, subset_by_index=[lo, hi],
+            driver="evr", check_finite=False,
+        )
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if len(found if eigvals_only else found[0]) == hi - lo + 1:
+            return found
+    if eigvals_only:
+        return np.linalg.eigvalsh(sym)[lo : hi + 1]
+    vals, vecs = np.linalg.eigh(sym)
+    return vals[lo : hi + 1], vecs[:, lo : hi + 1]
 
 
 def symmetric_eig_min(m) -> tuple[float, np.ndarray]:

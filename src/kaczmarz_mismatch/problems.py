@@ -130,6 +130,12 @@ def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> n
     """
     if grid_n < 2:
         raise InvalidInputError(f"grid_n = {grid_n} must be >= 2")
+    if len(angles_deg) == 0:
+        raise InvalidInputError("no projection angles")
+    if rays_per_angle < 1:
+        raise InvalidInputError(f"rays_per_angle = {rays_per_angle} must be >= 1")
+    if not detector_span > 0:
+        raise InvalidInputError(f"detector_span = {detector_span} must be > 0")
     half = grid_n / 2.0
     offsets = (np.arange(rays_per_angle) + 0.5 - rays_per_angle / 2.0) * (
         detector_span / rays_per_angle
@@ -192,11 +198,13 @@ def ct_mismatch_pair(full, b_full, truth=None) -> SystemPair:
 
     The forward rows take every third row of ``full`` (the middle ray of
     each group of three); the backprojection rows average the group (a
-    simple centered model of detector bin width).  Anchoring the forward
-    ray at the bin center keeps the expected iteration stable; anchoring it
-    at the bin edge makes the restricted spectral radius exceed one.  Rows
-    whose forward part is zero are eliminated from A, V, and b together;
-    rows with a vanishing pairing are dropped with a warning.
+    simple centered model of detector bin width, with the forward ray at
+    the bin center).  The model does not guarantee rho(I - V^T D A) < 1:
+    at the default ``ct`` geometry, with pairing-proportional p and the
+    oblique rule, V^T D A has eigenvalues with negative real part (down to
+    about -1.5e-5), so off its kernel the expected error grows slowly.
+    Rows whose forward part is zero are eliminated from A, V, and b
+    together; rows with a vanishing pairing are dropped with a warning.
     """
     full = as_matrix(full, "full")
     b_full = as_vector(b_full, "b_full")
@@ -239,8 +247,14 @@ def build_ct_instance(grid, angle_step, rays, seed, span_factor=1.4) -> SystemPa
 
     ``grid`` x ``grid`` unit pixels, parallel-beam angles 0, ``angle_step``,
     ... below 180 degrees, and ``rays`` rays per angle spread over
-    ``span_factor * grid``; ``truth`` is the phantom.
+    ``span_factor * grid``; ``truth`` is the phantom.  ``rays`` must be a
+    multiple of 3, so that every detector bin of ``ct_mismatch_pair`` holds
+    three rays of one angle.
     """
+    if not 0 < angle_step < np.inf:
+        raise InvalidInputError(f"angle_step = {angle_step} must be finite and > 0")
+    if rays % 3:
+        raise InvalidInputError(f"rays = {rays} must be a multiple of 3")
     angles = np.arange(0.0, 180.0, angle_step)
     full = parallel_beam_matrix(grid, angles, rays, span_factor * grid)
     phantom = smooth_phantom(grid, seed)

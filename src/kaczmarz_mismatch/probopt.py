@@ -12,7 +12,9 @@ and solves only for its two lowest eigenpairs (``symmetric_eigensystem``,
 which also decides the tie flag), the norm side forms only V^T D A and
 solves only for the top singular pair of I - V^T D A.  Each gradient also
 returns the objective value from its own factorization, so the optimizer
-factors once per iterate.
+factors once per iterate.  The sign of the norm subgradient is fixed by that
+singular pair, so the optimizer draws no random numbers; the inequality it
+rests on is checked in the tests.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import expectation_operator
-from .errors import DegenerateSubdifferentialError, InvalidInputError
+from .errors import InvalidInputError
 from .linalg import as_vector, symmetric_eigensystem, top_singular_triplet
-from .sampling import check_probability_vector, replicate_rng
+from .sampling import check_probability_vector
 from .solver import StepRule, SystemPair
 
 # Relative eigen/singular gap below which the extremal vector is flagged as a
 # degenerate (tied) subdifferential point.
 DEGENERACY_GAP_RTOL = 1e-10
-# Slack allowed when checking the concavity/convexity first-order inequalities.
-SUBGRADIENT_SLACK = 1e-8
 
 
 class Objective(enum.Enum):
@@ -52,8 +52,6 @@ class ProbOptConfig:
     iterations: int = 200
     schedule: StepSchedule = StepSchedule.SQRT_DECAY
     base_step: float = 1.0
-    record_history: bool = True
-    seed: int = 0  # drives the sign-validation probes only
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -71,8 +69,7 @@ class ProbOptConfig:
 class ProbOptResult:
     best_p: np.ndarray
     best_objective: float
-    history: list[tuple[int, float]]
-    objective_evals: np.ndarray
+    objective_evals: np.ndarray  # one value per iterate, the initial one first
     best_iteration: int  # index of best_p in objective_evals
     degenerate_iterations: list[int] = field(default_factory=list)
 
@@ -123,64 +120,21 @@ def supergradient_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_E
     return op.pair.omega * (2.0 * vx - op.pair.s * ax) * ax, degenerate, lam
 
 
-def _norm_subgradient_candidate(sys, p, rule):
-    """Unsigned candidate from the top singular pair of I - V^T D A."""
+def subgradient_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT):
+    """Subgradient of p -> ||I - V^T D A|| at p, from its top singular pair.
+
+    With M(p) = I - V^T D A, which is affine in p, and a top singular pair
+    M(p) right = sigma left, the component for row i is
+    -omega_i * <v_i, left> * <a_i, right>.  Its sign is fixed even when sigma
+    is tied, because ||M(q)|| >= <left, M(q) right> for every q, with
+    equality at q = p.  Returns (gradient, degenerate flag,
+    ||I - V^T D A||); the flag marks a (near-)tied top singular value.
+    """
+    p = check_probability_vector(p)
     op = expectation_operator(sys, p, rule)
     sigma, left, right, second = top_singular_triplet(np.eye(sys.n) - op.vtda)
     degenerate = sys.n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
-    candidate = -op.pair.omega * (sys.v @ left) * (sys.a @ right)
-    return candidate, sigma, degenerate
-
-
-def validate_subgradient_sign(
-    sys: SystemPair,
-    p,
-    rule: StepRule = StepRule.OBLIQUE_EXACT,
-    n_probes: int = 24,
-    seed: int = 0,
-):
-    """Pick the sign that makes the candidate a genuine subgradient.
-
-    The candidate built from the top singular pair is checked, with both
-    signs, against the convexity underestimate f(q) >= f(p) + <g, q - p> on
-    random simplex probes; the sign that satisfies it is returned.  Failure
-    of both signs indicates a degenerate (tied) top singular value.
-    """
-    p = check_probability_vector(p)
-    candidate, f_p, _ = _norm_subgradient_candidate(sys, p, rule)
-    rng = replicate_rng(seed, 101)
-    probes = rng.dirichlet(np.ones(sys.m), size=n_probes)
-    gaps = np.array([norm_objective(sys, q, rule) - f_p for q in probes])
-    inner = probes @ candidate - p @ candidate
-    plus_ok = bool(np.all(gaps >= inner - SUBGRADIENT_SLACK))
-    minus_ok = bool(np.all(gaps >= -inner - SUBGRADIENT_SLACK))
-    if plus_ok:
-        return 1.0
-    if minus_ok:
-        return -1.0
-    raise DegenerateSubdifferentialError(
-        "no sign of the singular-pair candidate satisfies the subgradient "
-        "inequality; the top singular value appears to be tied"
-    )
-
-
-def subgradient_norm(
-    sys: SystemPair,
-    p,
-    rule: StepRule = StepRule.OBLIQUE_EXACT,
-    sign: float | None = None,
-):
-    """Validated subgradient of p -> ||I - V^T D A|| at p.
-
-    ``sign`` may carry a previously validated orientation (it is fixed per
-    instance); when omitted, the sign is validated on the spot.  Returns
-    (gradient, degenerate flag, ||I - V^T D A||).
-    """
-    p = check_probability_vector(p)
-    if sign is None:
-        sign = validate_subgradient_sign(sys, p, rule)
-    candidate, sigma, degenerate = _norm_subgradient_candidate(sys, p, rule)
-    return sign * candidate, degenerate, sigma
+    return -op.pair.omega * (sys.v @ left) * (sys.a @ right), degenerate, sigma
 
 
 def optimize_probabilities(
@@ -199,13 +153,10 @@ def optimize_probabilities(
         raise InvalidInputError("probability optimization needs at least 2 rows")
     cfg = cfg or ProbOptConfig()
     maximizing = cfg.objective is Objective.MAX_LAMBDA_MIN
+    gradient = supergradient_lambda if maximizing else subgradient_norm
     evaluate = lambda_objective if maximizing else norm_objective
 
     p = np.full(sys.m, 1.0 / sys.m)
-    sign = None
-    if not maximizing:
-        sign = validate_subgradient_sign(sys, p, rule, seed=cfg.seed)
-
     values: list[float] = []
     best_p = best_value = None
     best_iteration = 0
@@ -218,10 +169,7 @@ def optimize_probabilities(
         values.append(value)
 
     for k in range(cfg.iterations):
-        if maximizing:
-            g, degenerate, value = supergradient_lambda(sys, p, rule)
-        else:
-            g, degenerate, value = subgradient_norm(sys, p, rule, sign=sign)
+        g, degenerate, value = gradient(sys, p, rule)
         record(p, value)
         if degenerate:
             degenerate_iterations.append(k)
@@ -229,13 +177,10 @@ def optimize_probabilities(
         p = project_simplex(p + step if maximizing else p - step)
     record(p, evaluate(sys, p, rule))
 
-    objective_evals = np.array(values)
-    history = list(enumerate(values)) if cfg.record_history else []
     return ProbOptResult(
         best_p=best_p,
         best_objective=best_value,
-        history=history,
-        objective_evals=objective_evals,
+        objective_evals=np.array(values),
         best_iteration=best_iteration,
         degenerate_iterations=degenerate_iterations,
     )

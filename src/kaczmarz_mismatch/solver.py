@@ -159,8 +159,7 @@ class SolverConfig:
     log_stride: int = 1
     seed: int = 0
     residual_tolerance: float = 0.0  # relative to ||rhs||; 0 disables early stop
-    start: np.ndarray | None = None  # None means the zero vector
-    start_coefficients: np.ndarray | None = None  # x0 = V^T c, confined to rg V^T
+    start_coefficients: np.ndarray | None = None  # x0 = V^T c; None means x0 = 0
     keep_logged_iterates: bool = False  # snapshot x at each log point
 
     def __post_init__(self):
@@ -170,8 +169,6 @@ class SolverConfig:
             raise InvalidInputError("log_stride must be >= 1")
         if self.residual_tolerance < 0:
             raise InvalidInputError("residual_tolerance must be >= 0")
-        if self.start is not None and self.start_coefficients is not None:
-            raise InvalidInputError("give either start or start_coefficients, not both")
 
 
 @dataclass
@@ -195,11 +192,6 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
                 f"start coefficients have length {c.shape[0]}, expected {sys.m}"
             )
         return sys.v.T @ c
-    if cfg.start is not None:
-        x0 = as_vector(cfg.start, "start")
-        if x0.shape[0] != sys.n:
-            raise DimensionError(f"start has length {x0.shape[0]}, expected {sys.n}")
-        return x0.copy()
     return np.zeros(sys.n)
 
 

@@ -299,11 +299,11 @@ def test_criterion_09_probability_optimization_orderings():
         p_pairing = probability_scheme(sys, "pairing")
         opt_lam = optimize_probabilities(
             sys, StepRule.OBLIQUE_EXACT,
-            ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=500, seed=5),
+            ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=500),
         )
         opt_norm = optimize_probabilities(
             sys, StepRule.OBLIQUE_EXACT,
-            ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=500, seed=5),
+            ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=500),
         )
         lam_uniform = lambda_objective(sys, p_uniform)
         lam_pairing = lambda_objective(sys, p_pairing)

@@ -388,7 +388,7 @@ class TestExitCodes:
     def test_unknown_command(self):
         assert run_cli(["frobnicate"]) == 1
 
-    def test_invalid_params(self, tmp_path):
+    def test_invalid_params(self, tmp_path, capsys):
         system = str(tmp_path / "sys")
         assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
                         "--out", system]) == 0
@@ -398,8 +398,18 @@ class TestExitCodes:
              "--out", out],
             ["diagnose", "--system-dir", system, "--p", "bogus"],
             ["solve", "--system-dir", system, "--p", "bogus", "--out", out],
+            ["generate", "--kind", "ct", "--angle-step", "0", "--out", out],
+            ["generate", "--kind", "ct", "--angle-step", "nan", "--out", out],
+            ["generate", "--kind", "ct", "--angle-step", "-5", "--out", out],
+            ["generate", "--kind", "ct", "--rays", "0", "--out", out],
+            ["generate", "--kind", "ct", "--rays", "-1", "--out", out],
+            ["generate", "--kind", "ct", "--rays", "4", "--out", out],
+            ["experiment", "--name", "ct", "--rays", "0", "--out", out],
         ):
+            capsys.readouterr()
             assert run_cli(argv) == 1, argv
+            assert "invalid input" in capsys.readouterr().err, argv
+            assert not os.path.exists(out), argv
 
     @pytest.mark.parametrize("argv, flag", [
         (["experiment", "--name", "ct", "--m", "100"], "--m"),

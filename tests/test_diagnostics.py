@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kaczmarz_mismatch import diagnostics, experiments, problems
+from kaczmarz_mismatch import diagnostics, experiments, problems, probopt
 from kaczmarz_mismatch.diagnostics import (
     CSV_COLUMNS,
     RateDiagnostics,
@@ -17,6 +17,7 @@ from kaczmarz_mismatch.diagnostics import (
     scaling,
 )
 from kaczmarz_mismatch.errors import (
+    DimensionError,
     InvalidInputError,
     NoGuaranteeError,
     RankDeficiencyError,
@@ -215,6 +216,25 @@ class TestExpectationOperator:
         assert op.w is w
         vtda = op.vtda
         assert op.vtda is vtda
+
+    @pytest.mark.parametrize("k", [1, 5])  # 1 and m - 1 entries
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            expectation_operator,
+            scaling,
+            probopt.lambda_objective,
+            probopt.norm_objective,
+            probopt.supergradient_lambda,
+            probopt.subgradient_norm,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_rejects_p_of_wrong_length(self, evaluate, k):
+        # A short p on the simplex would broadcast against omega unchecked.
+        sys = thresholded_instance(6, 3, 0.2, 5)
+        with pytest.raises(DimensionError):
+            evaluate(sys, np.full(k, 1.0 / k))
 
 
 class TestNormCrossCheck:

@@ -314,6 +314,19 @@ class TestTopSingularTripletOracle:
         assert trip.second == pytest.approx(s[1] * scale, rel=1e-10)
         assert np.linalg.norm(trip.left) == pytest.approx(1.0, abs=1e-12)
 
+    def test_oblique_projector_clusters(self):
+        # I - v a^T / <a, v> has singular values 0, 1 (n - 2 times) and
+        # ||a|| ||v|| / <a, v>; the tied ones once made syevr return nothing.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            a = rng.standard_normal(12)
+            v = np.where(rng.random(12) < 0.5, 0.0, a)
+            v[0] = a[0]
+            trip = linalg.top_singular_triplet(np.eye(12) - np.outer(v, a) / (a @ v))
+            norm = np.linalg.norm(a) * np.linalg.norm(v) / (a @ v)
+            assert trip.sigma == pytest.approx(norm, rel=1e-12)
+            assert trip.second == pytest.approx(1.0, rel=1e-12)
+
     def test_close_pair_second_accurate(self):
         # Near a tie, second is as accurate as sigma: the tie test reads it.
         rng = np.random.default_rng(37)

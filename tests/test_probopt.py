@@ -18,7 +18,6 @@ from kaczmarz_mismatch.probopt import (
     project_simplex,
     subgradient_norm,
     supergradient_lambda,
-    validate_subgradient_sign,
 )
 from kaczmarz_mismatch.problems import (
     assemble_scaled_for_probopt,
@@ -38,6 +37,24 @@ def mismatched_instance(m, n, tau, seed):
 
 def random_simplex(rng, m, size=None):
     return rng.dirichlet(np.ones(m), size=size)
+
+
+@st.composite
+def norm_subgradient_cases(draw):
+    """(system, p, static rule, probe generator) for the norm subgradient.
+
+    Either a random thresholded system with a Dirichlet p, or A = V = I with
+    uniform p, where every singular value of I - V^T D A is tied.
+    """
+    rule = draw(st.sampled_from([rule for rule in StepRule if rule.is_static]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 8))
+        return make_system(np.eye(m), np.eye(m), np.zeros(m)), np.full(m, 1 / m), rule, rng
+    m = draw(st.integers(2, 12))
+    sys = mismatched_instance(m, draw(st.integers(1, 8)), draw(st.floats(0.0, 1.0)), seed)
+    return sys, random_simplex(rng, m), rule, rng
 
 
 class TestProjectSimplex:
@@ -198,21 +215,23 @@ class TestSubgradientNorm:
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
         p = np.array([0.5, 0.5])
         g, _, _ = subgradient_norm(sys, p)
-        # Validated sign must give a genuine subgradient.
+        # The singular pair fixes the sign, so even this fully tied point
+        # gets a genuine subgradient.
         rng = np.random.default_rng(8)
         f_p = norm_objective(sys, p)
         for q in random_simplex(rng, 2, size=100):
             assert norm_objective(sys, q) >= f_p + g @ (q - p) - 1e-8
 
-    def test_convexity_underestimate(self):
-        rng = np.random.default_rng(9)
-        for seed in range(5):
-            sys = mismatched_instance(8, 5, 0.4, 20 + seed)
-            p = random_simplex(rng, 8)
-            g, _, _ = subgradient_norm(sys, p)
-            f_p = norm_objective(sys, p)
-            for q in random_simplex(rng, 8, size=200):
-                assert norm_objective(sys, q) >= f_p + g @ (q - p) - 1e-8
+    @settings(max_examples=60, deadline=None)
+    @given(norm_subgradient_cases())
+    def test_convexity_underestimate(self, case):
+        sys, p, rule, rng = case
+        g, _, value = subgradient_norm(sys, p, rule)
+        f_p = norm_objective(sys, p, rule)
+        assert value == f_p
+        probes = np.vstack([np.eye(sys.m), random_simplex(rng, sys.m, size=100)])
+        for q in probes:
+            assert norm_objective(sys, q, rule) >= f_p + g @ (q - p) - 1e-8
 
     def test_finite_difference_match(self):
         rng = np.random.default_rng(10)
@@ -244,11 +263,6 @@ class TestSubgradientNorm:
                 norm_objective(sys, p) + norm_objective(sys, q)
             ) + 1e-10
 
-    def test_sign_validation_returns_unit(self):
-        sys = mismatched_instance(8, 5, 0.4, 61)
-        sign = validate_subgradient_sign(sys, np.full(8, 1 / 8))
-        assert sign in (1.0, -1.0)
-
 
 class TestOneMatrixPerObjective:
     """Each objective's gradient forms only the expectation matrix it reads."""
@@ -273,9 +287,8 @@ class TestOneMatrixPerObjective:
 
     def test_subgradient_never_forms_w(self, built):
         sys = mismatched_instance(12, 5, 0.4, 72)
-        subgradient_norm(sys, np.full(12, 1 / 12))  # validates the sign: 24 probes
-        assert len(built) == 26
-        assert all(sorted(vars(op).keys() & {"vtda", "w"}) == ["vtda"] for op in built)
+        subgradient_norm(sys, np.full(12, 1 / 12))
+        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in built] == [["vtda"]]
 
 
 class TestOptimize:
@@ -324,11 +337,9 @@ class TestOptimize:
 
     def test_history_shape(self):
         sys = assemble_scaled_for_probopt(20, 8, 0.05, 66)
-        cfg = ProbOptConfig(iterations=25, record_history=True)
+        cfg = ProbOptConfig(iterations=25)
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
-        assert len(result.history) == 26  # initial point plus one per iteration
-        assert len(result.objective_evals) == 26
-        assert result.history[0][0] == 0
+        assert len(result.objective_evals) == 26  # initial point plus one per iteration
 
     @pytest.mark.parametrize(
         "objective, evaluate, better",
