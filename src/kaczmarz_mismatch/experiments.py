@@ -121,14 +121,17 @@ def _headers(command, seed, params):
     ]
 
 
-def _setup(name, out_dir, given):
-    """(seed, instance parameters, own parameters, instance) of pipeline ``name``."""
+def _setup(name, given):
+    """(seed, instance parameters, own parameters, instance) of pipeline ``name``.
+
+    A pipeline makes its output directory only once its own configurations
+    are built, so invalid parameters leave no directory behind.
+    """
     exp = EXPERIMENTS[name]
     params = exp.parameters(given)
     seed = params.pop("seed")
     instance = {key: params.pop(key) for key in problems.INSTANCES[exp.kind].defaults}
     sys = problems.build_instance(exp.kind, seed, **instance)
-    os.makedirs(out_dir, exist_ok=True)
     return seed, instance, params, sys
 
 
@@ -141,12 +144,13 @@ def _write_manifest(out_dir, name, command, seed, instance, params):
 
 def experiment_fig1(out_dir, command="experiment fig1", **params):
     """Overdetermined consistent comparison: matched vs mismatched adjoint."""
-    seed, instance, own, sys_mis = _setup("fig1", out_dir, params)
+    seed, instance, own, sys_mis = _setup("fig1", params)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     sys_matched = make_system(sys_mis.a, sys_mis.a, sys_mis.b, truth=sys_mis.truth)
     p = probability_scheme(sys_mis, "rownorm-a")
 
     diag = compute_diagnostics(sys_mis, p)
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace_mis = run(sys_mis, p, cfg)
     trace_matched = run(sys_matched, p, cfg)
 
@@ -172,11 +176,12 @@ def experiment_fig1(out_dir, command="experiment fig1", **params):
 
 def experiment_fig2(out_dir, command="experiment fig2", **params):
     """Inconsistent right-hand side: error decays to a nonzero floor."""
-    seed, instance, own, sys = _setup("fig2", out_dir, params)
+    seed, instance, own, sys = _setup("fig2", params)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     p = probability_scheme(sys, "rownorm-a")
 
     diag = compute_diagnostics(sys, p)
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace = run(sys, p, cfg)
 
     headers = _headers(command, seed, instance)
@@ -200,12 +205,13 @@ def experiment_fig2(out_dir, command="experiment fig2", **params):
 
 def experiment_fig3(out_dir, command="experiment fig3", **params):
     """Underdetermined case: solution in rg V^T, out of reach for matched rows."""
-    seed, instance, own, sys = _setup("fig3", out_dir, params)
+    seed, instance, own, sys = _setup("fig3", params)
+    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
     p = probability_scheme(sys, "rownorm-a")
 
     diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     trace_mis = run(sys, p, cfg)
     trace_matched = run(sys_matched, p, cfg)
 
@@ -228,11 +234,11 @@ def experiment_fig3(out_dir, command="experiment fig3", **params):
 
 def experiment_ct(out_dir, command="experiment ct", **params):
     """Tomography reconstruction with a detector-bin-averaged backprojector."""
-    seed, instance, own, sys = _setup("ct", out_dir, params)
+    seed, instance, own, sys = _setup("ct", params)
+    cfg = SolverConfig(max_iterations=own["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
 
-    iterations = own["sweeps"] * sys.m
-    cfg = SolverConfig(max_iterations=iterations, log_stride=sys.m, seed=seed)
     trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
     trace_matched = run(sys_matched, probability_scheme(sys_matched, "rownorm-a"), cfg)
 
@@ -262,17 +268,17 @@ def experiment_table1(out_dir, command="experiment table1", **params):
     two optimized distributions, plus a solve trace and an
     iterations-to-target summary per distribution.
     """
-    seed, instance, own, sys = _setup("table1", out_dir, params)
+    seed, instance, own, sys = _setup("table1", params)
     opt_iterations = own["iters"]
+    lam_cfg = ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations)
+    norm_cfg = ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations)
+    cfg = SolverConfig(
+        max_iterations=own["solve_iterations"], log_stride=own["log_stride"], seed=seed
+    )
+    os.makedirs(out_dir, exist_ok=True)
 
-    opt_lam = optimize_probabilities(
-        sys, StepRule.OBLIQUE_EXACT,
-        ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations),
-    )
-    opt_norm = optimize_probabilities(
-        sys, StepRule.OBLIQUE_EXACT,
-        ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations),
-    )
+    opt_lam = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, lam_cfg)
+    opt_norm = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, norm_cfg)
     schemes = {
         "uniform": probability_scheme(sys, "uniform"),
         "pairing": probability_scheme(sys, "pairing"),
@@ -313,9 +319,6 @@ def experiment_table1(out_dir, command="experiment table1", **params):
         )
 
     summary_rows = []
-    cfg = SolverConfig(
-        max_iterations=own["solve_iterations"], log_stride=own["log_stride"], seed=seed
-    )
     error_target = own["error_target"]
     for name, p in schemes.items():
         trace = run(sys, p, cfg)

@@ -18,8 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
+import scipy.sparse
 
-from .errors import EmptySystemError, InvalidInputError, SingularMatrixError
+from .errors import (
+    DimensionError,
+    EmptySystemError,
+    InvalidInputError,
+    SingularMatrixError,
+)
 from .linalg import as_matrix, as_vector, is_invertible
 from .sampling import replicate_rng
 from .solver import SystemPair, make_system
@@ -35,7 +41,7 @@ def gen_gaussian(m, n, seed) -> np.ndarray:
 def mismatch_threshold(a, tau) -> np.ndarray:
     """Surrogate adjoint rows: copy of A with entries |A_ij| < tau zeroed."""
     a = as_matrix(a, "a")
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidInputError(f"threshold tau = {tau} must be >= 0")
     return np.where(np.abs(a) >= tau, a, 0.0)
 
@@ -111,7 +117,9 @@ def assemble_scaled_for_probopt(m, n, zero_frac, seed) -> SystemPair:
     return make_system(a, v, a @ truth, truth=truth)
 
 
-def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> np.ndarray:
+def parallel_beam_matrix(
+    grid_n, angles_deg, rays_per_angle, detector_span
+) -> scipy.sparse.csr_array:
     """Exact line-intersection projection matrix for a parallel-beam geometry.
 
     The image is a grid_n x grid_n block of unit pixels centered at the
@@ -120,7 +128,9 @@ def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> n
     ``detector_span`` at evenly spaced lateral offsets (cell-midpoint
     spacing).  Row ordering is angle-major, ray-minor.  Each entry is the
     exact intersection length of the ray with a pixel; rays that miss the
-    grid produce zero rows, which are kept at this stage.
+    grid produce empty rows, which are kept at this stage.  A ray crosses
+    at most 2 * grid_n pixels, so the matrix is returned as a
+    ``scipy.sparse.csr_array`` of the traced entries only.
 
     The rays of one angle are traced together (Siddon's method): each ray's
     entry and exit parameters bound its traversal of the square, the
@@ -140,21 +150,33 @@ def parallel_beam_matrix(grid_n, angles_deg, rays_per_angle, detector_span) -> n
     offsets = (np.arange(rays_per_angle) + 0.5 - rays_per_angle / 2.0) * (
         detector_span / rays_per_angle
     )
-    rows = np.zeros((len(angles_deg) * rays_per_angle, grid_n * grid_n))
     edges = np.arange(grid_n + 1) - half  # shared x and y grid-line coordinates
+    rows, pixels, lengths = [], [], []
     for k, angle in enumerate(angles_deg):
         theta = np.deg2rad(angle)
         d = np.array([np.cos(theta), np.sin(theta)])  # ray direction
         u = np.array([-np.sin(theta), np.cos(theta)])  # lateral (detector) axis
-        block = rows[k * rays_per_angle : (k + 1) * rays_per_angle]
-        _trace_angle(block, offsets[:, None] * u[None, :], d, edges, grid_n, half)
-    return rows
+        ray, pixel, length = _trace_angle(
+            offsets[:, None] * u[None, :], d, edges, grid_n, half
+        )
+        rows.append(ray + k * rays_per_angle)
+        pixels.append(pixel)
+        lengths.append(length)
+    shape = (len(angles_deg) * rays_per_angle, grid_n * grid_n)
+    # The triples come sorted by (row, pixel) without repeats: CSR as they stand.
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_array(
+        (np.concatenate(lengths), np.concatenate(pixels), indptr), shape=shape
+    )
 
 
-def _trace_angle(out, origins, d, edges, grid_n, half):
-    """Accumulate intersection lengths of parallel rays into their rows of ``out``.
+def _trace_angle(origins, d, edges, grid_n, half):
+    """(ray, pixel, length) triples of the parallel rays through ``origins`` along ``d``.
 
-    Ray r passes through ``origins[r]`` along the direction ``d``.
+    Ray r passes through ``origins[r]``.  The triples are sorted by ray, then
+    pixel; the lengths of the segments a ray leaves in one pixel are summed,
+    in the order the ray crosses them.
     """
     # Parametric entry/exit of the bounding square along each axis.
     s_min = np.full(len(origins), -np.inf)
@@ -189,12 +211,27 @@ def _trace_angle(out, origins, d, edges, grid_n, half):
     y = origins[:, 1][r] + mid * d[1]
     cols = np.clip(np.floor(x + half).astype(int), 0, grid_n - 1)
     rows_img = np.clip(grid_n - 1 - np.floor(y + half).astype(int), 0, grid_n - 1)
-    flat = r * out.shape[1] + rows_img * grid_n + cols
-    np.add.at(out.reshape(-1), flat, lengths.reshape(-1)[seg])
+    n_pixels = grid_n * grid_n
+    entry, slot = np.unique(r * n_pixels + rows_img * grid_n + cols, return_inverse=True)
+    total = np.zeros(entry.size)
+    np.add.at(total, slot, lengths.reshape(-1)[seg])
+    return entry // n_pixels, entry % n_pixels, total
 
 
-def ct_mismatch_pair(full, b_full, truth=None) -> SystemPair:
-    """Forward/backprojection pair from a full projection matrix.
+def _as_csr(m, name):
+    """A finite 2-d float64 matrix, sparse or dense, as a CSR array."""
+    if not scipy.sparse.issparse(m):
+        return scipy.sparse.csr_array(as_matrix(m, name))
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise DimensionError(f"{name} must be a 2-d array, got shape {m.shape}")
+    m = scipy.sparse.csr_array(m, dtype=float)
+    if not np.all(np.isfinite(m.data)):
+        raise InvalidInputError(f"{name} contains NaN or Inf entries")
+    return m
+
+
+def ct_mismatch_pair(full, truth) -> SystemPair:
+    """Forward/backprojection pair from a full projection matrix, sparse or dense.
 
     The forward rows take every third row of ``full`` (the middle ray of
     each group of three); the backprojection rows average the group (a
@@ -203,34 +240,39 @@ def ct_mismatch_pair(full, b_full, truth=None) -> SystemPair:
     at the default ``ct`` geometry, with pairing-proportional p and the
     oblique rule, V^T D A has eigenvalues with negative real part (down to
     about -1.5e-5), so off its kernel the expected error grows slowly.
-    Rows whose forward part is zero are eliminated from A, V, and b
-    together; rows with a vanishing pairing are dropped with a warning.
+    Rows whose forward part is zero are eliminated from A and V together;
+    rows with a vanishing pairing are dropped with a warning.  ``truth`` is
+    the solution, and b = A truth.
+
+    The rows are selected on CSR; only the kept A and V are made dense.
     """
-    full = as_matrix(full, "full")
-    b_full = as_vector(b_full, "b_full")
+    full = _as_csr(full, "full")
+    truth = as_vector(truth, "truth")
     if full.shape[0] % 3 != 0:
         raise InvalidInputError(
             f"full matrix has {full.shape[0]} rows; expected a multiple of 3"
         )
-    if b_full.shape[0] != full.shape[0]:
-        raise InvalidInputError("b_full length does not match the full matrix")
-    a = full[1::3]
-    v = (full[0::3] + full[1::3] + full[2::3]) / 3.0
-    b = b_full[1::3]
-    nonzero = a.any(axis=1)
-    a, v, b = a[nonzero], v[nonzero], b[nonzero]
-    if a.shape[0] == 0:
+    if truth.shape[0] != full.shape[1]:
+        raise DimensionError(
+            f"truth has length {truth.shape[0]}, expected {full.shape[1]}"
+        )
+    forward = full[1::3]
+    kept = np.unique(forward.nonzero()[0])
+    if kept.size == 0:
         raise EmptySystemError("all forward rows are zero")
+    a = forward[kept].toarray()
+    v = (full[0::3] + forward + full[2::3])[kept].toarray()
+    v /= 3.0  # dense: a sparse division multiplies by 1/3, which rounds differently
     pairing = np.einsum("ij,ij->i", a, v)
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(v, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a)) * np.sqrt(np.einsum("ij,ij->i", v, v))
     ok = pairing > 1e-12 * norms
     dropped = int(np.count_nonzero(~ok))
     if dropped:
         warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
-        a, v, b = a[ok], v[ok], b[ok]
+        a, v = a[ok], v[ok]
     if a.shape[0] == 0:
         raise EmptySystemError("all rows eliminated by the pairing filter")
-    return make_system(a, v, b, truth=truth)
+    return make_system(a, v, a @ truth, truth=truth)
 
 
 def smooth_phantom(grid_n, seed) -> np.ndarray:
@@ -258,7 +300,7 @@ def build_ct_instance(grid, angle_step, rays, seed, span_factor=1.4) -> SystemPa
     angles = np.arange(0.0, 180.0, angle_step)
     full = parallel_beam_matrix(grid, angles, rays, span_factor * grid)
     phantom = smooth_phantom(grid, seed)
-    return ct_mismatch_pair(full, full @ phantom, truth=phantom)
+    return ct_mismatch_pair(full, phantom)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,8 @@ class ProbOptConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        if self.base_step <= 0:
-            raise InvalidInputError("base_step must be > 0")
+        if not 0 < self.base_step < math.inf:
+            raise InvalidInputError(f"base_step = {self.base_step} must be finite and > 0")
 
     def step_at(self, k):
         if self.schedule is StepSchedule.CONSTANT:

@@ -113,8 +113,8 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
         v = v.copy()
         v[flip] *= -1.0
         pairing = np.abs(pairing)
-    norms_a = np.linalg.norm(a, axis=1)
-    norms_v = np.linalg.norm(v, axis=1)
+    norms_a = np.sqrt(np.einsum("ij,ij->i", a, a))
+    norms_v = np.sqrt(np.einsum("ij,ij->i", v, v))
     bad = pairing <= PAIRING_RTOL * norms_a * norms_v
     if np.any(bad):
         rows = np.flatnonzero(bad).tolist()
@@ -167,8 +167,10 @@ class SolverConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.log_stride < 1:
             raise InvalidInputError("log_stride must be >= 1")
-        if self.residual_tolerance < 0:
-            raise InvalidInputError("residual_tolerance must be >= 0")
+        if not self.residual_tolerance >= 0:
+            raise InvalidInputError(
+                f"residual_tolerance = {self.residual_tolerance} must be >= 0"
+            )
 
 
 @dataclass

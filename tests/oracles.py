@@ -3,18 +3,27 @@
 The linalg oracles are deliberately written from scratch (Householder
 tridiagonalization + Sturm bisection, power iteration, Faddeev-LeVerrier +
 Aberth) so they share no code path with the LAPACK-backed implementations
-under test.  ``reference_parallel_beam_matrix`` traces one ray at a time,
-the plain form of the per-angle tracer in ``problems``.
+under test.  ``reference_parallel_beam_matrix`` traces one ray at a time
+into a dense matrix, the plain form of the per-angle sparse tracer in
+``problems``, and ``reference_ct_pair`` builds the tomography pair from that
+dense matrix, the plain form of ``problems.ct_mismatch_pair``.
 ``exact_one_step_expectation`` sums one step over every row, the oracle for
 the closed-form expectation matrices of ``diagnostics``.
 """
 
+import warnings
+
 import numpy as np
 
-from kaczmarz_mismatch.errors import DimensionError, InvalidInputError, NumericError
-from kaczmarz_mismatch.linalg import as_vector
+from kaczmarz_mismatch.errors import (
+    DimensionError,
+    EmptySystemError,
+    InvalidInputError,
+    NumericError,
+)
+from kaczmarz_mismatch.linalg import as_matrix, as_vector
 from kaczmarz_mismatch.sampling import check_probability_vector
-from kaczmarz_mismatch.solver import StepRule, rkma_step, static_step_sizes
+from kaczmarz_mismatch.solver import StepRule, make_system, rkma_step, static_step_sizes
 
 
 def tridiagonalize(m):
@@ -254,6 +263,40 @@ def _trace_ray(out, origin, d, edges, grid_n, half):
         grid_n - 1 - np.floor(points[:, 1] + half).astype(int), 0, grid_n - 1
     )
     np.add.at(out, rows_img * grid_n + cols, lengths)
+
+
+def reference_ct_pair(full, b_full, truth=None):
+    """``problems.ct_mismatch_pair`` on a dense ``full`` with its right-hand side ``b_full``.
+
+    Every third row (the middle of each group) is a forward row, each
+    group's mean is its backprojection row; zero forward rows and rows with a
+    vanishing pairing are dropped from A, V and b together.
+    """
+    full = as_matrix(full, "full")
+    b_full = as_vector(b_full, "b_full")
+    if full.shape[0] % 3 != 0:
+        raise InvalidInputError(
+            f"full matrix has {full.shape[0]} rows; expected a multiple of 3"
+        )
+    if b_full.shape[0] != full.shape[0]:
+        raise InvalidInputError("b_full length does not match the full matrix")
+    a = full[1::3]
+    v = (full[0::3] + full[1::3] + full[2::3]) / 3.0
+    b = b_full[1::3]
+    nonzero = a.any(axis=1)
+    a, v, b = a[nonzero], v[nonzero], b[nonzero]
+    if a.shape[0] == 0:
+        raise EmptySystemError("all forward rows are zero")
+    pairing = np.einsum("ij,ij->i", a, v)
+    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(v, axis=1)
+    ok = pairing > 1e-12 * norms
+    dropped = int(np.count_nonzero(~ok))
+    if dropped:
+        warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
+        a, v, b = a[ok], v[ok], b[ok]
+    if a.shape[0] == 0:
+        raise EmptySystemError("all rows eliminated by the pairing filter")
+    return make_system(a, v, b, truth=truth)
 
 
 def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):

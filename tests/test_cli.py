@@ -405,10 +405,26 @@ class TestExitCodes:
             ["generate", "--kind", "ct", "--rays", "-1", "--out", out],
             ["generate", "--kind", "ct", "--rays", "4", "--out", out],
             ["experiment", "--name", "ct", "--rays", "0", "--out", out],
+            ["experiment", "--name", "fig1", "--iters", "0", "--out", out],
+            ["experiment", "--name", "fig2", "--log-stride", "0", "--out", out],
+            ["experiment", "--name", "table1", "--iters", "0", "--out", out],
         ):
             capsys.readouterr()
             assert run_cli(argv) == 1, argv
             assert "invalid input" in capsys.readouterr().err, argv
+            assert not os.path.exists(out), argv
+        # NaN and infinite parameters fail their range checks by name.
+        for argv, name in (
+            (["generate", "--kind", "underdetermined", "--tau", "nan", "--out", out], "tau"),
+            (["solve", "--system-dir", system, "--tol", "nan", "--out", out],
+             "residual_tolerance"),
+            (["optimize", "--system-dir", system, "--step", "nan", "--out", out], "base_step"),
+            (["optimize", "--system-dir", system, "--step", "inf", "--out", out], "base_step"),
+        ):
+            capsys.readouterr()
+            assert run_cli(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "invalid input" in err and name in err, argv
             assert not os.path.exists(out), argv
 
     @pytest.mark.parametrize("argv, flag", [

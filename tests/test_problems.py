@@ -1,5 +1,9 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm as normal_dist
@@ -11,6 +15,7 @@ from kaczmarz_mismatch.problems import (
     assemble_inconsistent,
     assemble_scaled_for_probopt,
     assemble_underdetermined,
+    build_ct_instance,
     ct_mismatch_pair,
     gen_gaussian,
     mismatch_threshold,
@@ -124,7 +129,7 @@ class TestParallelBeam:
     def test_axis_aligned_ray_grid2(self):
         # One horizontal ray through the top pixel row: unit length in each
         # of the first two (row-major) pixels.
-        rows = parallel_beam_matrix(2, [0.0], 1, 1.0)
+        rows = parallel_beam_matrix(2, [0.0], 1, 1.0).toarray()
         # Single ray with offset +0.25 would not hit a row center; use the
         # documented midpoint layout: one ray at offset 0 runs along y = 0.
         assert rows.shape == (1, 4)
@@ -132,12 +137,12 @@ class TestParallelBeam:
     def test_axis_aligned_ray_through_row_center(self):
         # Two rays over span 2: offsets -0.5 and +0.5, i.e. the two pixel-row
         # centers of a 2x2 grid.  The +0.5 ray crosses the top row.
-        rows = parallel_beam_matrix(2, [0.0], 2, 2.0)
+        rows = parallel_beam_matrix(2, [0.0], 2, 2.0).toarray()
         np.testing.assert_allclose(rows[1], [1.0, 1.0, 0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(rows[0], [0.0, 0.0, 1.0, 1.0], atol=1e-12)
 
     def test_diagonal_ray_entry_sqrt2(self):
-        rows = parallel_beam_matrix(2, [45.0], 1, 1.0)
+        rows = parallel_beam_matrix(2, [45.0], 1, 1.0).toarray()
         # The central 45-degree ray runs along the main diagonal: sqrt(2) in
         # the bottom-left and top-right pixels.
         entries = rows[0]
@@ -145,7 +150,7 @@ class TestParallelBeam:
         np.testing.assert_allclose(nonzero, [np.sqrt(2.0)] * 2, atol=1e-12)
 
     def test_entries_nonnegative_and_bounded(self):
-        rows = parallel_beam_matrix(8, np.arange(0, 180, 15), 12, 11.2)
+        rows = parallel_beam_matrix(8, np.arange(0, 180, 15), 12, 11.2).toarray()
         assert np.all(rows >= 0)
         assert rows.max() <= np.sqrt(2.0) + 1e-12
 
@@ -157,7 +162,7 @@ class TestParallelBeam:
         angles = [0.0, 30.0, 45.0, 77.5]
         rays = 9
         span = 1.4 * grid_n
-        rows = parallel_beam_matrix(grid_n, angles, rays, span)
+        rows = parallel_beam_matrix(grid_n, angles, rays, span).toarray()
         offsets = (np.arange(rays) + 0.5 - rays / 2.0) * (span / rays)
         s_grid = np.linspace(-1.5 * grid_n, 1.5 * grid_n, 300001)
         ds = s_grid[1] - s_grid[0]
@@ -179,7 +184,7 @@ class TestParallelBeam:
         full = parallel_beam_matrix(50, np.arange(0.0, 180.0, 5.0), 150, 70.0)
         assert full.shape == (5400, 2500)
         x = smooth_phantom(50, 0)
-        sys = ct_mismatch_pair(full, full @ x, truth=x)
+        sys = ct_mismatch_pair(full, x)
         assert 1400 <= sys.m <= 1800
 
 
@@ -204,12 +209,12 @@ class TestTracerOracle:
         ],
     )
     def test_matches_reference(self, grid_n, angles, rays, span):
-        got = parallel_beam_matrix(grid_n, angles, rays, span)
+        got = parallel_beam_matrix(grid_n, angles, rays, span).toarray()
         want = oracles.reference_parallel_beam_matrix(grid_n, angles, rays, span)
         assert_bitwise_equal(got, want)
 
     def test_missing_rays_give_zero_rows(self):
-        rows = parallel_beam_matrix(4, [0.0, 45.0, 90.0, 135.0], 8, 20.0)
+        rows = parallel_beam_matrix(4, [0.0, 45.0, 90.0, 135.0], 8, 20.0).toarray()
         hits = rows.any(axis=1)
         assert 0 < hits.sum() < len(rows)
 
@@ -227,7 +232,7 @@ class TestTracerOracle:
     )
     def test_matches_reference_on_any_geometry(self, grid_n, angles, rays, span_factor):
         span = span_factor * grid_n
-        got = parallel_beam_matrix(grid_n, angles, rays, span)
+        got = parallel_beam_matrix(grid_n, angles, rays, span).toarray()
         want = oracles.reference_parallel_beam_matrix(grid_n, angles, rays, span)
         assert_bitwise_equal(got, want)
 
@@ -236,15 +241,13 @@ class TestCtPair:
     def test_identical_row_groups_give_matched_pair(self):
         base = np.abs(gen_gaussian(4, 6, 13)) + 0.1
         full = np.repeat(base, 3, axis=0)
-        b_full = full @ np.ones(6)
-        sys = ct_mismatch_pair(full, b_full)
+        sys = ct_mismatch_pair(full, np.ones(6))
         np.testing.assert_allclose(sys.a, sys.v, atol=1e-14)
         assert sys.m == 4
 
     def test_row_count_bound(self):
         full = parallel_beam_matrix(8, np.arange(0, 180, 30), 12, 11.2)
-        b_full = full @ np.ones(64)
-        sys = ct_mismatch_pair(full, b_full)
+        sys = ct_mismatch_pair(full, np.ones(64))
         assert sys.m <= full.shape[0] // 3
 
     def test_zero_rows_dropped_jointly(self):
@@ -255,24 +258,129 @@ class TestCtPair:
         # group 1 forward row (middle, index 4) is zero: group eliminated.
         full[3] = [1.0, 0.0, 0.0, 0.0]
         full[5] = [0.0, 0.0, 1.0, 1.0]
-        b_full = full @ np.ones(4)
-        sys = ct_mismatch_pair(full, b_full)
+        sys = ct_mismatch_pair(full, np.ones(4))
         assert sys.m == 1
         np.testing.assert_allclose(sys.a[0], full[1])
 
     def test_all_rows_eliminated(self):
         with pytest.raises(EmptySystemError):
-            ct_mismatch_pair(np.zeros((3, 4)), np.zeros(3))
+            ct_mismatch_pair(np.zeros((3, 4)), np.zeros(4))
 
     def test_consistency_preserved(self):
         full = parallel_beam_matrix(8, np.arange(0, 180, 15), 12, 11.2)
         x = smooth_phantom(8, 14)
-        sys = ct_mismatch_pair(full, full @ x, truth=x)
+        sys = ct_mismatch_pair(full, x)
         assert np.linalg.norm(sys.a @ x - sys.b) <= 1e-10 * np.linalg.norm(sys.b)
 
     def test_row_count_not_multiple_of_three(self):
         with pytest.raises(InvalidInputError):
-            ct_mismatch_pair(np.ones((4, 2)), np.ones(4))
+            ct_mismatch_pair(np.ones((4, 2)), np.ones(2))
+
+
+def reference_ct_instance(grid, angle_step, rays, seed, span_factor=1.4):
+    """``build_ct_instance`` from the ray-by-ray tracer and the dense pair."""
+    angles = np.arange(0.0, 180.0, angle_step)
+    full = oracles.reference_parallel_beam_matrix(grid, angles, rays, span_factor * grid)
+    phantom = smooth_phantom(grid, seed)
+    return oracles.reference_ct_pair(full, full @ phantom, truth=phantom)
+
+
+def assert_same_pair(got, want):
+    for name in ("a", "v", "truth", "pairing"):
+        assert_bitwise_equal(getattr(got, name), getattr(want, name))
+    # b = A truth is one BLAS gemv over the kept rows, the reference's b a gemv
+    # over all of ``full``: a row can go through a kernel that sums in another
+    # order (a tail of the row count or of a thread's share), a last-bit change.
+    np.testing.assert_allclose(got.b, want.b, rtol=1e-13, atol=0)
+
+
+class TestCtPairOracle:
+    """The sparse-built pair against the dense reference: A and V bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid, angle_step, rays, seed",
+        [
+            (32, 5.0, 90, 4),  # generate --kind ct and experiment ct defaults
+            (50, 5.0, 150, 1),  # paper scale
+        ],
+    )
+    def test_matches_reference(self, grid, angle_step, rays, seed):
+        assert_same_pair(
+            build_ct_instance(grid, angle_step, rays, seed),
+            reference_ct_instance(grid, angle_step, rays, seed),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.integers(2, 12),
+        angle_step=st.sampled_from([5.0, 15.0, 45.0, 90.0]) | st.floats(1.0, 179.0),
+        rays=st.integers(1, 10).map(lambda k: 3 * k),
+        seed=st.integers(0, 2**16),
+        span_factor=st.floats(0.5, 3.0),
+    )
+    def test_matches_reference_on_any_geometry(self, grid, angle_step, rays, seed,
+                                               span_factor):
+        try:
+            want = reference_ct_instance(grid, angle_step, rays, seed, span_factor)
+        except EmptySystemError:
+            with pytest.raises(EmptySystemError):
+                build_ct_instance(grid, angle_step, rays, seed, span_factor)
+            return
+        assert_same_pair(build_ct_instance(grid, angle_step, rays, seed, span_factor), want)
+
+    @pytest.mark.parametrize("to_full", [np.asarray, scipy.sparse.csr_array,
+                                         scipy.sparse.coo_array])
+    def test_dense_and_sparse_input(self, to_full):
+        # Signed entries, a zero forward row (stored as an explicit zero in the
+        # sparse inputs), and groups whose pairing is negative or vanishes.
+        rng = np.random.default_rng(17)
+        full = rng.standard_normal((18, 7))
+        full[rng.random(full.shape) < 0.4] = 0.0
+        full[4] = 0.0
+        full[6:9] = 0.0
+        full[6, 0], full[7, 1], full[8, 1] = 1.0, 1.0, -1.0  # v = e_0 / 3 against a = e_1
+        truth = rng.standard_normal(7)
+        given = to_full(full)
+        if scipy.sparse.issparse(given):
+            coo = scipy.sparse.coo_array(full)
+            stored = (np.append(coo.data, 0.0), (np.append(coo.row, 4), np.append(coo.col, 0)))
+            given = to_full(scipy.sparse.coo_array(stored, shape=full.shape))
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = ct_mismatch_pair(given, truth)
+        with warnings.catch_warnings(record=True) as want_warned:
+            warnings.simplefilter("always")
+            want = oracles.reference_ct_pair(full, full @ truth, truth=truth)
+        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+        assert len(want_warned) == 1
+        assert want.m == 3  # groups 1 (zero forward row), 2 and 4 (pairing) are gone
+        assert_same_pair(got, want)
+
+    @pytest.mark.parametrize("full", [
+        np.full((3, 2), np.nan),
+        scipy.sparse.csr_array(np.array([[1.0, np.inf], [1.0, 0.0], [0.0, 1.0]])),
+        np.ones(6),
+    ])
+    def test_rejects_bad_full(self, full):
+        with pytest.raises(InvalidInputError):
+            ct_mismatch_pair(full, np.ones(2))
+
+    def test_rejects_truth_of_wrong_length(self):
+        with pytest.raises(InvalidInputError):
+            ct_mismatch_pair(np.ones((3, 4)), np.ones(3))
+
+
+class TestCtMemory:
+    def test_peak_is_the_dense_pair(self):
+        # The tracer's matrix stays sparse: only A and V are m x n and dense.
+        build_ct_instance(8, 30.0, 9, 4)
+        tracemalloc.start()
+        try:
+            sys = build_ct_instance(32, 5.0, 90, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (sys.a.nbytes + sys.v.nbytes)
 
 
 class TestPhantom:
