@@ -7,20 +7,15 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
     ScalingPair,
-    asymptotic_rate,
     compute_diagnostics,
-    contraction_lambda,
-    expectation_norm,
-    expected_fixed_point_error,
     inconsistent_bound,
     noise_gamma,
     restricted_diagnostics,
-    scaling,
 )
 from .probopt import (  # noqa: E402
     Objective,

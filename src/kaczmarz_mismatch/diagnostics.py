@@ -9,15 +9,21 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
   * norm of expectation   ||I - V^T D A||;
   * noise amplification   gamma = max_i |r_i| ||v_i|| / <a_i, v_i> and the
     expected fixed-point error ||(V^T D A)^{-1} V^T D r|| for noisy systems;
-  * range-restricted variants conjugated by an orthonormal basis Z of
-    rg V^T, which replace the plain quantities for underdetermined systems.
+  * range-restricted variants for underdetermined systems, which replace
+    the plain quantities: the same operator on the m x m coordinates
+    (A Z, V Z) of an orthonormal basis Z of rg V^T.
 
-``expectation_operator`` is the single builder of V^T D A and W from
-(system, p, rule); every quantity above, and both objectives of ``probopt``,
-are read off its matrices.  It forms each matrix on first use with one GEMM,
-W as sym(A^T D (2V - S A)), so a caller that reads one of them never pays
-for the other.  The spectral norm is read off the top singular pair alone;
-its identity ||M||^2 = rho(M^T M) is checked in the tests.
+``_rate_diagnostics`` is the one place lambda, rho and the norm are read
+off the expectation matrices; ``compute_diagnostics`` returns them with the
+noise quantities in one ``RateDiagnostics`` record.  ``ExpectationOperator``
+forms V^T D A and W from the rows it is given and a scaling pair, each on
+first use with one GEMM, W as sym(A^T D (2V - S A)), so a caller that reads
+one of them never pays for the other.  ``expectation_operator`` builds it on
+the rows of (system, p, rule), and both objectives of ``probopt`` read it.
+On the coordinates (A Z, V Z), with the system's scaling pair, its matrices
+are Z^T V^T D A Z and Z^T W Z, so the restricted analysis forms no n x n
+matrix.  The spectral norm is read off the top singular pair alone; its
+identity ||M||^2 = rho(M^T M) is checked in the tests.
 
 The three rate expressions coincide for V = A; under mismatch they are
 generally different, and their empirical ordering is recorded but never
@@ -63,11 +69,10 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ScalingPair:
-    """Diagonals of the expectation scaling matrices, the row pairings and step sizes."""
+    """Diagonals of the expectation scaling matrices and the step sizes."""
 
     d: np.ndarray  # p_i * omega_i
     s: np.ndarray  # omega_i * ||v_i||^2
-    pairing: np.ndarray  # <a_i, v_i>
     omega: np.ndarray  # static step size of row i
 
 
@@ -130,40 +135,33 @@ def _scaling(sys, p, rule):
     if p.shape != (sys.m,):
         raise DimensionError(f"p has shape {p.shape}, expected ({sys.m},)")
     omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
-    return ScalingPair(
-        d=p * omega,
-        s=omega * sys.row_norms_sq("v"),
-        pairing=sys.pairing.copy(),
-        omega=omega,
-    )
-
-
-def scaling(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> ScalingPair:
-    """Exact componentwise scaling diagonals for a static step rule."""
-    return _scaling(sys, check_probability_vector(p), rule)
+    return ScalingPair(d=p * omega, s=omega * sys.row_norms_sq("v"), omega=omega)
 
 
 class ExpectationOperator:
-    """The scaling pair of (system, p, rule) and its two expectation matrices.
+    """The two expectation matrices of rows ``a``, ``v`` under a scaling pair.
 
     ``vtda`` (V^T D A) and ``w`` (W = V^T D A + A^T D V - A^T S D A) are
-    each formed on first read, by one matrix product, and kept.
+    each formed on first read, by one matrix product, and kept.  ``a`` and
+    ``v`` are the system's rows, or their coordinates in a basis of a
+    subspace that holds every v_i.
     """
 
-    def __init__(self, sys: SystemPair, pair: ScalingPair):
-        self.sys = sys
+    def __init__(self, a: np.ndarray, v: np.ndarray, pair: ScalingPair):
+        self.a = a
+        self.v = v
         self.pair = pair
 
     @cached_property
     def vtda(self) -> np.ndarray:
-        return self.sys.v.T @ (self.pair.d[:, None] * self.sys.a)
+        return self.v.T @ (self.pair.d[:, None] * self.a)
 
     @cached_property
     def w(self) -> np.ndarray:
         # A^T D (2V - S A) has symmetric part W: its 2 A^T D V term
         # symmetrizes to V^T D A + A^T D V, and A^T S D A is symmetric.
-        a, pair = self.sys.a, self.pair
-        rows = 2.0 * self.sys.v
+        a, pair = self.a, self.pair
+        rows = 2.0 * self.v
         rows -= pair.s[:, None] * a
         rows *= pair.d[:, None]
         g = a.T @ rows
@@ -181,38 +179,15 @@ def expectation_operator(
     simplex, so the objectives can also be evaluated just off it; callers
     taking user input validate it first.
     """
-    return ExpectationOperator(sys, _scaling(sys, np.asarray(p, dtype=float), rule))
-
-
-def contraction_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    """Smallest eigenvalue of the symmetrized expectation-improvement matrix.
-
-    Positive values certify linear decay of the expected squared error at
-    rate (1 - lambda) per step.  Intended for the overdetermined analysis;
-    use ``restricted_diagnostics`` for underdetermined systems.
-    """
-    p = check_probability_vector(p)
-    lam, _ = symmetric_eig_min(expectation_operator(sys, p, rule).w)
-    return lam
-
-
-def asymptotic_rate(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    """Spectral radius of I - V^T D A, the asymptotic rate of the expected error."""
-    vtda = expectation_operator(sys, check_probability_vector(p), rule).vtda
-    return spectral_radius(np.eye(sys.n) - vtda)
-
-
-def expectation_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    """Spectral norm of I - V^T D A."""
-    vtda = expectation_operator(sys, check_probability_vector(p), rule).vtda
-    return top_singular_triplet(np.eye(sys.n) - vtda).sigma
+    pair = _scaling(sys, np.asarray(p, dtype=float), rule)
+    return ExpectationOperator(sys.a, sys.v, pair)
 
 
 def noise_gamma(sys: SystemPair) -> float:
     """Worst-row noise amplification max_i |r_i| ||v_i|| / <a_i, v_i>."""
     if sys.noise is None:
         raise InvalidInputError("gamma needs a stored noise vector")
-    norms_v = np.linalg.norm(sys.v, axis=1)
+    norms_v = np.sqrt(sys.row_norms_sq("v"))
     return float(np.max(np.abs(sys.noise) * norms_v / sys.pairing))
 
 
@@ -223,16 +198,6 @@ def inconsistent_bound(k, lam, gamma, e0_sq) -> float:
     if lam > 1:
         raise InvalidInputError(f"lambda = {lam:.3e} exceeds 1")
     return (1.0 - lam / 2.0) ** k * e0_sq + (2.0 / lam) * gamma**2
-
-
-def expected_fixed_point_error(
-    sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
-) -> float:
-    """Norm of the expectation fixed point (V^T D A)^{-1} V^T D r."""
-    if sys.noise is None:
-        raise InvalidInputError("fixed-point error needs a stored noise vector")
-    p = check_probability_vector(p)
-    return _fixed_point_error(sys, expectation_operator(sys, p, rule))
 
 
 def _fixed_point_error(sys, op) -> float:
@@ -247,7 +212,10 @@ def restricted_diagnostics(
     """Rate quantities restricted to rg V^T for underdetermined systems.
 
     Requires m <= n, full row rank of A and V, and a nonsingular A V^T (so
-    the system has exactly one solution in rg V^T).
+    the system has exactly one solution in rg V^T).  The expectation
+    operator is built on the coordinates (A Z, V Z) of the orthonormal basis
+    Z of rg V^T, with the system's scaling pair, so its matrices are the
+    m x m restrictions Z^T V^T D A Z and Z^T W Z.
     """
     if sys.m > sys.n:
         raise InvalidInputError(
@@ -266,14 +234,15 @@ def restricted_diagnostics(
         raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
 
     p = check_probability_vector(p)
-    op = expectation_operator(sys, p, rule)
-    return _rate_diagnostics(p, z.T @ op.w @ z, z.T @ op.vtda @ z, restricted=True)
+    pair = expectation_operator(sys, p, rule).pair
+    op = ExpectationOperator(sys.a @ z, sys.v @ z, pair)
+    return _rate_diagnostics(p, op, restricted=True)
 
 
-def _rate_diagnostics(p, w, vtda, restricted) -> RateDiagnostics:
-    """lambda, rho and ||I - V^T D A|| from W and V^T D A, or their restrictions."""
-    lam, _ = symmetric_eig_min(w)
-    m_mat = np.eye(vtda.shape[0]) - vtda
+def _rate_diagnostics(p, op: ExpectationOperator, restricted) -> RateDiagnostics:
+    """lambda, rho and ||I - V^T D A|| from the matrices of ``op``."""
+    lam, _ = symmetric_eig_min(op.w)
+    m_mat = np.eye(op.vtda.shape[0]) - op.vtda
     return RateDiagnostics(
         lam=lam,
         rho_asymptotic=spectral_radius(m_mat),
@@ -298,12 +267,10 @@ def compute_diagnostics(
         diag = restricted_diagnostics(sys, p, rule)
     else:
         op = expectation_operator(sys, p, rule)
-        diag = _rate_diagnostics(p, op.w, op.vtda, restricted=False)
+        diag = _rate_diagnostics(p, op, restricted=False)
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
-        if sys.m >= sys.n:  # for m < n, V^T D A (rank <= m) is singular
-            if op is None:
-                op = expectation_operator(sys, p, rule)
+        if op is not None:  # for m < n, V^T D A (rank <= m) is singular
             try:
                 diag.fixed_point_error = _fixed_point_error(sys, op)
             except (SingularMatrixError, InvalidInputError):

@@ -244,7 +244,8 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     rows with a vanishing pairing are dropped with a warning.  ``truth`` is
     the solution, and b = A truth.
 
-    The rows are selected on CSR; only the kept A and V are made dense.
+    The rows are selected, and b is computed, on CSR; only the kept A and V
+    are made dense.
     """
     full = _as_csr(full, "full")
     truth = as_vector(truth, "truth")
@@ -260,7 +261,11 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     kept = np.unique(forward.nonzero()[0])
     if kept.size == 0:
         raise EmptySystemError("all forward rows are zero")
-    a = forward[kept].toarray()
+    a_rows = forward[kept]
+    # b on CSR: each row sums its entries in column order, whatever the BLAS
+    # thread count (a dense gemv's summation order depends on it).
+    b = a_rows @ truth
+    a = a_rows.toarray()
     v = (full[0::3] + forward + full[2::3])[kept].toarray()
     v /= 3.0  # dense: a sparse division multiplies by 1/3, which rounds differently
     pairing = np.einsum("ij,ij->i", a, v)
@@ -269,10 +274,10 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     dropped = int(np.count_nonzero(~ok))
     if dropped:
         warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
-        a, v = a[ok], v[ok]
+        a, v, b = a[ok], v[ok], b[ok]
     if a.shape[0] == 0:
         raise EmptySystemError("all rows eliminated by the pairing filter")
-    return make_system(a, v, a @ truth, truth=truth)
+    return make_system(a, v, b, truth=truth)
 
 
 def smooth_phantom(grid_n, seed) -> np.ndarray:

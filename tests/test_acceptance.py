@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from kaczmarz_mismatch.diagnostics import (
-    contraction_lambda,
+    compute_diagnostics,
+    expectation_operator,
     inconsistent_bound,
     noise_gamma,
     restricted_diagnostics,
-    scaling,
 )
 from kaczmarz_mismatch.experiments import iterations_to_error, probability_scheme
 from kaczmarz_mismatch.linalg import (
@@ -131,7 +131,7 @@ def test_criterion_03_contraction_in_expectation():
         a = gen_gaussian(200, 50, 7)
         sys = assemble_consistent(a, mismatch_threshold(a, 0.5), 7)
         p = probability_scheme(sys, "rownorm-a")
-        lam = contraction_lambda(sys, p)
+        lam = compute_diagnostics(sys, p).lam
         assert lam > 0
         k = 2000
         stats = run_replicates(
@@ -145,14 +145,12 @@ def test_criterion_03_contraction_in_expectation():
 
 
 def test_criterion_04_paper_scale_rate_bands():
-    from kaczmarz_mismatch.diagnostics import asymptotic_rate
-
     with criterion(4, "500x200 instance hits the published rate bands", 120.0):
         a = gen_gaussian(500, 200, 1)
         sys = assemble_consistent(a, mismatch_threshold(a, 0.5), 1)
         p = probability_scheme(sys, "rownorm-a")
-        lam = contraction_lambda(sys, p)
-        rho = asymptotic_rate(sys, p)
+        diag = compute_diagnostics(sys, p)
+        lam, rho = diag.lam, diag.rho_asymptotic
         assert 1 - 1.5e-3 <= 1 - lam <= 1 - 2e-4
         assert 1 - 2e-3 <= rho <= 1 - 3e-4
 
@@ -162,7 +160,7 @@ def test_criterion_05_noise_floor_and_fixed_point():
         a = gen_gaussian(200, 50, 2)
         sys = assemble_inconsistent(a, mismatch_threshold(a, 0.5), 0.05, 2)
         p = probability_scheme(sys, "rownorm-a")
-        lam = contraction_lambda(sys, p)
+        lam = compute_diagnostics(sys, p).lam
         gamma = noise_gamma(sys)
         assert lam > 0
         k_target = int(np.ceil(10.0 / lam))
@@ -178,7 +176,7 @@ def test_criterion_05_noise_floor_and_fixed_point():
             assert stats.mean_sq_errors[idx] <= bound * 1.05
         # (b) the Monte-Carlo mean of x_k - truth matches the expectation
         # fixed point componentwise within 5 standard errors.
-        pair = scaling(sys, p, StepRule.OBLIQUE_EXACT)
+        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
         vtda = sys.v.T @ (pair.d[:, None] * sys.a)
         fixed_point = lu_solve(vtda, sys.v.T @ (pair.d * sys.noise))
         diffs = stats.final_x - sys.truth

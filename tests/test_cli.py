@@ -1,9 +1,14 @@
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kaczmarz_mismatch
 from kaczmarz_mismatch import experiments, fileio
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
@@ -95,6 +100,33 @@ class TestGenerate:
         for name in ("A.mtx", "V.mtx"):
             with open(out / name) as fh:
                 assert fh.readline().split()[2] == fmt
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_ct_b_independent_of_blas_threads(self, tmp_path):
+        # At this geometry a dense gemv for b rounded row 822 differently on
+        # one and on two BLAS threads.
+        package_root = str(Path(kaczmarz_mismatch.__file__).parents[1])
+        values = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"ct{threads}"
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [package_root, os.environ.get("PYTHONPATH")])
+                ),
+            )
+            subprocess.run(
+                [sys.executable, "-m", "kaczmarz_mismatch.cli", "generate", "--kind", "ct",
+                 "--grid", "50", "--angle-step", "5", "--rays", "150", "--seed", "1",
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            lines = (out / "b.csv").read_text().splitlines()
+            values[threads] = [line for line in lines if not line.startswith("#")]
+        assert len(values["1"]) > 1600
+        assert values["1"] == values["2"]
 
 
 class TestDiagnose:
@@ -437,3 +469,12 @@ class TestExitCodes:
         assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+class TestPackaging:
+    def test_version_matches_pyproject(self):
+        # Regex, not tomllib: Python 3.10 has no TOML reader.
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == kaczmarz_mismatch.__version__

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,11 @@ from kaczmarz_mismatch import diagnostics, experiments, problems, probopt
 from kaczmarz_mismatch.diagnostics import (
     CSV_COLUMNS,
     RateDiagnostics,
-    asymptotic_rate,
     compute_diagnostics,
-    contraction_lambda,
-    expectation_norm,
     expectation_operator,
-    expected_fixed_point_error,
     inconsistent_bound,
     noise_gamma,
     restricted_diagnostics,
-    scaling,
 )
 from kaczmarz_mismatch.errors import (
     DimensionError,
@@ -24,6 +21,7 @@ from kaczmarz_mismatch.errors import (
     SingularMatrixError,
 )
 from kaczmarz_mismatch.linalg import (
+    lu_solve,
     orthonormal_range_basis,
     spectral_radius,
     symmetric_eig_min,
@@ -74,7 +72,7 @@ class TestScaling:
         a = gen_gaussian(10, 4, 0)
         sys = make_system(a, a, a @ np.zeros(4))
         p = row_norm_probabilities(sys)
-        pair = scaling(sys, p, StepRule.OBLIQUE_EXACT)
+        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
         fro_sq = np.linalg.norm(a) ** 2
         np.testing.assert_allclose(pair.d, np.full(10, 1.0 / fro_sq), rtol=1e-12)
         np.testing.assert_allclose(pair.s, np.ones(10), rtol=1e-12)
@@ -82,7 +80,7 @@ class TestScaling:
     def test_pairing_probabilities_give_constant_d(self):
         sys = thresholded_instance(12, 5, 0.4, 1)
         p = pairing_probabilities(sys)
-        pair = scaling(sys, p, StepRule.OBLIQUE_EXACT)
+        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
         norm_v_sq = float(sys.pairing.sum())
         np.testing.assert_allclose(pair.d, np.full(12, 1.0 / norm_v_sq), rtol=1e-12)
 
@@ -90,45 +88,46 @@ class TestScaling:
         sys = make_system(
             np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.zeros(1)
         )
-        pair = scaling(sys, np.array([1.0]), StepRule.OBLIQUE_EXACT)
+        pair = expectation_operator(sys, np.array([1.0]), StepRule.OBLIQUE_EXACT).pair
         np.testing.assert_allclose(pair.d, [1.0])
         np.testing.assert_allclose(pair.s, [1.0])
-        np.testing.assert_allclose(pair.pairing, [1.0])
+        np.testing.assert_allclose(sys.pairing, [1.0])
 
     def test_adaptive_rule_rejected(self):
         sys = thresholded_instance(5, 3, 0.4, 2)
         with pytest.raises(InvalidInputError):
-            scaling(sys, np.full(5, 0.2), StepRule.ADAPTIVE_V_HYPERPLANE)
+            expectation_operator(sys, np.full(5, 0.2), StepRule.ADAPTIVE_V_HYPERPLANE)
 
 
 class TestContractionLambda:
     def test_identity_half(self):
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
-        assert contraction_lambda(sys, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
+        assert compute_diagnostics(sys, [0.5, 0.5]).lam == pytest.approx(0.5, abs=1e-12)
 
     def test_matched_closed_form(self):
         a = gen_gaussian(20, 6, 3)
         sys = make_system(a, a, np.zeros(20))
         p = row_norm_probabilities(sys)
-        lam = contraction_lambda(sys, p)
+        lam = compute_diagnostics(sys, p).lam
         expected = symmetric_eig_min(a.T @ a)[0] / np.linalg.norm(a) ** 2
         assert lam == pytest.approx(expected, rel=1e-10)
 
     def test_paper_scale_band(self):
         sys = thresholded_instance(500, 200, 0.5, 1)
-        lam = contraction_lambda(sys, row_norm_probabilities(sys))
+        lam = compute_diagnostics(sys, row_norm_probabilities(sys)).lam
         assert 2e-4 <= lam <= 1.5e-3
 
 
 class TestRateExpressions:
     def test_identity_rate(self):
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
-        assert asymptotic_rate(sys, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
-        assert expectation_norm(sys, [0.5, 0.5]) == pytest.approx(0.5, abs=1e-12)
+        diag = compute_diagnostics(sys, [0.5, 0.5])
+        assert diag.rho_asymptotic == pytest.approx(0.5, abs=1e-12)
+        assert diag.norm_expectation == pytest.approx(0.5, abs=1e-12)
 
     def test_paper_scale_rho_band(self):
         sys = thresholded_instance(500, 200, 0.5, 1)
-        rho = asymptotic_rate(sys, row_norm_probabilities(sys))
+        rho = compute_diagnostics(sys, row_norm_probabilities(sys)).rho_asymptotic
         assert 1 - 2e-3 <= rho <= 1 - 3e-4
 
     def test_matched_case_all_three_equal(self):
@@ -137,20 +136,19 @@ class TestRateExpressions:
             sys = make_system(a, a, np.zeros(15))
             p = np.random.default_rng(seed).random(15)
             p /= p.sum()
-            lam = contraction_lambda(sys, p)
-            rho = asymptotic_rate(sys, p)
-            nrm = expectation_norm(sys, p)
+            diag = compute_diagnostics(sys, p)
+            lam, rho, nrm = diag.lam, diag.rho_asymptotic, diag.norm_expectation
             assert abs((1 - lam) - rho) <= 1e-8
             assert abs((1 - lam) - nrm) <= 1e-8
 
     def test_norm_identity_against_expanded_product(self):
         sys = thresholded_instance(25, 8, 0.5, 4)
         p = row_norm_probabilities(sys)
-        pair = scaling(sys, p)
+        pair = expectation_operator(sys, p).pair
         vtda = sys.v.T @ (pair.d[:, None] * sys.a)
         m = np.eye(8) - vtda
         expanded = np.eye(8) - vtda - vtda.T + vtda.T @ vtda
-        nrm = expectation_norm(sys, p)
+        nrm = compute_diagnostics(sys, p).norm_expectation
         assert nrm**2 == pytest.approx(spectral_radius(expanded), rel=1e-8)
 
     def test_scaled_zeroed_instance_norm_band(self):
@@ -158,14 +156,15 @@ class TestRateExpressions:
         # uniform probabilities: the expectation norm sits just below 1
         # (published value for this setup: 0.998029; seed-dependent band).
         sys = assemble_scaled_for_probopt(300, 100, 0.05, 5)
-        nrm = expectation_norm(sys, np.full(300, 1 / 300))
+        nrm = compute_diagnostics(sys, np.full(300, 1 / 300)).norm_expectation
         assert 0.995 <= nrm <= 0.9995
 
     def test_rho_never_exceeds_norm(self):
         for seed in range(5):
             sys = thresholded_instance(30, 10, 0.5, seed)
             p = row_norm_probabilities(sys)
-            assert asymptotic_rate(sys, p) <= expectation_norm(sys, p) + 1e-8
+            diag = compute_diagnostics(sys, p)
+            assert diag.rho_asymptotic <= diag.norm_expectation + 1e-8
 
     def test_psd_certificate(self):
         # I - W is positive semidefinite: one minus the quadratic form is an
@@ -178,7 +177,7 @@ class TestRateExpressions:
                 StepRule.INVERSE_ROW_NORM_A,
                 StepRule.INVERSE_ROW_NORM_V,
             ]:
-                pair = scaling(sys, p, rule)
+                pair = expectation_operator(sys, p, rule).pair
                 vtda = sys.v.T @ (pair.d[:, None] * sys.a)
                 atsda = sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
                 w = vtda + vtda.T - atsda
@@ -200,7 +199,7 @@ class TestExpectationOperator:
         )
         p = row_norm_probabilities(sys)
         op = expectation_operator(sys, p)
-        pair = scaling(sys, p)
+        pair = op.pair
         vtda = sys.v.T @ (pair.d[:, None] * sys.a)
         w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
         assert np.linalg.norm(op.vtda - vtda) <= 1e-13 * np.linalg.norm(vtda)
@@ -222,7 +221,6 @@ class TestExpectationOperator:
         "evaluate",
         [
             expectation_operator,
-            scaling,
             probopt.lambda_objective,
             probopt.norm_objective,
             probopt.supergradient_lambda,
@@ -304,21 +302,31 @@ class TestNoiseQuantities:
         a = gen_gaussian(10, 3, 7)
         sys = assemble_inconsistent(a, a, 0.0, 7)
         p = row_norm_probabilities(sys)
-        assert expected_fixed_point_error(sys, p) == 0.0
+        assert compute_diagnostics(sys, p).fixed_point_error == 0.0
 
     def test_fixed_point_identity_worked_example(self):
         a = np.eye(2)
         sys = make_system(a, a, np.zeros(2), noise=np.array([0.1, -0.1]))
-        value = expected_fixed_point_error(sys, [0.5, 0.5])
+        value = compute_diagnostics(sys, [0.5, 0.5]).fixed_point_error
         assert value == pytest.approx(np.hypot(0.1, 0.1), rel=1e-12)
 
-    def test_fixed_point_requires_invertible_vtda(self):
-        sys = assemble_underdetermined(5, 12, 0.3, 8)
-        noisy = make_system(
-            sys.a, sys.v, sys.b, noise=np.full(5, 0.1), truth=sys.truth
-        )
+    def test_tall_singular_vtda_leaves_fixed_point_empty(self):
+        # p is non-zero on 3 < n = 5 rows, so V^T D A (rank <= 3) is singular
+        # although m >= n: the fixed-point solve fails and is reported empty.
+        a = gen_gaussian(12, 5, 8)
+        sys = assemble_inconsistent(a, mismatch_threshold(a, 0.3), 0.1, 8)
+        p = np.zeros(12)
+        p[:3] = 1.0 / 3.0
+        op = expectation_operator(sys, p)
         with pytest.raises(SingularMatrixError):
-            expected_fixed_point_error(noisy, np.full(5, 0.2))
+            lu_solve(op.vtda, sys.v.T @ (op.pair.d * sys.noise))
+        diag = compute_diagnostics(sys, p)
+        assert not diag.restricted
+        assert diag.gamma > 0
+        assert diag.fixed_point_error is None
+        assert not diag.positivity_ok
+        full_support = compute_diagnostics(sys, row_norm_probabilities(sys))
+        assert full_support.fixed_point_error > 0
 
 
 class TestRestricted:
@@ -327,9 +335,10 @@ class TestRestricted:
         sys = assemble_consistent(a, mismatch_threshold(a, 0.3), 9)
         p = row_norm_probabilities(sys)
         res = restricted_diagnostics(sys, p)
-        assert res.restricted
-        assert res.lam == pytest.approx(contraction_lambda(sys, p), abs=1e-8)
-        assert res.rho_asymptotic == pytest.approx(asymptotic_rate(sys, p), abs=1e-8)
+        plain = compute_diagnostics(sys, p)
+        assert res.restricted and not plain.restricted
+        assert res.lam == pytest.approx(plain.lam, abs=1e-8)
+        assert res.rho_asymptotic == pytest.approx(plain.rho_asymptotic, abs=1e-8)
 
     def test_single_row_exact_projection(self):
         sys = make_system(
@@ -344,6 +353,38 @@ class TestRestricted:
         res = restricted_diagnostics(sys, np.full(100, 0.01))
         assert res.lam > 0
         assert res.rho_asymptotic < 1
+
+    @pytest.mark.parametrize(
+        "rule",
+        [StepRule.OBLIQUE_EXACT, StepRule.INVERSE_ROW_NORM_A, StepRule.INVERSE_ROW_NORM_V],
+        ids=lambda rule: rule.value,
+    )
+    def test_coordinates_match_conjugated_matrices(self, rule):
+        # The operator on (A Z, V Z) against Z^T W Z and Z^T V^T D A Z formed
+        # from the n x n matrices, on fig3's default instance.
+        sys = pipeline_instance("fig3")
+        p = row_norm_probabilities(sys)
+        z = orthonormal_range_basis(sys.v.T)
+        op = expectation_operator(sys, p, rule)
+        w = z.T @ op.w @ z
+        m_mat = np.eye(sys.m) - z.T @ op.vtda @ z
+        res = restricted_diagnostics(sys, p, rule)
+        assert res.lam == pytest.approx(symmetric_eig_min(w)[0], abs=1e-12)
+        assert res.rho_asymptotic == pytest.approx(spectral_radius(m_mat), abs=1e-12)
+        assert res.norm_expectation == pytest.approx(
+            top_singular_triplet(m_mat).sigma, abs=1e-12
+        )
+
+    def test_forms_no_n_by_n_matrix(self):
+        sys = assemble_underdetermined(40, 400, 0.3, 3)
+        p = row_norm_probabilities(sys)
+        tracemalloc.start()
+        try:
+            restricted_diagnostics(sys, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sys.n**2  # one n x n float64 matrix
 
     def test_rejects_tall_systems(self):
         sys = thresholded_instance(20, 5, 0.5, 10)
@@ -384,7 +425,9 @@ class TestAssembledDiagnostics:
         monkeypatch.setattr(diagnostics, "expectation_operator", counted)
         diag = compute_diagnostics(sys, p)
         assert len(calls) == 1
-        assert diag.fixed_point_error == expected_fixed_point_error(sys, p)
+        op = build(sys, p)
+        fixed_point = lu_solve(op.vtda, sys.v.T @ (op.pair.d * sys.noise))
+        assert diag.fixed_point_error == float(np.linalg.norm(fixed_point))
 
     def test_noisy_wide_system_skips_fixed_point(self, monkeypatch):
         # V^T D A has rank <= m < n: neither built again nor LU-factored.

@@ -72,13 +72,13 @@ class TestAssembly:
         assert np.linalg.norm(sys.a @ sys.truth - sys.b) <= 1e-12
 
     def test_consistent_desk_instance_has_positive_lambda(self):
-        from kaczmarz_mismatch.diagnostics import contraction_lambda
+        from kaczmarz_mismatch.diagnostics import compute_diagnostics
 
         a = gen_gaussian(500, 200, 4)
         sys = assemble_consistent(a, mismatch_threshold(a, 0.5), 4)
         p = sys.row_norms_sq("a")
         p = p / p.sum()
-        assert contraction_lambda(sys, p) > 0
+        assert compute_diagnostics(sys, p).lam > 0
 
     def test_inconsistent_zero_scale_reduces_to_consistent(self):
         a = gen_gaussian(20, 5, 5)
@@ -288,9 +288,9 @@ def reference_ct_instance(grid, angle_step, rays, seed, span_factor=1.4):
 def assert_same_pair(got, want):
     for name in ("a", "v", "truth", "pairing"):
         assert_bitwise_equal(getattr(got, name), getattr(want, name))
-    # b = A truth is one BLAS gemv over the kept rows, the reference's b a gemv
-    # over all of ``full``: a row can go through a kernel that sums in another
-    # order (a tail of the row count or of a thread's share), a last-bit change.
+    # b = A truth is a CSR product over the kept rows, which sums each row in
+    # column order; the reference's b is a BLAS gemv over all of ``full``,
+    # whose kernels sum in another order: a last-bit change.
     np.testing.assert_allclose(got.b, want.b, rtol=1e-13, atol=0)
 
 

@@ -508,7 +508,7 @@ class TestReplicates:
         assert abs(batch_mean - seq_mean) <= 5 * pooled_se
 
     def test_contraction_in_expectation(self):
-        from kaczmarz_mismatch.diagnostics import contraction_lambda
+        from kaczmarz_mismatch.diagnostics import compute_diagnostics
 
         rng = np.random.default_rng(31)
         a = rng.standard_normal((60, 12))
@@ -517,7 +517,7 @@ class TestReplicates:
         sys = make_system(a, v, a @ truth, truth=truth)
         p = sys.row_norms_sq("a")
         p = p / p.sum()
-        lam = contraction_lambda(sys, p, StepRule.OBLIQUE_EXACT)
+        lam = compute_diagnostics(sys, p, StepRule.OBLIQUE_EXACT).lam
         assert lam > 0
 
         cfg = SolverConfig(max_iterations=25, log_stride=1, seed=13)
