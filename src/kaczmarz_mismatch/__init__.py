@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
@@ -34,7 +34,6 @@ from .solver import (  # noqa: E402
     SystemPair,
     Trace,
     make_system,
-    rkma_step,
     run,
     run_replicates,
 )

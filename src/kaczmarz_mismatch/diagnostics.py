@@ -19,7 +19,8 @@ noise quantities in one ``RateDiagnostics`` record.  ``ExpectationOperator``
 forms V^T D A and W from the rows it is given and a scaling pair, each on
 first use with one GEMM, W as sym(A^T D (2V - S A)), so a caller that reads
 one of them never pays for the other.  ``expectation_operator`` builds it on
-the rows of (system, p, rule), and both objectives of ``probopt`` read it.
+the dense rows (``SystemPair.dense``) of (system, p, rule), and both
+objectives of ``probopt`` read it.
 On the coordinates (A Z, V Z), with the system's scaling pair, its matrices
 are Z^T V^T D A Z and Z^T W Z, so the restricted analysis forms no n x n
 matrix.  The spectral norm is read off the top singular pair alone; its
@@ -180,7 +181,7 @@ def expectation_operator(
     taking user input validate it first.
     """
     pair = _scaling(sys, np.asarray(p, dtype=float), rule)
-    return ExpectationOperator(sys.a, sys.v, pair)
+    return ExpectationOperator(*sys.dense, pair)
 
 
 def noise_gamma(sys: SystemPair) -> float:
@@ -221,8 +222,9 @@ def restricted_diagnostics(
         raise InvalidInputError(
             f"restricted analysis expects m <= n, got {sys.m} x {sys.n}"
         )
+    a, v = sys.dense
     z = None
-    for name, mat in (("a", sys.a), ("v", sys.v)):
+    for name, mat in (("a", a), ("v", v)):
         basis = orthonormal_range_basis(mat.T)
         if basis.shape[1] < sys.m:
             raise RankDeficiencyError(
@@ -230,12 +232,12 @@ def restricted_diagnostics(
                 f"(rank {basis.shape[1]} < {sys.m})"
             )
         z = basis  # after the loop: orthonormal basis of rg V^T
-    if not is_invertible(sys.a @ sys.v.T):
+    if not is_invertible(a @ v.T):
         raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
 
     p = check_probability_vector(p)
     pair = expectation_operator(sys, p, rule).pair
-    op = ExpectationOperator(sys.a @ z, sys.v @ z, pair)
+    op = ExpectationOperator(a @ z, v @ z, pair)
     return _rate_diagnostics(p, op, restricted=True)
 
 

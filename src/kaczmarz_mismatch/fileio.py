@@ -2,7 +2,10 @@
 
 Matrices travel as Matrix Market files: a matrix with at most half of its
 entries non-zero (the tomography operators) is written in coordinate format,
-any other in array format, and both are readable.  Vectors and traces travel
+any other in array format, whether it is given dense or as a CSR array.  A
+coordinate file reads back as a CSR array, an array file as a dense array,
+so the tomography operators stay sparse through ``generate`` and the files.
+Vectors and traces travel
 as CSV with '#' comment headers.  Writers are deterministic: identical data
 and header text produce byte-identical files, and floats are rendered with
 17 significant digits so round-trips are exact.
@@ -18,7 +21,7 @@ import scipy.io
 import scipy.sparse
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, as_vector
+from .linalg import as_csr, as_matrix, as_vector
 
 FORMAT_VERSION = "1"
 
@@ -36,23 +39,36 @@ def provenance_lines(tool_version, command, seed):
 def write_matrix_market(path, m, comment=""):
     """Write ``m`` in coordinate format if at most half its entries are non-zero.
 
-    Otherwise in array format.  Coordinate files hold only the non-zero
-    entries; a zero of either sign is left out and reads back as +0.
+    Otherwise in array format.  ``m`` is dense or sparse; a sparse matrix
+    and its dense form write the same file.  Coordinate files hold only the
+    non-zero entries, in row-major order; a zero of either sign, stored or
+    not, is left out and reads back as +0.
     """
-    m = as_matrix(m)
-    if 2 * np.count_nonzero(m) <= m.size:
-        m = scipy.sparse.coo_array(m)
+    if scipy.sparse.issparse(m):
+        m = as_csr(m)
+        nonzero = np.count_nonzero(m.data)
+        if 2 * nonzero > m.shape[0] * m.shape[1]:
+            m = m.toarray()
+        elif nonzero < m.nnz:
+            m = m.copy()  # eliminate_zeros works in place
+            m.eliminate_zeros()
+    else:
+        m = as_matrix(m)
+        if 2 * np.count_nonzero(m) <= m.size:
+            m = scipy.sparse.coo_array(m)
     scipy.io.mmwrite(path, m, comment=comment, precision=17)
 
 
 def read_matrix_market(path):
+    """The matrix of a Matrix Market file: CSR for coordinate files, dense for array files."""
     try:
         m = scipy.io.mmread(path)
     except Exception as exc:
         raise InvalidInputError(f"cannot read Matrix Market file {path}: {exc}") from exc
+    name = os.path.basename(path)
     if scipy.sparse.issparse(m):
-        m = m.toarray()
-    return as_matrix(np.asarray(m, dtype=float), name=os.path.basename(path))
+        return as_csr(m, name)
+    return as_matrix(np.asarray(m, dtype=float), name)
 
 
 def write_vector_csv(path, v, header_lines=(), column="value"):

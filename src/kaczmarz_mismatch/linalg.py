@@ -1,6 +1,8 @@
 """Dense linear-algebra kernel used by the diagnostics and optimizers.
 
 Matrices are plain float64 numpy arrays (row-major); vectors are 1-d arrays.
+``as_csr`` validates the one sparse kind the package keeps, a CSR array,
+for the operators that stay sparse from the ray tracer to the files.
 The heavy factorizations are delegated to LAPACK via numpy/scipy, wrapped
 behind small functions that pin down the contracts the rest of the package
 relies on (symmetrization policy, rank drop tolerance, pivot checks).
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     ConvergenceError,
@@ -63,6 +66,36 @@ def as_matrix(m, name="matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be a 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
+    return m
+
+
+class CSRArray(scipy.sparse.csr_array):
+    """A CSR array whose ``nbytes`` counts its three arrays, as ``ndarray.nbytes`` does.
+
+    So an operator reports the memory it holds whichever kind it is.
+    """
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def as_csr(m, name="matrix") -> CSRArray:
+    """Validate and return a finite 2-d float64 CSR array, dense input converted.
+
+    The result has sorted column indices and no duplicate entries, and keeps
+    stored zeros.  It may share its arrays with ``m``.
+    """
+    if not scipy.sparse.issparse(m):
+        return CSRArray(as_matrix(m, name))
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise DimensionError(f"{name} must be a 2-d array, got shape {m.shape}")
+    m = CSRArray(m, dtype=float)
+    if not np.all(np.isfinite(m.data)):
+        raise InvalidInputError(f"{name} contains NaN or Inf entries")
+    if not m.has_canonical_format:
+        m = m.copy()  # sum_duplicates works in place
+        m.sum_duplicates()
     return m
 
 

@@ -3,7 +3,9 @@
 Gaussian systems (overdetermined, noisy, underdetermined), thresholded and
 entry-zeroed surrogate adjoints, row-scaled instances for the probability
 optimization study, and a parallel-beam tomography pair built from an exact
-Siddon-style ray tracer over a unit-pixel grid.
+Siddon-style ray tracer over a unit-pixel grid.  The Gaussian operators are
+dense arrays; the ray matrix and the tomography pair are CSR arrays, never
+made dense here.
 
 ``INSTANCES`` names the five instances of the paper's examples, each with
 the one recipe that builds it and that recipe's parameters and defaults;
@@ -17,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     InvalidInputError,
     SingularMatrixError,
 )
-from .linalg import as_matrix, as_vector, is_invertible
+from .linalg import as_csr, as_matrix, as_vector, is_invertible
 from .sampling import replicate_rng
 from .solver import SystemPair, make_system
 
@@ -218,18 +219,6 @@ def _trace_angle(origins, d, edges, grid_n, half):
     return entry // n_pixels, entry % n_pixels, total
 
 
-def _as_csr(m, name):
-    """A finite 2-d float64 matrix, sparse or dense, as a CSR array."""
-    if not scipy.sparse.issparse(m):
-        return scipy.sparse.csr_array(as_matrix(m, name))
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionError(f"{name} must be a 2-d array, got shape {m.shape}")
-    m = scipy.sparse.csr_array(m, dtype=float)
-    if not np.all(np.isfinite(m.data)):
-        raise InvalidInputError(f"{name} contains NaN or Inf entries")
-    return m
-
-
 def ct_mismatch_pair(full, truth) -> SystemPair:
     """Forward/backprojection pair from a full projection matrix, sparse or dense.
 
@@ -244,10 +233,10 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     rows with a vanishing pairing are dropped with a warning.  ``truth`` is
     the solution, and b = A truth.
 
-    The rows are selected, and b is computed, on CSR; only the kept A and V
-    are made dense.
+    The pair stays sparse: A and V are CSR arrays, and the rows are
+    selected, and b and the pairings computed, over their stored entries.
     """
-    full = _as_csr(full, "full")
+    full = as_csr(full, "full")
     truth = as_vector(truth, "truth")
     if full.shape[0] % 3 != 0:
         raise InvalidInputError(
@@ -261,15 +250,14 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     kept = np.unique(forward.nonzero()[0])
     if kept.size == 0:
         raise EmptySystemError("all forward rows are zero")
-    a_rows = forward[kept]
+    a = forward[kept]
     # b on CSR: each row sums its entries in column order, whatever the BLAS
     # thread count (a dense gemv's summation order depends on it).
-    b = a_rows @ truth
-    a = a_rows.toarray()
-    v = (full[0::3] + forward + full[2::3])[kept].toarray()
-    v /= 3.0  # dense: a sparse division multiplies by 1/3, which rounds differently
-    pairing = np.einsum("ij,ij->i", a, v)
-    norms = np.sqrt(np.einsum("ij,ij->i", a, a)) * np.sqrt(np.einsum("ij,ij->i", v, v))
+    b = a @ truth
+    v = (full[0::3] + forward + full[2::3])[kept]
+    v.data /= 3.0  # the dense quotients: a sparse division multiplies by 1/3
+    pairing = a.multiply(v).sum(axis=1)
+    norms = np.sqrt(a.multiply(a).sum(axis=1)) * np.sqrt(v.multiply(v).sum(axis=1))
     ok = pairing > 1e-12 * norms
     dropped = int(np.count_nonzero(~ok))
     if dropped:
@@ -282,6 +270,8 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
 
 def smooth_phantom(grid_n, seed) -> np.ndarray:
     """Smooth positive test image, flattened row-major and scaled to max 1."""
+    import scipy.ndimage  # here, not at module level: only CT builds pay its import
+
     rng = replicate_rng(seed, 3)
     field = rng.random((grid_n, grid_n))
     smooth = scipy.ndimage.gaussian_filter(field, sigma=max(1.0, grid_n / 12.0))

@@ -10,22 +10,33 @@ projection onto the hyperplane {x : <a_i, x> = beta_i}; with V = A it reduces
 to the classical randomized Kaczmarz projection.  beta is the right-hand side
 in use: b, or b plus the stored noise vector for inconsistent systems.
 
-``_sweep`` is the one implementation of the update: ``rkma_step`` calls it
-directly, and ``run`` and ``run_replicates`` through ``_run``, the logged
-iteration on one random stream.  A static-rule step is one BLAS ``ddot`` and
-one ``daxpy`` on ``x`` in place.
+``_sweep`` is the one implementation of the update: ``run`` and
+``run_replicates`` call it through ``_run``, the logged iteration on one
+random stream.  A static-rule step is one BLAS ``ddot`` and one ``daxpy`` on
+``x`` in place, on dense rows.
+
+A ``SystemPair`` keeps its operators as they were built or read: dense
+arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
+Validation, the pairing and row norms, the starting point and the logged
+residuals run on either kind, on CSR over the stored entries only; the dense
+rows the kernel reads are made once per system, by ``SystemPair.dense``.
+Sums over stored entries can differ from dense sums in the last bits, so a
+CSR system and its dense form can give different traces; reruns of either
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionError, InvalidInputError, NumericError
-from .linalg import as_matrix, as_vector
+from .linalg import CSRArray, as_csr, as_matrix, as_vector
 from .sampling import DiscreteSampler, check_probability_vector, replicate_rng
 
 # Rows whose pairing <a_i, v_i> falls below this relative threshold make the
@@ -58,16 +69,17 @@ class StepRule(enum.Enum):
 class SystemPair:
     """A linear system together with its surrogate adjoint rows.
 
-    ``a`` and ``v`` are (m, n); ``b`` is the consistent right-hand side.  When
-    ``noise`` is present the solver actually sees b + noise.  ``truth`` is the
-    known solution used for error tracking, if any.
+    ``a`` and ``v`` are (m, n), both dense arrays or both CSR arrays; ``b``
+    is the consistent right-hand side.  When ``noise`` is present the solver
+    actually sees b + noise.  ``truth`` is the known solution used for error
+    tracking, if any.
 
     Use ``make_system`` to construct: it enforces the row pairing sign
     convention and the consistency invariant.
     """
 
-    a: np.ndarray
-    v: np.ndarray
+    a: np.ndarray | CSRArray
+    v: np.ndarray | CSRArray
     b: np.ndarray
     noise: np.ndarray | None = None
     truth: np.ndarray | None = None
@@ -90,31 +102,71 @@ class SystemPair:
 
     def row_norms_sq(self, which="a"):
         rows = self.a if which == "a" else self.v
-        return np.einsum("ij,ij->i", rows, rows)
+        return _row_dots(rows, rows)
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, v) as dense arrays, for the row kernel and the expectation matrices.
+
+        Dense operators are returned as they are.  CSR ones are made dense
+        here, on first read, and kept: one array for both when ``v is a``.
+        """
+        if not scipy.sparse.issparse(self.a):
+            return self.a, self.v
+        a = self.a.toarray()
+        return a, a if self.v is self.a else self.v.toarray()
+
+
+def _row_dots(x, y) -> np.ndarray:
+    """<x_i, y_i> for every row i; on CSR rows, summed over the stored entries."""
+    if scipy.sparse.issparse(x):
+        return x.multiply(y).sum(axis=1)
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _operators(a, v):
+    """(a, v) validated as two dense arrays or two CSR arrays.
+
+    A sparse operator paired with a dense one is made dense.  ``v is a``
+    stays true.
+    """
+    same = v is a
+    if scipy.sparse.issparse(a) and scipy.sparse.issparse(v):
+        validate = as_csr
+    else:
+        validate = as_matrix
+        a, v = (m.toarray() if scipy.sparse.issparse(m) else m for m in (a, v))
+    a = validate(a, "a")
+    return a, a if same else validate(v, "v")
 
 
 def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
-    """Validate and assemble a ``SystemPair``.
+    """Validate and assemble a ``SystemPair`` from dense or CSR operators.
 
-    Rows of ``v`` with negative pairing <a_i, v_i> have their sign flipped;
-    rows with |<a_i, v_i>| <= 1e-12 * ||a_i|| * ||v_i|| are rejected.
+    Rows of ``v`` with negative pairing <a_i, v_i> have their sign flipped
+    (on CSR, their stored entries negated); rows with
+    |<a_i, v_i>| <= 1e-12 * ||a_i|| * ||v_i|| are rejected.  On CSR the
+    pairing and the row norms are sums over the stored entries, so they can
+    differ from those of the dense form in the last bits.
     """
-    a = as_matrix(a, "a")
-    v = as_matrix(v, "v")
+    a, v = _operators(a, v)
     b = as_vector(b, "b")
     if a.shape != v.shape:
         raise DimensionError(f"a and v must share shape: {a.shape} vs {v.shape}")
     m, n = a.shape
     if b.shape[0] != m:
         raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
-    pairing = np.einsum("ij,ij->i", a, v)
+    pairing = _row_dots(a, v)
     flip = pairing < 0
     if np.any(flip):
         v = v.copy()
-        v[flip] *= -1.0
+        if scipy.sparse.issparse(v):
+            v.data[np.repeat(flip, np.diff(v.indptr))] *= -1.0
+        else:
+            v[flip] *= -1.0
         pairing = np.abs(pairing)
-    norms_a = np.sqrt(np.einsum("ij,ij->i", a, a))
-    norms_v = np.sqrt(np.einsum("ij,ij->i", v, v))
+    norms_a = np.sqrt(_row_dots(a, a))
+    norms_v = np.sqrt(_row_dots(v, v))
     bad = pairing <= PAIRING_RTOL * norms_a * norms_v
     if np.any(bad):
         rows = np.flatnonzero(bad).tolist()
@@ -221,22 +273,6 @@ def _sweep(x, a_rows, v_rows, omega, beta, rows):
             daxpy(v_rows[i], x, n, omega[i] * (beta[i] - ddot(a_rows[i], x)))
 
 
-def rkma_step(sys: SystemPair, x, i, rule: StepRule = StepRule.OBLIQUE_EXACT):
-    """One row update; returns the new iterate (input x is not modified)."""
-    x = as_vector(x, "x")
-    if x.shape[0] != sys.n:
-        raise DimensionError(f"x has length {x.shape[0]}, expected {sys.n}")
-    if not 0 <= i < sys.m:
-        raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
-    omega = [float(static_step_sizes(sys, rule)[i])] if rule.is_static else None
-    x_new = x.copy()
-    # The kernel over the one-row system (a_i, v_i, beta_i).
-    _sweep(x_new, [sys.a[i]], [sys.v[i]], omega, [float(sys.rhs[i])], [0])
-    if not np.all(np.isfinite(x_new)):
-        raise NumericError(f"non-finite iterate produced by row {i}")
-    return x_new
-
-
 def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
     """Run the randomized iteration and log every ``log_stride`` steps.
 
@@ -259,8 +295,7 @@ def _sampler(sys: SystemPair, p) -> DiscreteSampler:
 def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> Trace:
     """The logged iteration of ``run``, drawing rows from ``sampler`` with ``rng``."""
     omega = static_step_sizes(sys, cfg.rule).tolist() if cfg.rule.is_static else None
-    a_rows = list(sys.a)
-    v_rows = list(sys.v)
+    a_rows, v_rows = (list(rows) for rows in sys.dense)
     rhs = sys.rhs
     beta = rhs.tolist()
 

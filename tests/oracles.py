@@ -7,13 +7,17 @@ under test.  ``reference_parallel_beam_matrix`` traces one ray at a time
 into a dense matrix, the plain form of the per-angle sparse tracer in
 ``problems``, and ``reference_ct_pair`` builds the tomography pair from that
 dense matrix, the plain form of ``problems.ct_mismatch_pair``.
-``exact_one_step_expectation`` sums one step over every row, the oracle for
-the closed-form expectation matrices of ``diagnostics``.
+``rkma_step`` is one row update of the solver kernel ``_sweep``, and
+``exact_one_step_expectation`` sums it over every row, the oracle for the
+closed-form expectation matrices of ``diagnostics``.  ``random_csr`` draws
+the sparse operators of the property tests that compare a CSR operator with
+its dense form.
 """
 
 import warnings
 
 import numpy as np
+import scipy.sparse
 
 from kaczmarz_mismatch.errors import (
     DimensionError,
@@ -23,7 +27,7 @@ from kaczmarz_mismatch.errors import (
 )
 from kaczmarz_mismatch.linalg import as_matrix, as_vector
 from kaczmarz_mismatch.sampling import check_probability_vector
-from kaczmarz_mismatch.solver import StepRule, make_system, rkma_step, static_step_sizes
+from kaczmarz_mismatch.solver import StepRule, _sweep, make_system, static_step_sizes
 
 
 def tridiagonalize(m):
@@ -297,6 +301,43 @@ def reference_ct_pair(full, b_full, truth=None):
     if a.shape[0] == 0:
         raise EmptySystemError("all rows eliminated by the pairing filter")
     return make_system(a, v, b, truth=truth)
+
+
+def random_csr(rng, shape, density, values=None):
+    """A random CSR matrix with a share ``density`` of stored entries.
+
+    The stored entries are taken from ``values`` (standard normal when
+    None), but about a fifth of them are zeros, of either sign.
+    """
+    stored = rng.random(shape) < density
+    values = rng.standard_normal(shape) if values is None else np.array(values)
+    zeros = stored & (rng.random(shape) < 0.2)
+    values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    return scipy.sparse.csr_array((values[rows, cols], cols, indptr), shape=shape)
+
+
+def dense(m):
+    """``m`` as a dense array: ``toarray()`` of a sparse matrix, else ``m`` itself."""
+    return m.toarray() if scipy.sparse.issparse(m) else m
+
+
+def rkma_step(sys, x, i, rule=StepRule.OBLIQUE_EXACT):
+    """One row update; returns the new iterate (input x is not modified)."""
+    x = as_vector(x, "x")
+    if x.shape[0] != sys.n:
+        raise DimensionError(f"x has length {x.shape[0]}, expected {sys.n}")
+    if not 0 <= i < sys.m:
+        raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
+    omega = [float(static_step_sizes(sys, rule)[i])] if rule.is_static else None
+    a, v = sys.dense
+    x_new = x.copy()
+    # The kernel over the one-row system (a_i, v_i, beta_i).
+    _sweep(x_new, [a[i]], [v[i]], omega, [float(sys.rhs[i])], [0])
+    if not np.all(np.isfinite(x_new)):
+        raise NumericError(f"non-finite iterate produced by row {i}")
+    return x_new
 
 
 def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):

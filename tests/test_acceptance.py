@@ -49,14 +49,13 @@ from kaczmarz_mismatch.solver import (
     SolverConfig,
     StepRule,
     make_system,
-    rkma_step,
     run,
     run_replicates,
     static_step_sizes,
 )
 
 import oracles
-from oracles import exact_one_step_expectation
+from oracles import exact_one_step_expectation, rkma_step
 
 
 @contextmanager

@@ -13,6 +13,8 @@ from kaczmarz_mismatch import experiments, fileio
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
 
+import oracles
+
 
 def run_cli(args):
     return main(args)
@@ -406,7 +408,8 @@ class TestExperiments:
             if expected is None:
                 assert written is None, field
             else:
-                assert np.array_equal(expected, written), field
+                # The ct operators are CSR, built and read alike.
+                assert np.array_equal(oracles.dense(expected), oracles.dense(written)), field
 
     def test_unknown_experiment_rejected(self, tmp_path):
         assert run_cli(["experiment", "--name", "fig9",
@@ -478,3 +481,16 @@ class TestPackaging:
         match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
         assert match is not None
         assert match.group(1) == kaczmarz_mismatch.__version__
+
+    def test_cli_import_leaves_out_ndimage(self):
+        # Only the CT phantom filters an image; every command pays the imports.
+        package_root = str(Path(kaczmarz_mismatch.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, kaczmarz_mismatch.cli; "
+             "print('scipy.ndimage' in sys.modules, 'scipy.sparse' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert done.stdout.split() == ["False", "True"]

@@ -38,6 +38,8 @@ from kaczmarz_mismatch.problems import (
 )
 from kaczmarz_mismatch.solver import StepRule, make_system
 
+import oracles
+
 
 def thresholded_instance(m, n, tau, seed):
     a = gen_gaussian(m, n, seed)
@@ -200,8 +202,9 @@ class TestExpectationOperator:
         p = row_norm_probabilities(sys)
         op = expectation_operator(sys, p)
         pair = op.pair
-        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-        w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+        a, v = oracles.dense(sys.a), oracles.dense(sys.v)  # the ct pair is CSR
+        vtda = v.T @ (pair.d[:, None] * a)
+        w = vtda + vtda.T - a.T @ ((pair.s * pair.d)[:, None] * a)
         assert np.linalg.norm(op.vtda - vtda) <= 1e-13 * np.linalg.norm(vtda)
         assert np.linalg.norm(op.w - w) <= 1e-13 * np.linalg.norm(w)
         np.testing.assert_array_equal(op.w, op.w.T)

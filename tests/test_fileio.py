@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz_mismatch import fileio
 from kaczmarz_mismatch.errors import InvalidInputError
+
+import oracles
 
 
 def header(path):
@@ -53,11 +58,49 @@ class TestMatrixMarketFormat:
         fileio.write_matrix_market(first, matrix, comment="\n".join(lines))
         assert header(first)[2] == fmt
         back = fileio.read_matrix_market(first)
-        np.testing.assert_array_equal(back.view(np.int64), matrix.view(np.int64))
+        assert scipy.sparse.issparse(back) == (fmt == "coordinate")
+        dense = back.toarray() if fmt == "coordinate" else back
+        np.testing.assert_array_equal(dense.view(np.int64), matrix.view(np.int64))
         text = first.read_text().splitlines()
         assert text[1 : 1 + len(lines)] == [f"%{line}" for line in lines]
         fileio.write_matrix_market(second, back, comment="\n".join(lines))
         assert second.read_bytes() == first.read_bytes()
+
+
+class TestSparseAndDense:
+    """A CSR matrix and its dense form: the same file, read back alike."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 7),
+        n=st.integers(1, 7),
+        density=st.floats(0.0, 1.0),  # past 1/2 the file is in array format
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_file_and_values(self, tmp_path_factory, m, n, density, seed):
+        csr = oracles.random_csr(np.random.default_rng(seed), (m, n), density)
+        dense = csr.toarray()
+        tmp = tmp_path_factory.mktemp("mtx")
+        comment = "\n".join(fileio.provenance_lines("0.0.0", "test", seed))
+        fileio.write_matrix_market(tmp / "csr.mtx", csr, comment=comment)
+        fileio.write_matrix_market(tmp / "dense.mtx", dense, comment=comment)
+        assert (tmp / "csr.mtx").read_bytes() == (tmp / "dense.mtx").read_bytes()
+
+        back = fileio.read_matrix_market(tmp / "csr.mtx")
+        if header(tmp / "csr.mtx")[2] == "coordinate":
+            assert isinstance(back, scipy.sparse.csr_array)
+            assert np.all(back.data != 0)  # stored zeros are not written
+            back = back.toarray()
+            dense = dense + 0.0  # a zero of either sign reads back as +0
+        else:
+            assert isinstance(back, np.ndarray)
+        np.testing.assert_array_equal(back.view(np.int64), dense.view(np.int64))
+
+    def test_writing_leaves_the_matrix_as_it_was(self, tmp_path):
+        csr = scipy.sparse.csr_array(([1.0, 0.0, -0.0], [0, 1, 2], [0, 3]), shape=(1, 4))
+        fileio.write_matrix_market(tmp_path / "a.mtx", csr)
+        assert csr.nnz == 3
+        np.testing.assert_array_equal(csr.data, [1.0, 0.0, -0.0])
 
 
 class TestMatrixMarket:
@@ -77,10 +120,11 @@ class TestMatrixMarket:
             "2 3 -2.0\n"
         )
         m = fileio.read_matrix_market(path)
+        assert isinstance(m, scipy.sparse.csr_array)
         expected = np.zeros((2, 3))
         expected[0, 0] = 1.5
         expected[1, 2] = -2.0
-        np.testing.assert_array_equal(m, expected)
+        np.testing.assert_array_equal(m.toarray(), expected)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.mtx"

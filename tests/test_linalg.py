@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,37 @@ planted_spectra = st.tuples(
     st.integers(min_value=3, max_value=12),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+
+
+class TestAsCsr:
+    @pytest.mark.parametrize("kind", [scipy.sparse.coo_array, scipy.sparse.csr_array])
+    def test_canonical_format_and_stored_zeros(self, kind):
+        # Row 0 holds columns 2, 0, 2: out of order and a duplicate; row 1 a
+        # stored zero.
+        data, cols, indptr = [2.0, 1.0, 0.5, 0.0], [2, 0, 2, 1], [0, 3, 4]
+        if kind is scipy.sparse.coo_array:
+            m = kind((data, ([0, 0, 0, 1], cols)), shape=(2, 3))
+        else:
+            m = kind((data, cols, indptr), shape=(2, 3))
+        csr = linalg.as_csr(m, "m")
+        assert isinstance(csr, scipy.sparse.csr_array) and csr.has_canonical_format
+        np.testing.assert_array_equal(csr.indices, [0, 2, 1])
+        np.testing.assert_array_equal(csr.data, [1.0, 2.5, 0.0])
+        np.testing.assert_array_equal(m.toarray(), [[1.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
+
+    def test_dense_input_and_nbytes(self):
+        csr = linalg.as_csr(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        assert csr.nnz == 2
+        assert csr.nbytes == csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+
+    @pytest.mark.parametrize("m, error", [
+        (scipy.sparse.csr_array(np.array([[1.0, np.inf]])), InvalidInputError),
+        (scipy.sparse.csr_array((0, 3)), DimensionError),
+        (np.ones(3), DimensionError),
+    ])
+    def test_rejects(self, m, error):
+        with pytest.raises(error):
+            linalg.as_csr(m, "m")
 
 
 class TestSymmetricEigMin:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm as normal_dist
 
+from kaczmarz_mismatch import experiments
 from kaczmarz_mismatch.errors import EmptySystemError, InvalidInputError
 from kaczmarz_mismatch.linalg import orthonormal_range_basis
 from kaczmarz_mismatch.problems import (
@@ -16,6 +17,7 @@ from kaczmarz_mismatch.problems import (
     assemble_scaled_for_probopt,
     assemble_underdetermined,
     build_ct_instance,
+    build_instance,
     ct_mismatch_pair,
     gen_gaussian,
     mismatch_threshold,
@@ -242,7 +244,7 @@ class TestCtPair:
         base = np.abs(gen_gaussian(4, 6, 13)) + 0.1
         full = np.repeat(base, 3, axis=0)
         sys = ct_mismatch_pair(full, np.ones(6))
-        np.testing.assert_allclose(sys.a, sys.v, atol=1e-14)
+        np.testing.assert_allclose(sys.a.toarray(), sys.v.toarray(), atol=1e-14)
         assert sys.m == 4
 
     def test_row_count_bound(self):
@@ -260,7 +262,7 @@ class TestCtPair:
         full[5] = [0.0, 0.0, 1.0, 1.0]
         sys = ct_mismatch_pair(full, np.ones(4))
         assert sys.m == 1
-        np.testing.assert_allclose(sys.a[0], full[1])
+        np.testing.assert_allclose(sys.a.toarray()[0], full[1])
 
     def test_all_rows_eliminated(self):
         with pytest.raises(EmptySystemError):
@@ -286,12 +288,16 @@ def reference_ct_instance(grid, angle_step, rays, seed, span_factor=1.4):
 
 
 def assert_same_pair(got, want):
-    for name in ("a", "v", "truth", "pairing"):
-        assert_bitwise_equal(getattr(got, name), getattr(want, name))
-    # b = A truth is a CSR product over the kept rows, which sums each row in
-    # column order; the reference's b is a BLAS gemv over all of ``full``,
-    # whose kernels sum in another order: a last-bit change.
+    # The pair is CSR, the reference dense.
+    assert scipy.sparse.issparse(got.a) and scipy.sparse.issparse(got.v)
+    assert_bitwise_equal(got.a.toarray(), want.a)
+    assert_bitwise_equal(got.v.toarray(), want.v)
+    assert_bitwise_equal(got.truth, want.truth)
+    # b = A truth and the pairing are sums over the stored entries of each
+    # CSR row, in column order; the reference sums dense rows (b by a BLAS
+    # gemv over all of ``full``) in another order: a last-bit change.
     np.testing.assert_allclose(got.b, want.b, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.pairing, want.pairing, rtol=1e-13, atol=0)
 
 
 class TestCtPairOracle:
@@ -371,8 +377,8 @@ class TestCtPairOracle:
 
 
 class TestCtMemory:
-    def test_peak_is_the_dense_pair(self):
-        # The tracer's matrix stays sparse: only A and V are m x n and dense.
+    def test_peak_is_below_one_dense_operator(self):
+        # The tracer's matrix and the pair stay sparse: no m x n dense matrix.
         build_ct_instance(8, 30.0, 9, 4)
         tracemalloc.start()
         try:
@@ -380,7 +386,20 @@ class TestCtMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (sys.a.nbytes + sys.v.nbytes)
+        assert peak <= sys.m * sys.n * 8
+
+    def test_ct_experiment_holds_two_dense_operators(self, tmp_path):
+        # The mismatched solve makes A and V dense; the matched one reuses
+        # that A. The peak is 2.3 m x n matrices; a third one makes it 3.2.
+        experiments.experiment_ct(str(tmp_path / "warm"), grid=8, rays=9, sweeps=1)
+        tracemalloc.start()
+        try:
+            experiments.experiment_ct(str(tmp_path / "ct"), sweeps=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sys = build_instance("ct", 4)
+        assert peak <= 2.5 * sys.m * sys.n * 8
 
 
 class TestPhantom:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.sparse
 
 from kaczmarz_mismatch.errors import (
     DimensionError,
@@ -15,7 +16,6 @@ from kaczmarz_mismatch.solver import (
     SolverConfig,
     StepRule,
     make_system,
-    rkma_step,
     run,
     run_replicates,
     static_step_sizes,
@@ -23,7 +23,8 @@ from kaczmarz_mismatch.solver import (
     _sweep,
 )
 
-from oracles import exact_one_step_expectation
+import oracles
+from oracles import exact_one_step_expectation, rkma_step
 
 ALL_RULES = list(StepRule)
 
@@ -69,6 +70,79 @@ class TestMakeSystem:
             truth=np.array([1.0, 1.0]),
         )
         np.testing.assert_array_equal(sys.rhs, [1.0, 2.0])
+
+
+class TestOperatorKinds:
+    """make_system on a CSR pair and on its dense form builds the same system."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        with_truth=st.booleans(),
+    )
+    def test_same_system(self, m, n, density, seed, with_truth):
+        rng = np.random.default_rng(seed)
+        a = oracles.random_csr(rng, (m, n), density)
+        # Rows of v near +-a_i: pairings of both signs, some vanishing.
+        signs = rng.choice([-1.0, 1.0], size=(m, 1))
+        near = signs * a.toarray() + 0.3 * rng.standard_normal((m, n))
+        v = oracles.random_csr(rng, (m, n), density, values=near)
+        truth = rng.standard_normal(n) if with_truth else None
+        b = a.toarray() @ truth if with_truth else rng.standard_normal(m)
+
+        def build(a_rows, v_rows):
+            try:
+                return make_system(a_rows, v_rows, b, truth=truth)
+            except InvalidInputError as exc:
+                return exc
+
+        got = build(a, v)
+        want = build(a.toarray(), v.toarray())
+        mixed = build(a.toarray(), v)  # one sparse operator: made dense
+        if isinstance(want, Exception):
+            for other in (got, mixed):
+                assert (type(other), str(other)) == (type(want), str(want))
+            return
+        assert scipy.sparse.issparse(got.a) and scipy.sparse.issparse(got.v)
+        np.testing.assert_array_equal(got.a.toarray().view(np.int64), want.a.view(np.int64))
+        # Equal values are bitwise equal but for the sign of zeros: negating a
+        # dense row negates its zeros too, negating a CSR row only its stored
+        # entries (and toarray() adds stored entries to +0).
+        np.testing.assert_array_equal(got.v.toarray(), want.v)
+
+        def flips(sys_pair):
+            return np.flatnonzero(np.any(oracles.dense(sys_pair.v) != v.toarray(), axis=1))
+
+        np.testing.assert_array_equal(flips(got), flips(want))
+        scale = np.sqrt(want.row_norms_sq("a") * want.row_norms_sq("v"))
+        assert np.all(np.abs(got.pairing - want.pairing) <= 1e-13 * scale)
+        for name in ("a", "v"):
+            np.testing.assert_allclose(got.row_norms_sq(name), want.row_norms_sq(name),
+                                       rtol=1e-13, atol=0)
+        for dense_rows, operator in zip(got.dense, (got.a, got.v)):
+            np.testing.assert_array_equal(dense_rows.view(np.int64),
+                                          operator.toarray().view(np.int64))
+        for name in ("a", "v", "pairing"):
+            np.testing.assert_array_equal(getattr(mixed, name).view(np.int64),
+                                          getattr(want, name).view(np.int64))
+
+    def test_dense_rows_made_once(self):
+        a = scipy.sparse.csr_array(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0]]))
+        sys = make_system(a, a, np.ones(2))
+        assert sys.v is sys.a
+        dense_a, dense_v = sys.dense
+        assert dense_v is dense_a and sys.dense is sys.dense
+        np.testing.assert_array_equal(dense_a, a.toarray())
+        sys = make_system(a.toarray(), 2.0 * a.toarray(), np.ones(2))
+        assert sys.dense[0] is sys.a and sys.dense[1] is sys.v
+
+    def test_sparse_input_validated(self):
+        bad = scipy.sparse.csr_array(np.array([[1.0, np.nan]]))
+        with pytest.raises(InvalidInputError, match="NaN"):
+            make_system(bad, bad, np.ones(1))
 
 
 class TestStep:
