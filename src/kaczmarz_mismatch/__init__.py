@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
@@ -15,7 +15,6 @@ from .diagnostics import (  # noqa: E402
     compute_diagnostics,
     inconsistent_bound,
     noise_gamma,
-    restricted_diagnostics,
 )
 from .probopt import (  # noqa: E402
     Objective,

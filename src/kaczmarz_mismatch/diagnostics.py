@@ -13,18 +13,19 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
     the plain quantities: the same operator on the m x m coordinates
     (A Z, V Z) of an orthonormal basis Z of rg V^T.
 
-``_rate_diagnostics`` is the one place lambda, rho and the norm are read
-off the expectation matrices; ``compute_diagnostics`` returns them with the
-noise quantities in one ``RateDiagnostics`` record.  ``ExpectationOperator``
-forms V^T D A and W from the rows it is given and a scaling pair, each on
-first use with one GEMM, W as sym(A^T D (2V - S A)), so a caller that reads
-one of them never pays for the other.  ``expectation_operator`` builds it on
-the dense rows (``SystemPair.dense``) of (system, p, rule), and both
-objectives of ``probopt`` read it.
-On the coordinates (A Z, V Z), with the system's scaling pair, its matrices
-are Z^T V^T D A Z and Z^T W Z, so the restricted analysis forms no n x n
-matrix.  The spectral norm is read off the top singular pair alone; its
-identity ||M||^2 = rho(M^T M) is checked in the tests.
+``analysis_rows`` is the one place that decides which rows the analysis
+reads: the dense rows (A, V) when m >= n, the coordinates (A Z, V Z) when
+m < n.  ``ExpectationOperator`` forms V^T D A and W from those rows and a
+scaling pair, each on first use with one GEMM, W as sym(A^T D (2V - S A)),
+so a caller that reads one of them never pays for the other.
+``expectation_operator`` builds it for (system, p, rule); on the
+coordinates its matrices are Z^T V^T D A Z and Z^T W Z, so the restricted
+analysis forms no n x n matrix.  ``_rate_diagnostics`` reads lambda, rho
+and the norm off it, ``compute_diagnostics`` returns them with the noise
+quantities in one ``RateDiagnostics`` record, and both objectives of
+``probopt`` read the same operator, so the optimizer improves the rates
+``diagnose`` reports.  The spectral norm is read off the top singular pair
+alone; its identity ||M||^2 = rho(M^T M) is checked in the tests.
 
 The three rate expressions coincide for V = A; under mismatch they are
 generally different, and their empirical ordering is recorded but never
@@ -169,19 +170,46 @@ class ExpectationOperator:
         return 0.5 * (g + g.T)
 
 
+def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the expectation analysis reads: ``sys.dense`` when m >= n.
+
+    When m < n the rates are stated on rg V^T, so the rows are the m x m
+    coordinates (A Z, V Z) in the orthonormal basis Z of rg V^T.  That
+    requires full row rank of A and V and a nonsingular A V^T (so the
+    system has exactly one solution in rg V^T).
+    """
+    if sys.m >= sys.n:
+        return sys.dense
+    a, v = sys.dense
+    z = None
+    for name, mat in (("a", a), ("v", v)):
+        basis = orthonormal_range_basis(mat.T)
+        if basis.shape[1] < sys.m:
+            raise RankDeficiencyError(
+                f"matrix {name} does not have full row rank "
+                f"(rank {basis.shape[1]} < {sys.m})"
+            )
+        z = basis  # after the loop: orthonormal basis of rg V^T
+    if not is_invertible(a @ v.T):
+        raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
+    return a @ z, v @ z
+
+
 def expectation_operator(
     sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
 ) -> ExpectationOperator:
-    """The expectation operator of (system, p, rule): ``pair``, ``vtda``, ``w``.
+    """The expectation operator of (system, p, rule) on ``analysis_rows``.
 
-    The one place where a row distribution becomes the expectation operator;
-    every rate in this module and in ``probopt`` is read off its matrices.
-    ``p`` must have one entry per row, but is not checked to lie on the
-    simplex, so the objectives can also be evaluated just off it; callers
-    taking user input validate it first.
+    The one place where a row distribution becomes the expectation operator
+    (``probopt.optimize_probabilities`` then replaces only D per iterate);
+    every rate in this module and in ``probopt`` is read off its matrices,
+    which are m x m when m < n.  ``p`` must have one entry per row, but is
+    not checked to lie on the simplex, so the objectives can also be
+    evaluated just off it; callers taking user input validate it first.
     """
-    pair = _scaling(sys, np.asarray(p, dtype=float), rule)
-    return ExpectationOperator(*sys.dense, pair)
+    # The rank checks of the rows come before the checks on p and the rule.
+    rows = analysis_rows(sys)
+    return ExpectationOperator(*rows, _scaling(sys, np.asarray(p, dtype=float), rule))
 
 
 def noise_gamma(sys: SystemPair) -> float:
@@ -203,42 +231,8 @@ def inconsistent_bound(k, lam, gamma, e0_sq) -> float:
 
 def _fixed_point_error(sys, op) -> float:
     rhs = sys.v.T @ (op.pair.d * sys.noise)
-    z = lu_solve(op.vtda, rhs)  # vtda is singular when m < n
+    z = lu_solve(op.vtda, rhs)  # singular when p is non-zero on fewer than n rows
     return float(np.linalg.norm(z))
-
-
-def restricted_diagnostics(
-    sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
-) -> RateDiagnostics:
-    """Rate quantities restricted to rg V^T for underdetermined systems.
-
-    Requires m <= n, full row rank of A and V, and a nonsingular A V^T (so
-    the system has exactly one solution in rg V^T).  The expectation
-    operator is built on the coordinates (A Z, V Z) of the orthonormal basis
-    Z of rg V^T, with the system's scaling pair, so its matrices are the
-    m x m restrictions Z^T V^T D A Z and Z^T W Z.
-    """
-    if sys.m > sys.n:
-        raise InvalidInputError(
-            f"restricted analysis expects m <= n, got {sys.m} x {sys.n}"
-        )
-    a, v = sys.dense
-    z = None
-    for name, mat in (("a", a), ("v", v)):
-        basis = orthonormal_range_basis(mat.T)
-        if basis.shape[1] < sys.m:
-            raise RankDeficiencyError(
-                f"matrix {name} does not have full row rank "
-                f"(rank {basis.shape[1]} < {sys.m})"
-            )
-        z = basis  # after the loop: orthonormal basis of rg V^T
-    if not is_invertible(a @ v.T):
-        raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
-
-    p = check_probability_vector(p)
-    pair = expectation_operator(sys, p, rule).pair
-    op = ExpectationOperator(a @ z, v @ z, pair)
-    return _rate_diagnostics(p, op, restricted=True)
 
 
 def _rate_diagnostics(p, op: ExpectationOperator, restricted) -> RateDiagnostics:
@@ -259,20 +253,17 @@ def compute_diagnostics(
 ) -> RateDiagnostics:
     """Assemble the full diagnostics record for a system and row distribution.
 
-    The range-restricted analysis is used when m < n.  Noise quantities are
-    filled in when the system carries a noise vector; the fixed-point error
-    stays None when m < n, where V^T D A is singular.
+    The rates are range-restricted when m < n (see ``analysis_rows``).  Noise
+    quantities are filled in when the system carries a noise vector; the
+    fixed-point error stays None when m < n, where V^T D A (rank <= m) is
+    singular.
     """
     p = check_probability_vector(p)
-    op = None
-    if sys.m < sys.n:
-        diag = restricted_diagnostics(sys, p, rule)
-    else:
-        op = expectation_operator(sys, p, rule)
-        diag = _rate_diagnostics(p, op, restricted=False)
+    op = expectation_operator(sys, p, rule)
+    diag = _rate_diagnostics(p, op, restricted=sys.m < sys.n)
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
-        if op is not None:  # for m < n, V^T D A (rank <= m) is singular
+        if sys.m >= sys.n:
             try:
                 diag.fixed_point_error = _fixed_point_error(sys, op)
             except (SingularMatrixError, InvalidInputError):

@@ -6,29 +6,32 @@ minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
 best-iterate tracker, since subgradient methods are not monotone.
 
-Both objectives and their gradients take their matrix from the single
-builder ``diagnostics.expectation_operator``: the lambda side forms only W
-and solves only for its two lowest eigenpairs (``symmetric_eigensystem``,
-which also decides the tie flag), the norm side forms only V^T D A and
-solves only for the top singular pair of I - V^T D A.  Each gradient also
-returns the objective value from its own factorization, so the optimizer
-factors once per iterate.  The sign of the norm subgradient is fixed by that
-singular pair, so the optimizer draws no random numbers; the inequality it
-rests on is checked in the tests.
+Both objectives and their gradients read an ``ExpectationOperator`` from
+``diagnostics.expectation_operator``, on the rows ``diagnose`` analyses:
+(A, V) when m >= n and the coordinates (A Z, V Z) of rg V^T when m < n, so
+the optimizer improves the rates ``diagnose`` reports.  The gradient
+formulas hold unchanged in coordinates, because <Z^T a_i, y> = <a_i, Z y>.
+``optimize_probabilities`` forms the rows once and one operator per
+iterate.  The lambda side forms only W and solves only for its two lowest
+eigenpairs (``symmetric_eigensystem``, which also decides the tie flag), the
+norm side forms only V^T D A and solves only for the top singular pair of
+I - V^T D A.  Each gradient also returns the objective value from its own
+factorization, so the optimizer factors once per iterate.  The sign of the
+norm subgradient is fixed by that singular pair, so the optimizer draws no
+random numbers; the inequality it rests on is checked in the tests.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .diagnostics import expectation_operator
+from .diagnostics import ExpectationOperator, expectation_operator
 from .errors import InvalidInputError
 from .linalg import as_vector, symmetric_eigensystem, top_singular_triplet
-from .sampling import check_probability_vector
 from .solver import StepRule, SystemPair
 
 # Relative eigen/singular gap below which the extremal vector is flagged as a
@@ -91,20 +94,17 @@ def project_simplex(y) -> np.ndarray:
     return p / math.fsum(p.tolist())
 
 
-def lambda_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    lam, _, _ = symmetric_eigensystem(
-        expectation_operator(sys, p, rule).w, DEGENERACY_GAP_RTOL
-    )
+def lambda_objective(op: ExpectationOperator) -> float:
+    lam, _, _ = symmetric_eigensystem(op.w, DEGENERACY_GAP_RTOL)
     return lam
 
 
-def norm_objective(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT) -> float:
-    vtda = expectation_operator(sys, p, rule).vtda
-    return top_singular_triplet(np.eye(sys.n) - vtda).sigma
+def norm_objective(op: ExpectationOperator) -> float:
+    return top_singular_triplet(np.eye(op.vtda.shape[0]) - op.vtda).sigma
 
 
-def supergradient_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT):
-    """Supergradient of p -> lambda_min(W(p)) at p.
+def supergradient_lambda(op: ExpectationOperator):
+    """Supergradient of p -> lambda_min(W(p)) at the distribution of ``op``.
 
     With x a unit eigenvector for the smallest eigenvalue of W, the component
     for row i is omega_i * <2 v_i - s_i a_i, x> * <a_i, x>.  Returns
@@ -112,16 +112,14 @@ def supergradient_lambda(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_E
     (near-)tied smallest eigenvalue, where any extremal eigenvector still
     yields a valid supergradient element.
     """
-    p = check_probability_vector(p)
-    op = expectation_operator(sys, p, rule)
     lam, x, degenerate = symmetric_eigensystem(op.w, DEGENERACY_GAP_RTOL)
-    ax = sys.a @ x
-    vx = sys.v @ x
+    ax = op.a @ x
+    vx = op.v @ x
     return op.pair.omega * (2.0 * vx - op.pair.s * ax) * ax, degenerate, lam
 
 
-def subgradient_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT):
-    """Subgradient of p -> ||I - V^T D A|| at p, from its top singular pair.
+def subgradient_norm(op: ExpectationOperator):
+    """Subgradient of p -> ||I - V^T D A|| at the distribution of ``op``.
 
     With M(p) = I - V^T D A, which is affine in p, and a top singular pair
     M(p) right = sigma left, the component for row i is
@@ -130,11 +128,10 @@ def subgradient_norm(sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
     equality at q = p.  Returns (gradient, degenerate flag,
     ||I - V^T D A||); the flag marks a (near-)tied top singular value.
     """
-    p = check_probability_vector(p)
-    op = expectation_operator(sys, p, rule)
-    sigma, left, right, second = top_singular_triplet(np.eye(sys.n) - op.vtda)
-    degenerate = sys.n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
-    return -op.pair.omega * (sys.v @ left) * (sys.a @ right), degenerate, sigma
+    n = op.vtda.shape[0]
+    sigma, left, right, second = top_singular_triplet(np.eye(n) - op.vtda)
+    degenerate = n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
+    return -op.pair.omega * (op.v @ left) * (op.a @ right), degenerate, sigma
 
 
 def optimize_probabilities(
@@ -157,6 +154,7 @@ def optimize_probabilities(
     evaluate = lambda_objective if maximizing else norm_objective
 
     p = np.full(sys.m, 1.0 / sys.m)
+    op = expectation_operator(sys, p, rule)  # forms the analysis rows once
     values: list[float] = []
     best_p = best_value = None
     best_iteration = 0
@@ -169,13 +167,15 @@ def optimize_probabilities(
         values.append(value)
 
     for k in range(cfg.iterations):
-        g, degenerate, value = gradient(sys, p, rule)
+        g, degenerate, value = gradient(op)
         record(p, value)
         if degenerate:
             degenerate_iterations.append(k)
         step = cfg.step_at(k) * g
         p = project_simplex(p + step if maximizing else p - step)
-    record(p, evaluate(sys, p, rule))
+        # Only D = diag(p_i omega_i) depends on p.
+        op = ExpectationOperator(op.a, op.v, replace(op.pair, d=p * op.pair.omega))
+    record(p, evaluate(op))
 
     return ProbOptResult(
         best_p=best_p,

@@ -212,7 +212,6 @@ class SolverConfig:
     seed: int = 0
     residual_tolerance: float = 0.0  # relative to ||rhs||; 0 disables early stop
     start_coefficients: np.ndarray | None = None  # x0 = V^T c; None means x0 = 0
-    keep_logged_iterates: bool = False  # snapshot x at each log point
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -235,7 +234,6 @@ class Trace:
     final_x: np.ndarray
     rows_visited: np.ndarray  # visit count per row
     stopped_early: bool = False
-    logged_x: list[np.ndarray] | None = None  # only with keep_logged_iterates
 
 
 def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
@@ -307,15 +305,12 @@ def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> T
     logged_k: list[int] = []
     error_norms: list[float] = []
     residual_norms: list[float] = []
-    logged_x: list[np.ndarray] | None = [] if cfg.keep_logged_iterates else None
     stopped_early = False
 
     def log_point(k):
         logged_k.append(k)
         if sys.truth is not None:
             error_norms.append(float(np.linalg.norm(x - sys.truth)))
-        if logged_x is not None:
-            logged_x.append(x.copy())
         residual = float(np.linalg.norm(sys.a @ x - rhs))
         residual_norms.append(residual)
         if not np.isfinite(residual):
@@ -349,7 +344,6 @@ def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> T
         final_x=x,
         rows_visited=rows_visited,
         stopped_early=stopped_early,
-        logged_x=logged_x,
     )
 
 

@@ -16,7 +16,6 @@ from kaczmarz_mismatch.diagnostics import (
     expectation_operator,
     inconsistent_bound,
     noise_gamma,
-    restricted_diagnostics,
 )
 from kaczmarz_mismatch.experiments import iterations_to_error, probability_scheme
 from kaczmarz_mismatch.linalg import (
@@ -80,6 +79,14 @@ def mismatched_system(rng, m, n, tau):
     v[dead] = a[dead]
     truth = rng.standard_normal(n)
     return make_system(a, v, a @ truth, truth=truth)
+
+
+def lam_at(sys, p):
+    return lambda_objective(expectation_operator(sys, p))
+
+
+def norm_at(sys, p):
+    return norm_objective(expectation_operator(sys, p))
 
 
 def test_criterion_01_hyperplane_exactness():
@@ -188,19 +195,22 @@ def test_criterion_06_underdetermined_range_restricted():
     with criterion(6, "wide system: mismatched run converges, matched run plateaus", 120.0):
         sys = assemble_underdetermined(60, 300, 0.3, 3)
         p = probability_scheme(sys, "rownorm-a")
-        diag = restricted_diagnostics(sys, p)
-        assert diag.lam > 0
-        cfg = SolverConfig(
-            max_iterations=10**5, log_stride=2000, seed=3, keep_logged_iterates=True
-        )
+        diag = compute_diagnostics(sys, p)
+        assert diag.restricted and diag.lam > 0
+        cfg = SolverConfig(max_iterations=10**5, log_stride=2000, seed=3)
         trace = run(sys, p, cfg)
         e0 = trace.error_norms[0]
         assert iterations_to_error(trace, 1e-6 * e0) is not None
+        # Iterates started at 0 stay in rg V^T, at every run length.
         z = orthonormal_range_basis(sys.v.T)
-        for x in trace.logged_x:
+        finals = [
+            run(sys, p, SolverConfig(max_iterations=k, log_stride=k, seed=3)).final_x
+            for k in (1, 7, 2000)
+        ]
+        for x in finals + [trace.final_x]:
             norm_x = np.linalg.norm(x)
-            if norm_x > 0:
-                assert np.linalg.norm(x - z @ (z.T @ x)) <= 1e-8 * norm_x
+            assert norm_x > 0
+            assert np.linalg.norm(x - z @ (z.T @ x)) <= 1e-8 * norm_x
         # Matched rows on the same instance stall at the range gap.
         sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
         trace_matched = run(
@@ -223,8 +233,8 @@ def test_criterion_07_gradient_oracles():
             q = rng.dirichlet(np.ones(8))
             h = 1e-6
 
-            g_lam, degenerate_lam, _ = supergradient_lambda(sys, p)
-            g_norm, degenerate_norm, _ = subgradient_norm(sys, p)
+            g_lam, degenerate_lam, _ = supergradient_lambda(expectation_operator(sys, p))
+            g_norm, degenerate_norm, _ = subgradient_norm(expectation_operator(sys, p))
             if degenerate_lam or degenerate_norm:
                 continue
             dd_lam = g_lam @ (q - p)
@@ -236,28 +246,28 @@ def test_criterion_07_gradient_oracles():
             # Central differences at h = 1e-6 (the objectives extend smoothly
             # off the simplex, so the backward point is well defined).
             fd_lam = (
-                lambda_objective(sys, p + h * (q - p))
-                - lambda_objective(sys, p - h * (q - p))
+                lam_at(sys, p + h * (q - p))
+                - lam_at(sys, p - h * (q - p))
             ) / (2 * h)
             fd_norm = (
-                norm_objective(sys, p + h * (q - p))
-                - norm_objective(sys, p - h * (q - p))
+                norm_at(sys, p + h * (q - p))
+                - norm_at(sys, p - h * (q - p))
             ) / (2 * h)
             assert fd_lam == pytest.approx(dd_lam, rel=1e-4)
             assert fd_norm == pytest.approx(dd_norm, rel=1e-4)
 
             # First-order over/under-estimates and midpoint curvature checks.
-            f_lam, f_norm = lambda_objective(sys, p), norm_objective(sys, p)
+            f_lam, f_norm = lam_at(sys, p), norm_at(sys, p)
             for probe in rng.dirichlet(np.ones(8), size=20):
-                assert lambda_objective(sys, probe) <= f_lam + g_lam @ (probe - p) + 1e-8
-                assert norm_objective(sys, probe) >= f_norm + g_norm @ (probe - p) - 1e-8
+                assert lam_at(sys, probe) <= f_lam + g_lam @ (probe - p) + 1e-8
+                assert norm_at(sys, probe) >= f_norm + g_norm @ (probe - p) - 1e-8
             mid_p, mid_q = rng.dirichlet(np.ones(8), size=2)
             mid = 0.5 * (mid_p + mid_q)
-            assert lambda_objective(sys, mid) >= 0.5 * (
-                lambda_objective(sys, mid_p) + lambda_objective(sys, mid_q)
+            assert lam_at(sys, mid) >= 0.5 * (
+                lam_at(sys, mid_p) + lam_at(sys, mid_q)
             ) - 1e-8
-            assert norm_objective(sys, mid) <= 0.5 * (
-                norm_objective(sys, mid_p) + norm_objective(sys, mid_q)
+            assert norm_at(sys, mid) <= 0.5 * (
+                norm_at(sys, mid_p) + norm_at(sys, mid_q)
             ) + 1e-8
 
 
@@ -302,11 +312,11 @@ def test_criterion_09_probability_optimization_orderings():
             sys, StepRule.OBLIQUE_EXACT,
             ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=500),
         )
-        lam_uniform = lambda_objective(sys, p_uniform)
-        lam_pairing = lambda_objective(sys, p_pairing)
+        lam_uniform = lam_at(sys, p_uniform)
+        lam_pairing = lam_at(sys, p_pairing)
         assert opt_lam.best_objective > max(lam_uniform, lam_pairing)
-        norm_uniform = norm_objective(sys, p_uniform)
-        norm_pairing = norm_objective(sys, p_pairing)
+        norm_uniform = norm_at(sys, p_uniform)
+        norm_pairing = norm_at(sys, p_pairing)
         assert opt_norm.best_objective < min(norm_uniform, norm_pairing)
         # Optimized rows solve faster than uniform rows to the same target, on
         # average over solver seeds: single runs can tie at the log resolution.

@@ -297,6 +297,31 @@ class TestOptimize:
             "degenerate_iterations: 0",
         ]
 
+    @pytest.mark.parametrize("objective, pick, beats_uniform", [
+        ("lambda", max, lambda best: best > 5.5157e-3),
+        ("norm", min, lambda best: best < 0.99459),
+    ], ids=["lambda", "norm"])
+    def test_wide_system_optimizes_the_diagnosed_rates(
+        self, tmp_path, capsys, objective, pick, beats_uniform
+    ):
+        # On m < n the optimizer improves the range-restricted rate that
+        # diagnose reports: 5.5157e-3 (lambda) and 0.99459 (norm) at uniform p.
+        inst = str(tmp_path / "inst")
+        assert run_cli(["generate", "--kind", "underdetermined", "--seed", "1",
+                        "--out", inst]) == 0
+        opt_dir = str(tmp_path / "opt")
+        assert run_cli(["optimize", "--system-dir", inst, "--objective", objective,
+                        "--iters", "200", "--step", "0.1", "--out", opt_dir]) == 0
+        _, rows = read_csv(os.path.join(opt_dir, "history.csv"))
+        best = pick(row[1] for row in rows)
+        assert beats_uniform(best)
+        capsys.readouterr()
+        p_opt = "file:" + os.path.join(opt_dir, "p_opt.csv")
+        assert run_cli(["diagnose", "--system-dir", inst, "--p", p_opt]) == 0
+        report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert report["restricted"] == "true"
+        assert float(report[objective]) == pytest.approx(best, rel=0, abs=1e-12)
+
     def test_history_best_so_far_monotone_norm(self, tmp_path):
         out = str(tmp_path / "sys")
         run_cli(["generate", "--kind", "probopt", "--m", "30", "--n", "10",
@@ -461,6 +486,24 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "invalid input" in err and name in err, argv
             assert not os.path.exists(out), argv
+
+    def test_rank_deficient_ct_is_numeric_failure(self, tmp_path, capsys):
+        # The CT forward rows are rank deficient, so neither the restricted
+        # rates nor their optimization are defined.
+        inst = str(tmp_path / "ct")
+        assert run_cli(["generate", "--kind", "ct", "--grid", "16", "--angle-step", "10",
+                        "--rays", "24", "--out", inst]) == 0
+        out = tmp_path / "opt"
+        for argv in (
+            ["diagnose", "--system-dir", inst],
+            ["optimize", "--system-dir", inst, "--iters", "3", "--out", str(out)],
+        ):
+            capsys.readouterr()
+            assert run_cli(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                "numeric failure: matrix a does not have full row rank (rank 128 < 132)\n"
+            ), argv
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["experiment", "--name", "ct", "--m", "100"], "--m"),

@@ -6,12 +6,13 @@ import pytest
 from kaczmarz_mismatch import diagnostics, experiments, problems, probopt
 from kaczmarz_mismatch.diagnostics import (
     CSV_COLUMNS,
+    ExpectationOperator,
     RateDiagnostics,
+    analysis_rows,
     compute_diagnostics,
     expectation_operator,
     inconsistent_bound,
     noise_gamma,
-    restricted_diagnostics,
 )
 from kaczmarz_mismatch.errors import (
     DimensionError,
@@ -37,8 +38,6 @@ from kaczmarz_mismatch.problems import (
     mismatch_threshold,
 )
 from kaczmarz_mismatch.solver import StepRule, make_system
-
-import oracles
 
 
 def thresholded_instance(m, n, tau, seed):
@@ -201,8 +200,7 @@ class TestExpectationOperator:
         )
         p = row_norm_probabilities(sys)
         op = expectation_operator(sys, p)
-        pair = op.pair
-        a, v = oracles.dense(sys.a), oracles.dense(sys.v)  # the ct pair is CSR
+        a, v, pair = op.a, op.v, op.pair  # coordinates (A Z, V Z) when m < n
         vtda = v.T @ (pair.d[:, None] * a)
         w = vtda + vtda.T - a.T @ ((pair.s * pair.d)[:, None] * a)
         assert np.linalg.norm(op.vtda - vtda) <= 1e-13 * np.linalg.norm(vtda)
@@ -221,21 +219,22 @@ class TestExpectationOperator:
 
     @pytest.mark.parametrize("k", [1, 5])  # 1 and m - 1 entries
     @pytest.mark.parametrize(
-        "evaluate",
+        "read",
         [
-            expectation_operator,
+            lambda op: op,
             probopt.lambda_objective,
             probopt.norm_objective,
             probopt.supergradient_lambda,
             probopt.subgradient_norm,
         ],
-        ids=lambda f: f.__name__,
+        ids=["expectation_operator", "lambda_objective", "norm_objective",
+             "supergradient_lambda", "subgradient_norm"],
     )
-    def test_rejects_p_of_wrong_length(self, evaluate, k):
+    def test_rejects_p_of_wrong_length(self, read, k):
         # A short p on the simplex would broadcast against omega unchecked.
         sys = thresholded_instance(6, 3, 0.2, 5)
         with pytest.raises(DimensionError):
-            evaluate(sys, np.full(k, 1.0 / k))
+            read(expectation_operator(sys, np.full(k, 1.0 / k)))
 
 
 class TestNormCrossCheck:
@@ -245,11 +244,8 @@ class TestNormCrossCheck:
     def test_norm_matches_svd_and_gram_radius(self, name):
         sys = pipeline_instance(name)
         p = row_norm_probabilities(sys)
-        vtda = expectation_operator(sys, p).vtda
-        m = np.eye(sys.n) - vtda
-        if sys.m < sys.n:  # fig3: the range-restricted matrix
-            z = orthonormal_range_basis(sys.v.T)
-            m = np.eye(z.shape[1]) - z.T @ vtda @ z
+        vtda = expectation_operator(sys, p).vtda  # fig3: range-restricted, m x m
+        m = np.eye(vtda.shape[0]) - vtda
         sigma = top_singular_triplet(m).sigma
         assert sigma == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
         assert sigma**2 == pytest.approx(spectral_radius(m.T @ m), rel=1e-12)
@@ -334,26 +330,31 @@ class TestNoiseQuantities:
 
 class TestRestricted:
     def test_square_invertible_matches_unrestricted(self):
+        # For m = n the coordinates in an orthonormal basis Z of rg V^T = R^n
+        # give the plain rates.
         a = gen_gaussian(6, 6, 9)
         sys = assemble_consistent(a, mismatch_threshold(a, 0.3), 9)
         p = row_norm_probabilities(sys)
-        res = restricted_diagnostics(sys, p)
         plain = compute_diagnostics(sys, p)
-        assert res.restricted and not plain.restricted
-        assert res.lam == pytest.approx(plain.lam, abs=1e-8)
-        assert res.rho_asymptotic == pytest.approx(plain.rho_asymptotic, abs=1e-8)
+        assert not plain.restricted
+        z = orthonormal_range_basis(sys.v.T)
+        op = ExpectationOperator(sys.a @ z, sys.v @ z, expectation_operator(sys, p).pair)
+        assert symmetric_eig_min(op.w)[0] == pytest.approx(plain.lam, abs=1e-8)
+        rho = spectral_radius(np.eye(6) - op.vtda)
+        assert rho == pytest.approx(plain.rho_asymptotic, abs=1e-8)
 
     def test_single_row_exact_projection(self):
         sys = make_system(
             np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.zeros(1)
         )
-        res = restricted_diagnostics(sys, np.array([1.0]))
+        res = compute_diagnostics(sys, np.array([1.0]))
+        assert res.restricted
         assert res.lam == pytest.approx(1.0, abs=1e-12)
         assert res.rho_asymptotic == pytest.approx(0.0, abs=1e-12)
 
     def test_wide_instance_positive_lambda(self):
         sys = assemble_underdetermined(100, 500, 0.3, 3)
-        res = restricted_diagnostics(sys, np.full(100, 0.01))
+        res = compute_diagnostics(sys, np.full(100, 0.01))
         assert res.lam > 0
         assert res.rho_asymptotic < 1
 
@@ -367,12 +368,17 @@ class TestRestricted:
         # from the n x n matrices, on fig3's default instance.
         sys = pipeline_instance("fig3")
         p = row_norm_probabilities(sys)
-        z = orthonormal_range_basis(sys.v.T)
         op = expectation_operator(sys, p, rule)
-        w = z.T @ op.w @ z
-        m_mat = np.eye(sys.m) - z.T @ op.vtda @ z
-        res = restricted_diagnostics(sys, p, rule)
-        assert res.lam == pytest.approx(symmetric_eig_min(w)[0], abs=1e-12)
+        pair = op.pair
+        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
+        w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+        z = orthonormal_range_basis(sys.v.T)
+        w_z = z.T @ w @ z
+        m_mat = np.eye(sys.m) - z.T @ vtda @ z
+        assert np.linalg.norm(op.w - w_z) <= 1e-13 * np.linalg.norm(w_z)
+        res = compute_diagnostics(sys, p, rule)
+        assert res.restricted
+        assert res.lam == pytest.approx(symmetric_eig_min(w_z)[0], abs=1e-12)
         assert res.rho_asymptotic == pytest.approx(spectral_radius(m_mat), abs=1e-12)
         assert res.norm_expectation == pytest.approx(
             top_singular_triplet(m_mat).sigma, abs=1e-12
@@ -383,22 +389,26 @@ class TestRestricted:
         p = row_norm_probabilities(sys)
         tracemalloc.start()
         try:
-            restricted_diagnostics(sys, p)
+            compute_diagnostics(sys, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * sys.n**2  # one n x n float64 matrix
 
-    def test_rejects_tall_systems(self):
+    def test_tall_system_reads_dense_rows(self):
+        # m >= n: the analysis reads the system's own dense arrays, so the
+        # unrestricted rates are unchanged bit for bit.
         sys = thresholded_instance(20, 5, 0.5, 10)
-        with pytest.raises(InvalidInputError):
-            restricted_diagnostics(sys, row_norm_probabilities(sys))
+        a, v = analysis_rows(sys)
+        assert a is sys.dense[0] and v is sys.dense[1]
+        op = expectation_operator(sys, row_norm_probabilities(sys))
+        assert op.a is a and op.v is v
 
     def test_rejects_rank_deficient_rows(self):
         a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         sys = make_system(a, a, np.zeros(2))
-        with pytest.raises(RankDeficiencyError):
-            restricted_diagnostics(sys, np.array([0.5, 0.5]))
+        with pytest.raises(RankDeficiencyError, match="matrix a does not have full row rank"):
+            compute_diagnostics(sys, np.array([0.5, 0.5]))
 
 
 class TestAssembledDiagnostics:

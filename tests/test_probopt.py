@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kaczmarz_mismatch import probopt
-from kaczmarz_mismatch.errors import InvalidInputError
+from kaczmarz_mismatch import diagnostics
+from kaczmarz_mismatch.diagnostics import analysis_rows, expectation_operator
+from kaczmarz_mismatch.errors import InvalidInputError, NumericError
 from kaczmarz_mismatch.probopt import (
     Objective,
     ProbOptConfig,
@@ -21,6 +22,7 @@ from kaczmarz_mismatch.probopt import (
 )
 from kaczmarz_mismatch.problems import (
     assemble_scaled_for_probopt,
+    assemble_underdetermined,
     gen_gaussian,
     mismatch_threshold,
 )
@@ -39,6 +41,14 @@ def random_simplex(rng, m, size=None):
     return rng.dirichlet(np.ones(m), size=size)
 
 
+def lam_at(sys, p, rule=StepRule.OBLIQUE_EXACT):
+    return lambda_objective(expectation_operator(sys, p, rule))
+
+
+def norm_at(sys, p, rule=StepRule.OBLIQUE_EXACT):
+    return norm_objective(expectation_operator(sys, p, rule))
+
+
 @st.composite
 def norm_subgradient_cases(draw):
     """(system, p, static rule, probe generator) for the norm subgradient.
@@ -55,6 +65,25 @@ def norm_subgradient_cases(draw):
     m = draw(st.integers(2, 12))
     sys = mismatched_instance(m, draw(st.integers(1, 8)), draw(st.floats(0.0, 1.0)), seed)
     return sys, random_simplex(rng, m), rule, rng
+
+
+@st.composite
+def wide_cases(draw):
+    """(system, p, static rule, probe generator) on a wide thresholded system.
+
+    A and V have full row rank and A V^T is nonsingular, so the objectives
+    are the restricted ones, read on the coordinates (A Z, V Z).
+    """
+    rule = draw(st.sampled_from([rule for rule in StepRule if rule.is_static]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(3, 10))
+    sys = mismatched_instance(draw(st.integers(2, n - 1)), n, draw(st.floats(0.0, 1.0)), seed)
+    try:
+        analysis_rows(sys)
+    except NumericError:
+        assume(False)  # thresholding cost V its rank, or made A V^T singular
+    rng = np.random.default_rng(seed)
+    return sys, random_simplex(rng, sys.m), rule, rng
 
 
 class TestProjectSimplex:
@@ -162,7 +191,7 @@ class TestSupergradientLambda:
         # A = V = I2, p = (0.3, 0.7): W = diag(0.3, 0.7), minimal eigenvector
         # e1, supergradient (1, 0).
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
-        g, degenerate, _ = supergradient_lambda(sys, np.array([0.3, 0.7]))
+        g, degenerate, _ = supergradient_lambda(expectation_operator(sys, np.array([0.3, 0.7])))
         np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-12)
         assert not degenerate
 
@@ -171,10 +200,10 @@ class TestSupergradientLambda:
         for seed in range(5):
             sys = mismatched_instance(8, 5, 0.4, seed)
             p = random_simplex(rng, 8)
-            f_p = lambda_objective(sys, p)
-            g, _, _ = supergradient_lambda(sys, p)
+            f_p = lam_at(sys, p)
+            g, _, _ = supergradient_lambda(expectation_operator(sys, p))
             for q in random_simplex(rng, 8, size=200):
-                assert lambda_objective(sys, q) <= f_p + g @ (q - p) + 1e-10
+                assert lam_at(sys, q) <= f_p + g @ (q - p) + 1e-10
 
     def test_finite_difference_match(self):
         rng = np.random.default_rng(5)
@@ -184,7 +213,7 @@ class TestSupergradientLambda:
             seed += 1
             sys = mismatched_instance(8, 5, 0.4, seed)
             p = random_simplex(rng, 8)
-            g, degenerate, _ = supergradient_lambda(sys, p)
+            g, degenerate, _ = supergradient_lambda(expectation_operator(sys, p))
             if degenerate:
                 continue
             q = random_simplex(rng, 8)
@@ -192,7 +221,7 @@ class TestSupergradientLambda:
             if abs(dd_exact) < 1e-6:
                 continue
             h = 1e-6
-            dd_fd = (lambda_objective(sys, p + h * (q - p)) - lambda_objective(sys, p)) / h
+            dd_fd = (lam_at(sys, p + h * (q - p)) - lam_at(sys, p)) / h
             assert dd_fd == pytest.approx(dd_exact, rel=1e-4)
             checked += 1
 
@@ -201,10 +230,8 @@ class TestSupergradientLambda:
         sys = mismatched_instance(10, 6, 0.4, 7)
         for _ in range(100):
             p, q = random_simplex(rng, 10, size=2)
-            mid = lambda_objective(sys, 0.5 * (p + q))
-            assert mid >= 0.5 * (
-                lambda_objective(sys, p) + lambda_objective(sys, q)
-            ) - 1e-10
+            mid = lam_at(sys, 0.5 * (p + q))
+            assert mid >= 0.5 * (lam_at(sys, p) + lam_at(sys, q)) - 1e-10
 
 
 class TestSubgradientNorm:
@@ -214,24 +241,24 @@ class TestSubgradientNorm:
         # coordinates of each row over its squared norm.
         sys = make_system(np.eye(2), np.eye(2), np.zeros(2))
         p = np.array([0.5, 0.5])
-        g, _, _ = subgradient_norm(sys, p)
+        g, _, _ = subgradient_norm(expectation_operator(sys, p))
         # The singular pair fixes the sign, so even this fully tied point
         # gets a genuine subgradient.
         rng = np.random.default_rng(8)
-        f_p = norm_objective(sys, p)
+        f_p = norm_at(sys, p)
         for q in random_simplex(rng, 2, size=100):
-            assert norm_objective(sys, q) >= f_p + g @ (q - p) - 1e-8
+            assert norm_at(sys, q) >= f_p + g @ (q - p) - 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(norm_subgradient_cases())
     def test_convexity_underestimate(self, case):
         sys, p, rule, rng = case
-        g, _, value = subgradient_norm(sys, p, rule)
-        f_p = norm_objective(sys, p, rule)
+        g, _, value = subgradient_norm(expectation_operator(sys, p, rule))
+        f_p = norm_at(sys, p, rule)
         assert value == f_p
         probes = np.vstack([np.eye(sys.m), random_simplex(rng, sys.m, size=100)])
         for q in probes:
-            assert norm_objective(sys, q, rule) >= f_p + g @ (q - p) - 1e-8
+            assert norm_at(sys, q, rule) >= f_p + g @ (q - p) - 1e-8
 
     def test_finite_difference_match(self):
         rng = np.random.default_rng(10)
@@ -241,7 +268,7 @@ class TestSubgradientNorm:
             seed += 1
             sys = mismatched_instance(8, 5, 0.4, 40 + seed)
             p = random_simplex(rng, 8)
-            g, degenerate, _ = subgradient_norm(sys, p)
+            g, degenerate, _ = subgradient_norm(expectation_operator(sys, p))
             if degenerate:
                 continue
             q = random_simplex(rng, 8)
@@ -249,7 +276,7 @@ class TestSubgradientNorm:
             if abs(dd_exact) < 1e-6:
                 continue
             h = 1e-6
-            dd_fd = (norm_objective(sys, p + h * (q - p)) - norm_objective(sys, p)) / h
+            dd_fd = (norm_at(sys, p + h * (q - p)) - norm_at(sys, p)) / h
             assert dd_fd == pytest.approx(dd_exact, rel=1e-4)
             checked += 1
 
@@ -258,37 +285,51 @@ class TestSubgradientNorm:
         sys = mismatched_instance(10, 6, 0.4, 60)
         for _ in range(100):
             p, q = random_simplex(rng, 10, size=2)
-            mid = norm_objective(sys, 0.5 * (p + q))
-            assert mid <= 0.5 * (
-                norm_objective(sys, p) + norm_objective(sys, q)
-            ) + 1e-10
+            mid = norm_at(sys, 0.5 * (p + q))
+            assert mid <= 0.5 * (norm_at(sys, p) + norm_at(sys, q)) + 1e-10
+
+
+class TestRestrictedGradients:
+    """On m < n both gradients are those of the restricted objectives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_cases())
+    def test_central_differences_and_gradient_inequality(self, case):
+        sys, p, rule, rng = case
+        probes = np.vstack([np.eye(sys.m), random_simplex(rng, sys.m, size=30)])
+        q = random_simplex(rng, sys.m)
+        h = 1e-6
+        # sign = +1: a supergradient of a concave objective; -1: a subgradient
+        # of a convex one.
+        for at, gradient, sign in (
+            (lam_at, supergradient_lambda, 1.0),
+            (norm_at, subgradient_norm, -1.0),
+        ):
+            g, degenerate, value = gradient(expectation_operator(sys, p, rule))
+            assert value == at(sys, p, rule)
+            for r in probes:
+                assert sign * (at(sys, r, rule) - value - g @ (r - p)) <= 1e-8
+            if not degenerate:
+                forward, backward = p + h * (q - p), p - h * (q - p)
+                fd = (at(sys, forward, rule) - at(sys, backward, rule)) / (2 * h)
+                assert fd == pytest.approx(g @ (q - p), rel=1e-4, abs=1e-7)
 
 
 class TestOneMatrixPerObjective:
     """Each objective's gradient forms only the expectation matrix it reads."""
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        ops = []
-        build = probopt.expectation_operator
-
-        def recorded(*args, **kwargs):
-            ops.append(build(*args, **kwargs))
-            return ops[-1]
-
-        monkeypatch.setattr(probopt, "expectation_operator", recorded)
-        return ops
-
-    def test_supergradient_never_forms_vtda(self, built):
+    def test_supergradient_never_forms_vtda(self):
         sys = mismatched_instance(12, 5, 0.4, 71)
-        supergradient_lambda(sys, np.full(12, 1 / 12))
-        lambda_objective(sys, np.full(12, 1 / 12))
-        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in built] == [["w"], ["w"]]
+        ops = [expectation_operator(sys, np.full(12, 1 / 12)) for _ in range(2)]
+        supergradient_lambda(ops[0])
+        lambda_objective(ops[1])
+        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in ops] == [["w"], ["w"]]
 
-    def test_subgradient_never_forms_w(self, built):
+    def test_subgradient_never_forms_w(self):
         sys = mismatched_instance(12, 5, 0.4, 72)
-        subgradient_norm(sys, np.full(12, 1 / 12))
-        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in built] == [["vtda"]]
+        op = expectation_operator(sys, np.full(12, 1 / 12))
+        subgradient_norm(op)
+        assert sorted(vars(op).keys() & {"vtda", "w"}) == ["vtda"]
 
 
 class TestOptimize:
@@ -302,7 +343,7 @@ class TestOptimize:
 
     def test_lambda_ascent_beats_uniform(self):
         sys = assemble_scaled_for_probopt(60, 20, 0.05, 62)
-        uniform_lambda = lambda_objective(sys, np.full(60, 1 / 60))
+        uniform_lambda = lam_at(sys, np.full(60, 1 / 60))
         cfg = ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=300)
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         assert result.best_objective >= uniform_lambda - 1e-12
@@ -310,7 +351,7 @@ class TestOptimize:
 
     def test_norm_descent_beats_uniform(self):
         sys = assemble_scaled_for_probopt(60, 20, 0.05, 63)
-        uniform_norm = norm_objective(sys, np.full(60, 1 / 60))
+        uniform_norm = norm_at(sys, np.full(60, 1 / 60))
         cfg = ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=300)
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         assert result.best_objective <= uniform_norm + 1e-12
@@ -355,9 +396,25 @@ class TestOptimize:
         cfg = ProbOptConfig(objective=objective, iterations=25)
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         assert 0 < better(result.objective_evals) < 25  # best is a middle iterate
-        assert result.best_objective == evaluate(sys, result.best_p)
+        assert result.best_objective == evaluate(expectation_operator(sys, result.best_p))
         assert result.best_iteration == better(result.objective_evals)
-        assert result.objective_evals[0] == evaluate(sys, np.full(20, 1 / 20))
+        uniform = expectation_operator(sys, np.full(20, 1 / 20))
+        assert result.objective_evals[0] == evaluate(uniform)
+
+    def test_wide_rows_formed_once_per_call(self, monkeypatch):
+        calls = {"orthonormal_range_basis": 0, "is_invertible": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(diagnostics, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(diagnostics, name, counted)
+        sys = assemble_underdetermined(20, 60, 0.3, 11)
+        for objective in Objective:
+            cfg = ProbOptConfig(objective=objective, iterations=25)
+            optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+        # Two range bases and one invertibility check per call, none per iterate.
+        assert calls == {"orthonormal_range_basis": 4, "is_invertible": 2}
 
     def test_requires_two_rows(self):
         sys = make_system(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
