@@ -34,7 +34,7 @@ asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -140,19 +140,49 @@ def _scaling(sys, p, rule):
     return ScalingPair(d=p * omega, s=omega * sys.row_norms_sq("v"), omega=omega)
 
 
+class _WBuffers:
+    """Y = 2V - S A of one set of rows and steps, and the buffers W is built in.
+
+    W = sym(G) with G = A^T (D Y): its 2 A^T D V term symmetrizes to
+    V^T D A + A^T D V, and A^T S D A is symmetric.  Y depends on the rows
+    and the step sizes only, so operators that differ in D alone can share
+    it.  Y and the buffers are made on the first ``w_of``.
+    """
+
+    def __init__(self, a: np.ndarray, v: np.ndarray, s: np.ndarray):
+        self.a, self.v, self.s = a, v, s
+        self.y = None
+
+    def w_of(self, d: np.ndarray) -> np.ndarray:
+        """W for the diagonal ``d`` of D, written over the previous one."""
+        if self.y is None:
+            self.y = 2.0 * self.v
+            self.y -= self.s[:, None] * self.a
+            self.rows = np.empty_like(self.y)
+            self.g = np.empty((self.a.shape[1], self.a.shape[1]))
+            self.w = np.empty_like(self.g)
+        np.multiply(self.y, d[:, None], out=self.rows)
+        np.matmul(self.a.T, self.rows, out=self.g)
+        np.add(self.g, self.g.T, out=self.w)
+        self.w *= 0.5
+        return self.w
+
+
 class ExpectationOperator:
     """The two expectation matrices of rows ``a``, ``v`` under a scaling pair.
 
     ``vtda`` (V^T D A) and ``w`` (W = V^T D A + A^T D V - A^T S D A) are
     each formed on first read, by one matrix product, and kept.  ``a`` and
     ``v`` are the system's rows, or their coordinates in a basis of a
-    subspace that holds every v_i.
+    subspace that holds every v_i.  ``with_probabilities`` gives the
+    operator of another row distribution on the same rows and steps.
     """
 
     def __init__(self, a: np.ndarray, v: np.ndarray, pair: ScalingPair):
         self.a = a
         self.v = v
         self.pair = pair
+        self._w_buffers: _WBuffers | None = None  # set by with_probabilities
 
     @cached_property
     def vtda(self) -> np.ndarray:
@@ -160,14 +190,26 @@ class ExpectationOperator:
 
     @cached_property
     def w(self) -> np.ndarray:
-        # A^T D (2V - S A) has symmetric part W: its 2 A^T D V term
-        # symmetrizes to V^T D A + A^T D V, and A^T S D A is symmetric.
-        a, pair = self.a, self.pair
-        rows = 2.0 * self.v
-        rows -= pair.s[:, None] * a
-        rows *= pair.d[:, None]
-        g = a.T @ rows
-        return 0.5 * (g + g.T)
+        buffers = self._w_buffers
+        if buffers is None:  # a lone operator: only W outlives these buffers
+            buffers = _WBuffers(self.a, self.v, self.pair.s)
+        return buffers.w_of(self.pair.d)
+
+    def with_probabilities(self, p: np.ndarray) -> ExpectationOperator:
+        """The operator of distribution ``p`` on these rows and step sizes.
+
+        Only D = diag(p_i omega_i) changes.  From the first call on, this
+        operator and those made from it by this method (and from those)
+        build ``w`` in one set of buffers, with Y = 2V - S A formed once, so
+        each ``w`` read overwrites the one read before.  For a caller that
+        moves from one distribution to the next, such as
+        ``probopt.optimize_probabilities``.
+        """
+        if self._w_buffers is None:
+            self._w_buffers = _WBuffers(self.a, self.v, self.pair.s)
+        op = ExpectationOperator(self.a, self.v, replace(self.pair, d=p * self.pair.omega))
+        op._w_buffers = self._w_buffers
+        return op
 
 
 def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:

@@ -237,10 +237,7 @@ def experiment_ct(out_dir, command="experiment ct", **params):
     seed, instance, own, sys = _setup("ct", params)
     cfg = SolverConfig(max_iterations=own["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    # On the dense rows the mismatched solve makes anyway: the matched pair
-    # then adds no third m x n matrix.
-    a = sys.dense[0]
-    sys_matched = make_system(a, a, sys.b, truth=sys.truth)
+    sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
 
     trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
     trace_matched = run(sys_matched, probability_scheme(sys_matched, "rownorm-a"), cfg)

@@ -12,20 +12,22 @@ Both objectives and their gradients read an ``ExpectationOperator`` from
 the optimizer improves the rates ``diagnose`` reports.  The gradient
 formulas hold unchanged in coordinates, because <Z^T a_i, y> = <a_i, Z y>.
 ``optimize_probabilities`` forms the rows once and one operator per
-iterate.  The lambda side forms only W and solves only for its two lowest
-eigenpairs (``symmetric_eigensystem``, which also decides the tie flag), the
-norm side forms only V^T D A and solves only for the top singular pair of
-I - V^T D A.  Each gradient also returns the objective value from its own
-factorization, so the optimizer factors once per iterate.  The sign of the
-norm subgradient is fixed by that singular pair, so the optimizer draws no
-random numbers; the inequality it rests on is checked in the tests.
+iterate; W's rows 2V - S A are formed once too, and each iterate's W is
+built in the same buffers.  The lambda side forms only W and solves only
+for its two lowest eigenpairs (``symmetric_eigensystem``, which also
+decides the tie flag), the norm side forms only V^T D A and solves only for
+the top singular pair of I - V^T D A.  Each gradient also returns the
+objective value from its own factorization, so the optimizer factors once
+per iterate.  The sign of the norm subgradient is fixed by that singular
+pair, so the optimizer draws no random numbers; the inequality it rests on
+is checked in the tests.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,7 +156,8 @@ def optimize_probabilities(
     evaluate = lambda_objective if maximizing else norm_objective
 
     p = np.full(sys.m, 1.0 / sys.m)
-    op = expectation_operator(sys, p, rule)  # forms the analysis rows once
+    # Forms the analysis rows once; each iterate's operator is made from it.
+    start = expectation_operator(sys, p, rule)
     values: list[float] = []
     best_p = best_value = None
     best_iteration = 0
@@ -167,15 +170,13 @@ def optimize_probabilities(
         values.append(value)
 
     for k in range(cfg.iterations):
-        g, degenerate, value = gradient(op)
+        g, degenerate, value = gradient(start.with_probabilities(p))
         record(p, value)
         if degenerate:
             degenerate_iterations.append(k)
         step = cfg.step_at(k) * g
         p = project_simplex(p + step if maximizing else p - step)
-        # Only D = diag(p_i omega_i) depends on p.
-        op = ExpectationOperator(op.a, op.v, replace(op.pair, d=p * op.pair.omega))
-    record(p, evaluate(op))
+    record(p, evaluate(start.with_probabilities(p)))
 
     return ProbOptResult(
         best_p=best_p,

@@ -13,16 +13,24 @@ in use: b, or b plus the stored noise vector for inconsistent systems.
 ``_sweep`` is the one implementation of the update: ``run`` and
 ``run_replicates`` call it through ``_run``, the logged iteration on one
 random stream.  A static-rule step is one BLAS ``ddot`` and one ``daxpy`` on
-``x`` in place, on dense rows.
+the iterate in place.
+
+The kernel reads each row as its span: the row's values from its first
+stored column to its last, with the view of ``x`` over the same columns.
+``SystemPair.kernel_rows`` makes them once per system.  A dense row is its
+own span over all of ``x``, so a dense system makes exactly the BLAS calls
+of a kernel on whole rows.  The spans of a CSR operator are views into one
+packed buffer; on the tomography pair they hold about half of what the dense
+rows would, and the kernel reads no column outside them.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
 Validation, the pairing and row norms, the starting point and the logged
-residuals run on either kind, on CSR over the stored entries only; the dense
-rows the kernel reads are made once per system, by ``SystemPair.dense``.
-Sums over stored entries can differ from dense sums in the last bits, so a
-CSR system and its dense form can give different traces; reruns of either
-are byte-identical.
+residuals run on either kind, on CSR over the stored entries only; only the
+expectation analysis reads dense rows, made by ``SystemPair.dense``.  Sums
+over stored entries or over spans can differ from dense sums in the last
+bits, so a CSR system and its dense form can give different traces; reruns
+of either are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +58,52 @@ ADAPTIVE_RESIDUAL_FLOOR = 1e-14
 # fixed, so the row sequence depends on the seed alone, not on the iteration
 # count or the logging stride.
 ROW_BLOCK = 1024
+
+
+@dataclass(frozen=True)
+class RowSpans:
+    """One operator's rows as the row kernel reads them.
+
+    ``values[i]`` holds row i's values from its first stored column to its
+    last: the columns ``cols[i]`` of the iterate, ``widths[i]`` of them.  A
+    dense operator's spans are its rows, and ``cols`` is None: each span
+    covers the whole iterate.
+    """
+
+    values: list[np.ndarray]
+    widths: list[int]
+    cols: list[slice] | None = None
+
+    def views(self, x: np.ndarray) -> list[np.ndarray]:
+        """The part of ``x`` under each span: views, so updating one updates ``x``."""
+        if self.cols is None:
+            return [x] * len(self.values)
+        return [x[c] for c in self.cols]
+
+
+def _row_spans(rows) -> RowSpans:
+    """The spans of dense or CSR ``rows``; on CSR, views into one packed buffer.
+
+    Each CSR row needs a stored entry (``make_system`` rejects a row without
+    one, since its pairing is 0).  Stored zeros count as stored: a span runs
+    from the first stored column to the last, whatever their values.
+    """
+    m, n = rows.shape
+    if not scipy.sparse.issparse(rows):
+        return RowSpans(values=list(rows), widths=[n] * m)
+    indptr, indices = rows.indptr, rows.indices
+    first = indices[indptr[:-1]].astype(np.intp)
+    end = indices[indptr[1:] - 1].astype(np.intp) + 1
+    start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(end - first, out=start[1:])
+    packed = np.zeros(start[-1])
+    packed[np.repeat(start[:-1] - first, np.diff(indptr)) + indices] = rows.data
+    bounds = start.tolist()
+    return RowSpans(
+        values=[packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+        widths=(end - first).tolist(),
+        cols=[slice(lo, hi) for lo, hi in zip(first.tolist(), end.tolist())],
+    )
 
 
 class StepRule(enum.Enum):
@@ -105,11 +159,22 @@ class SystemPair:
         return _row_dots(rows, rows)
 
     @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, v) as dense arrays, for the row kernel and the expectation matrices.
+    def kernel_rows(self) -> tuple[RowSpans, RowSpans]:
+        """The spans of (a, v) the row kernel reads, made on first read and kept.
 
-        Dense operators are returned as they are.  CSR ones are made dense
-        here, on first read, and kept: one array for both when ``v is a``.
+        One ``RowSpans`` for both when ``v is a``.
+        """
+        a = _row_spans(self.a)
+        return a, a if self.v is self.a else _row_spans(self.v)
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, v) as dense arrays, for the expectation analysis.
+
+        Only ``diagnostics.analysis_rows`` reads them; the solver reads
+        ``kernel_rows``.  Dense operators are returned as they are.  CSR ones
+        are made dense here, on first read, and kept: one array for both
+        when ``v is a``.
         """
         if not scipy.sparse.issparse(self.a):
             return self.a, self.v
@@ -247,28 +312,43 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
     return np.zeros(sys.n)
 
 
-def _sweep(x, a_rows, v_rows, omega, beta, rows):
-    """Apply the row updates for ``rows``, in order, to ``x`` in place.
+def _kernel(sys: SystemPair, x: np.ndarray):
+    """The arguments of ``_sweep`` for the iterate ``x``.
+
+    These are the spans of A with their views of ``x``, then the spans of V
+    with theirs and their widths.
+    """
+    a, v = sys.kernel_rows
+    a_x = a.views(x)
+    return a.values, a_x, v.values, a_x if v is a else v.views(x), v.widths
+
+
+def _sweep(kernel, omega, beta, rows):
+    """Apply the row updates for ``rows``, in order, to the iterate in place.
 
     Static rules (``omega`` holds the step sizes): x <- x - omega_i (<a_i, x> - beta_i) v_i.
     Adaptive rule (``omega`` is None): x <- x - (<v_i, x> - beta_i) / ||v_i||^2 v_i,
     skipped while |<a_i, x> - beta_i| <= ADAPTIVE_RESIDUAL_FLOOR.
 
-    ``x`` must be a contiguous float64 vector: ``daxpy`` silently updates a
-    copy of anything else.  ``omega`` is not folded into a scaled copy of V,
-    which would cost a third m x n matrix for a few percent per step.
+    ``kernel`` comes from ``_kernel``; each product runs over row i's span
+    and the view of x under it.  The iterate must be a contiguous float64
+    vector, so that each view is contiguous too: ``daxpy`` silently updates a
+    copy of anything else.  ``omega`` is not folded into scaled copies of the
+    V spans, which would cost a third copy of the rows for a few percent per
+    step.
     """
-    n = x.shape[0]  # passed positionally: daxpy parses keywords much more slowly
+    a_rows, a_x, v_rows, v_x, v_width = kernel
+    # daxpy's length is passed positionally: it parses keywords much more slowly.
     if omega is None:
         for i in rows:
             beta_i = beta[i]
-            if abs(ddot(a_rows[i], x) - beta_i) <= ADAPTIVE_RESIDUAL_FLOOR:
+            if abs(ddot(a_rows[i], a_x[i]) - beta_i) <= ADAPTIVE_RESIDUAL_FLOOR:
                 continue
-            v_i = v_rows[i]
-            daxpy(v_i, x, n, (beta_i - ddot(v_i, x)) / ddot(v_i, v_i))
+            v_i, x_i = v_rows[i], v_x[i]
+            daxpy(v_i, x_i, v_width[i], (beta_i - ddot(v_i, x_i)) / ddot(v_i, v_i))
     else:
         for i in rows:
-            daxpy(v_rows[i], x, n, omega[i] * (beta[i] - ddot(a_rows[i], x)))
+            daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
 
 
 def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
@@ -293,11 +373,11 @@ def _sampler(sys: SystemPair, p) -> DiscreteSampler:
 def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> Trace:
     """The logged iteration of ``run``, drawing rows from ``sampler`` with ``rng``."""
     omega = static_step_sizes(sys, cfg.rule).tolist() if cfg.rule.is_static else None
-    a_rows, v_rows = (list(rows) for rows in sys.dense)
     rhs = sys.rhs
     beta = rhs.tolist()
 
     x = initial_iterate(sys, cfg)
+    kernel = _kernel(sys, x)
     rhs_norm = np.linalg.norm(rhs)
     tol_abs = cfg.residual_tolerance * rhs_norm
     rows_visited = np.zeros(sys.m, dtype=np.int64)
@@ -328,7 +408,7 @@ def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> T
                 block = sampler.draw_array(rng, ROW_BLOCK)
                 used = 0
             segment = block[used:used + k_log - k]
-            _sweep(x, a_rows, v_rows, omega, beta, segment.tolist())
+            _sweep(kernel, omega, beta, segment.tolist())
             rows_visited += np.bincount(segment, minlength=sys.m)
             used += segment.size
             k += segment.size

@@ -27,7 +27,13 @@ from kaczmarz_mismatch.errors import (
 )
 from kaczmarz_mismatch.linalg import as_matrix, as_vector
 from kaczmarz_mismatch.sampling import check_probability_vector
-from kaczmarz_mismatch.solver import StepRule, _sweep, make_system, static_step_sizes
+from kaczmarz_mismatch.solver import (
+    StepRule,
+    _kernel,
+    _sweep,
+    make_system,
+    static_step_sizes,
+)
 
 
 def tridiagonalize(m):
@@ -331,10 +337,10 @@ def rkma_step(sys, x, i, rule=StepRule.OBLIQUE_EXACT):
     if not 0 <= i < sys.m:
         raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
     omega = [float(static_step_sizes(sys, rule)[i])] if rule.is_static else None
-    a, v = sys.dense
     x_new = x.copy()
-    # The kernel over the one-row system (a_i, v_i, beta_i).
-    _sweep(x_new, [a[i]], [v[i]], omega, [float(sys.rhs[i])], [0])
+    # The kernel over the one-row system: row i's spans and views of x_new.
+    one_row = tuple([part[i]] for part in _kernel(sys, x_new))
+    _sweep(one_row, omega, [float(sys.rhs[i])], [0])
     if not np.all(np.isfinite(x_new)):
         raise NumericError(f"non-finite iterate produced by row {i}")
     return x_new

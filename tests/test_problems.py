@@ -24,6 +24,7 @@ from kaczmarz_mismatch.problems import (
     parallel_beam_matrix,
     smooth_phantom,
 )
+from kaczmarz_mismatch.solver import SolverConfig, run
 
 import oracles
 
@@ -388,9 +389,25 @@ class TestCtMemory:
             tracemalloc.stop()
         assert peak <= sys.m * sys.n * 8
 
-    def test_ct_experiment_holds_two_dense_operators(self, tmp_path):
-        # The mismatched solve makes A and V dense; the matched one reuses
-        # that A. The peak is 2.3 m x n matrices; a third one makes it 3.2.
+    def test_solve_holds_half_the_dense_pair(self):
+        # The kernel reads row spans, about half the dense pair at grid 32;
+        # the peak is 0.55 of it. Dense rows for the kernel make it >= 1.
+        warm = build_ct_instance(8, 30.0, 9, 4)
+        run(warm, experiments.probability_scheme(warm, "pairing"), SolverConfig(max_iterations=10))
+        sys = build_ct_instance(32, 5.0, 90, 4)
+        p = experiments.probability_scheme(sys, "pairing")
+        tracemalloc.start()
+        try:
+            run(sys, p, SolverConfig(max_iterations=sys.m, log_stride=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * (2 * sys.m * sys.n * 8)
+
+    def test_ct_experiment_makes_no_dense_operator(self, tmp_path):
+        # Both solves read row spans: those of A and V, then the matched
+        # pair's own spans of A. The peak is 1.8 m x n matrices; the dense
+        # A and V of either solve make it 2.3 or more.
         experiments.experiment_ct(str(tmp_path / "warm"), grid=8, rays=9, sweeps=1)
         tracemalloc.start()
         try:
@@ -399,7 +416,7 @@ class TestCtMemory:
         finally:
             tracemalloc.stop()
         sys = build_instance("ct", 4)
-        assert peak <= 2.5 * sys.m * sys.n * 8
+        assert peak <= 2.0 * sys.m * sys.n * 8
 
 
 class TestPhantom:

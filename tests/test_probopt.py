@@ -416,6 +416,36 @@ class TestOptimize:
         # Two range bases and one invertibility check per call, none per iterate.
         assert calls == {"orthonormal_range_basis": 4, "is_invertible": 2}
 
+    def test_w_rows_formed_once_per_call(self, monkeypatch):
+        made = []
+
+        def counted(*args, _original=diagnostics._WBuffers):
+            made.append(_original(*args))
+            return made[-1]
+
+        monkeypatch.setattr(diagnostics, "_WBuffers", counted)
+        sys = assemble_scaled_for_probopt(40, 15, 0.05, 65)
+        for objective, buffers in ((Objective.MAX_LAMBDA_MIN, 1), (Objective.MIN_SPECTRAL_NORM, 0)):
+            made.clear()
+            cfg = ProbOptConfig(objective=objective, iterations=25)
+            optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+            # 2V - S A once per call, and not at all where W is never read.
+            assert sum(b.y is not None for b in made) == buffers
+
+    def test_shared_w_buffers_give_the_fresh_w(self):
+        rng = np.random.default_rng(66)
+        sys = assemble_scaled_for_probopt(40, 15, 0.05, 66)
+        op = expectation_operator(sys, np.full(40, 1 / 40))
+        for _ in range(4):
+            p = project_simplex(rng.random(40))
+            op = op.with_probabilities(p)
+            fresh = expectation_operator(sys, p)
+            np.testing.assert_array_equal(op.w.view(np.int64), fresh.w.view(np.int64))
+            # W written out in plain numpy, in the same order of operations.
+            d, s = fresh.pair.d[:, None], fresh.pair.s[:, None]
+            g = op.a.T @ ((2.0 * op.v - s * op.a) * d)
+            np.testing.assert_array_equal(op.w.view(np.int64), (0.5 * (g + g.T)).view(np.int64))
+
     def test_requires_two_rows(self):
         sys = make_system(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
         with pytest.raises(InvalidInputError):

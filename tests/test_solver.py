@@ -19,6 +19,7 @@ from kaczmarz_mismatch.solver import (
     run,
     run_replicates,
     static_step_sizes,
+    _kernel,
     _run,
     _sweep,
 )
@@ -281,7 +282,7 @@ class TestKernel:
 
         x = x0.copy()
         omega = static_step_sizes(sys, rule).tolist() if rule.is_static else None
-        _sweep(x, list(sys.a), list(sys.v), omega, sys.rhs.tolist(), rows)
+        _sweep(_kernel(sys, x), omega, sys.rhs.tolist(), rows)
         composed = x0
         reference = x0
         for i in rows:
@@ -323,6 +324,122 @@ class TestKernel:
         # Rows drawn into the block but never applied are not counted.
         exact = run(sys, p, SolverConfig(max_iterations=steps, log_stride=steps, seed=2))
         np.testing.assert_array_equal(trace.rows_visited, exact.rows_visited)
+
+
+@st.composite
+def span_pair(draw):
+    """A random CSR pair (a, v), drawn row span by row span.
+
+    Row i of ``a`` stores its first and last span column (one entry when they
+    coincide) and about half of the columns between; row 0 spans every
+    column.  Row i of ``v`` stores a non-empty subset of the columns of row
+    i of ``a``, near those values, and small entries over a span of its own.
+    Either end of a span may hold a stored zero.
+    """
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def span():
+        lo = draw(st.integers(0, n - 1))
+        return lo, draw(st.integers(lo + 1, n))
+
+    def row(cols, values, zero_end):
+        order = np.argsort(cols)
+        cols, values = np.asarray(cols)[order], np.asarray(values, dtype=float)[order]
+        if zero_end != "none" and cols.size > 1:
+            values[0 if zero_end == "first" else -1] = 0.0
+        return cols, values
+
+    a_rows, v_rows = [], []
+    for i in range(m):
+        lo, hi = (0, n) if i == 0 else span()
+        inner = [c for c in range(lo + 1, hi - 1) if rng.random() < 0.5]
+        a_cols = sorted({lo, hi - 1, *inner})
+        a_vals = rng.standard_normal(len(a_cols))
+        a_rows.append(row(a_cols, a_vals, draw(st.sampled_from(["none", "first", "last"]))))
+        shared = sorted(rng.choice(a_cols, size=int(rng.integers(1, len(a_cols) + 1)),
+                                   replace=False).tolist())
+        v_lo, v_hi = span()
+        own = [c for c in range(v_lo, v_hi) if c not in shared
+               and (c in (v_lo, v_hi - 1) or rng.random() < 0.5)]
+        v_vals = [a_vals[a_cols.index(c)] + 0.3 * rng.standard_normal() for c in shared]
+        v_vals += (0.3 * rng.standard_normal(len(own))).tolist()
+        v_rows.append(row(shared + own, v_vals, draw(st.sampled_from(["none", "first", "last"]))))
+
+    def csr(rows):
+        indptr = np.cumsum([0] + [cols.size for cols, _ in rows])
+        return scipy.sparse.csr_array(
+            (np.concatenate([v for _, v in rows]), np.concatenate([c for c, _ in rows]), indptr),
+            shape=(m, n))
+
+    return csr(a_rows), csr(v_rows), rng
+
+
+class TestRowSpans:
+    """The kernel's spans of a CSR system against its dense form."""
+
+    @staticmethod
+    def systems(a, v, rng):
+        """The system on (a, v) and on its dense form, or None if either is rejected."""
+        truth = rng.standard_normal(a.shape[1])
+        try:
+            sparse = make_system(a, v, a @ truth, truth=truth)
+            return sparse, make_system(a.toarray(), v.toarray(), sparse.b, truth=truth)
+        except InvalidInputError:
+            return None
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_pair(), st.booleans())
+    def test_spans_are_the_stored_column_ranges(self, pair, matched):
+        a, v, rng = pair
+        systems = self.systems(a, a if matched else v, rng)
+        assume(systems is not None)
+        sys = systems[0]
+        a_spans, v_spans = sys.kernel_rows
+        assert (v_spans is a_spans) == matched
+        for spans, op in zip(sys.kernel_rows, (sys.a, sys.v)):
+            assert len({id(span.base) for span in spans.values}) == 1  # one packed buffer
+            dense = op.toarray()
+            for i in range(sys.m):
+                stored = op.indices[op.indptr[i]:op.indptr[i + 1]]
+                lo, hi = int(stored.min()), int(stored.max()) + 1
+                assert spans.cols[i] == slice(lo, hi)
+                assert spans.widths[i] == hi - lo
+                np.testing.assert_array_equal(spans.values[i], dense[i, lo:hi])
+
+    @settings(max_examples=80, deadline=None)
+    @given(span_pair(), st.sampled_from(ALL_RULES), st.data())
+    def test_span_update_writes_x_itself(self, pair, rule, data):
+        a, v, rng = pair
+        systems = self.systems(a, v, rng)
+        assume(systems is not None)
+        sys, dense = systems
+        i = data.draw(st.integers(0, sys.m - 1))
+        x0 = rng.standard_normal(sys.n)
+        x = x0.copy()
+        omega = static_step_sizes(sys, rule).tolist() if rule.is_static else None
+        _sweep(_kernel(sys, x), omega, sys.rhs.tolist(), [i])
+        outside = np.ones(sys.n, dtype=bool)
+        outside[sys.kernel_rows[1].cols[i]] = False
+        np.testing.assert_array_equal(x[outside], x0[outside])
+        expected = reference_step(dense, x0, i, rule)
+        scale = np.abs(x0).max() + np.abs(expected).max()
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_pair(), st.sampled_from([StepRule.OBLIQUE_EXACT, StepRule.ADAPTIVE_V_HYPERPLANE]),
+           st.integers(1, 60))
+    def test_run_matches_dense_form(self, pair, rule, iterations):
+        a, v, rng = pair
+        systems = self.systems(a, v, rng)
+        assume(systems is not None)
+        sparse, dense = systems
+        p = np.full(sparse.m, 1.0 / sparse.m)
+        cfg = SolverConfig(rule=rule, max_iterations=iterations, log_stride=7, seed=5)
+        got, want = run(sparse, p, cfg), run(dense, p, cfg)
+        scale = np.linalg.norm(sparse.truth) + max(want.error_norms)
+        np.testing.assert_allclose(got.final_x, want.final_x, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_array_equal(got.rows_visited, want.rows_visited)
 
 
 # Small integer entries keep every pairing cosine above 1/200 and the rounding
