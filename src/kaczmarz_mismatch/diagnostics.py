@@ -17,15 +17,18 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
 reads: the dense rows (A, V) when m >= n, the coordinates (A Z, V Z) when
 m < n.  ``ExpectationOperator`` forms V^T D A and W from those rows and a
 scaling pair, each on first use with one GEMM, W as sym(A^T D (2V - S A)),
-so a caller that reads one of them never pays for the other.
+so a caller that reads one of them never pays for the other; its
+``iteration_matrix`` is the one place I - V^T D A is built.
 ``expectation_operator`` builds it for (system, p, rule); on the
 coordinates its matrices are Z^T V^T D A Z and Z^T W Z, so the restricted
-analysis forms no n x n matrix.  ``_rate_diagnostics`` reads lambda, rho
-and the norm off it, ``compute_diagnostics`` returns them with the noise
-quantities in one ``RateDiagnostics`` record, and both objectives of
-``probopt`` read the same operator, so the optimizer improves the rates
-``diagnose`` reports.  The spectral norm is read off the top singular pair
-alone; its identity ||M||^2 = rho(M^T M) is checked in the tests.
+analysis forms no n x n matrix.  ``compute_diagnostics`` reads lambda, rho
+and the norm off it and returns them with the noise quantities in one
+``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
+operator with the same ``linalg`` calls (``symmetric_eigensystem`` for
+lambda, ``top_singular_triplet`` for the norm), so ``diagnose`` reports bit
+for bit the values the optimizer reached.  The spectral norm is read off
+the top singular pair alone; its identity ||M||^2 = rho(M^T M) is checked
+in the tests.
 
 The three rate expressions coincide for V = A; under mismatch they are
 generally different, and their empirical ordering is recorded but never
@@ -51,7 +54,7 @@ from .linalg import (
     lu_solve,
     orthonormal_range_basis,
     spectral_radius,
-    symmetric_eig_min,
+    symmetric_eigensystem,
     top_singular_triplet,
 )
 from .sampling import POSITIVITY_FLOOR, check_probability_vector
@@ -188,6 +191,10 @@ class ExpectationOperator:
     def vtda(self) -> np.ndarray:
         return self.v.T @ (self.pair.d[:, None] * self.a)
 
+    def iteration_matrix(self) -> np.ndarray:
+        """I - V^T D A, the map from e_k to E[e_{k+1}]; a new matrix per call."""
+        return np.eye(self.vtda.shape[0]) - self.vtda
+
     @cached_property
     def w(self) -> np.ndarray:
         buffers = self._w_buffers
@@ -277,19 +284,6 @@ def _fixed_point_error(sys, op) -> float:
     return float(np.linalg.norm(z))
 
 
-def _rate_diagnostics(p, op: ExpectationOperator, restricted) -> RateDiagnostics:
-    """lambda, rho and ||I - V^T D A|| from the matrices of ``op``."""
-    lam, _ = symmetric_eig_min(op.w)
-    m_mat = np.eye(op.vtda.shape[0]) - op.vtda
-    return RateDiagnostics(
-        lam=lam,
-        rho_asymptotic=spectral_radius(m_mat),
-        norm_expectation=top_singular_triplet(m_mat).sigma,
-        positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
-        restricted=restricted,
-    )
-
-
 def compute_diagnostics(
     sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
 ) -> RateDiagnostics:
@@ -302,7 +296,16 @@ def compute_diagnostics(
     """
     p = check_probability_vector(p)
     op = expectation_operator(sys, p, rule)
-    diag = _rate_diagnostics(p, op, restricted=sys.m < sys.n)
+    lam, _, _ = symmetric_eigensystem(op.w)
+    m_mat = op.iteration_matrix()
+    diag = RateDiagnostics(
+        lam=lam,
+        rho_asymptotic=spectral_radius(m_mat),
+        norm_expectation=top_singular_triplet(m_mat).sigma,
+        positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
+        restricted=sys.m < sys.n,
+    )
+    del m_mat  # not kept alive through the fixed-point LU
     if sys.noise is not None:
         diag.gamma = noise_gamma(sys)
         if sys.m >= sys.n:

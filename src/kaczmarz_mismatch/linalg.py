@@ -5,15 +5,17 @@ Matrices are plain float64 numpy arrays (row-major); vectors are 1-d arrays.
 for the operators that stay sparse from the ray tracer to the files.
 The heavy factorizations are delegated to LAPACK via numpy/scipy, wrapped
 behind small functions that pin down the contracts the rest of the package
-relies on (symmetrization policy, rank drop tolerance, pivot checks).
+relies on (symmetrization policy, tie test, rank drop tolerance, pivot
+checks).  It decides how each rate is read, for ``diagnose`` and the
+optimizer alike, so the two report the same bits: lambda_min by
+``symmetric_eigensystem``, the spectral norm by ``top_singular_triplet``.
 
 The symmetric and singular-value functions compute only the end of the
 spectrum they return, by LAPACK ``syevr`` over an index range:
-``symmetric_eig_min`` the lowest eigenpair, ``symmetric_eigensystem`` the
-lowest two (and lambda_max only when a tie test needs it), and
-``top_singular_triplet`` the top two eigenpairs of the smaller Gram matrix.
-Where syevr drops eigenvalues of a cluster that the range splits, the full
-decomposition is used instead.
+``symmetric_eigensystem`` the lowest two eigenpairs (and lambda_max only
+when its tie test needs it), and ``top_singular_triplet`` the top two
+eigenpairs of the smaller Gram matrix.  Where syevr drops eigenvalues of a
+cluster that the range splits, the full decomposition is used instead.
 Each factorizing function makes its own LAPACK calls instead of calling
 another factorizing function, so counting calls to them counts
 factorizations.
@@ -37,9 +39,9 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative asymmetry tolerated by the symmetric eigensolver before we refuse
-# to average the skew away.
-SYMMETRY_RTOL = 1e-8
+# Relative gap below which the smallest eigenvalue, or the top singular
+# value, counts as tied (a degenerate subdifferential point).
+TIE_RTOL = 1e-10
 # Rank drop tolerance for the range-basis detection, relative to ||M||_F.
 RANK_DROP_RTOL = 1e-10
 # Pivot threshold for declaring an LU factorization singular.
@@ -139,35 +141,15 @@ def _eigh_range(sym, lo, hi, eigvals_only=False):
     return vals[lo : hi + 1], vecs[:, lo : hi + 1]
 
 
-def symmetric_eig_min(m) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a unit eigenvector of a symmetric matrix.
-
-    The input may carry rounding skew up to ``SYMMETRY_RTOL * max|M|``; it is
-    symmetrized by averaging with its transpose before solving.  Larger
-    asymmetry is rejected.  Only the smallest eigenpair is computed.
-    """
-    m = as_matrix(m, "symmetric matrix")
-    _require_square(m, "symmetric matrix")
-    scale = np.abs(m).max()
-    skew = np.abs(m - m.T).max()
-    if scale > 0 and skew > SYMMETRY_RTOL * scale:
-        raise InvalidInputError(
-            f"matrix is not symmetric: max skew {skew:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.0e} * max|M| = {SYMMETRY_RTOL * scale:.3e}"
-        )
-    vals, vecs = _eigh_range(0.5 * (m + m.T), 0, 0)
-    return float(vals[0]), vecs[:, 0].copy()
-
-
-def symmetric_eigensystem(m, tie_rtol) -> tuple[float, np.ndarray, bool]:
+def symmetric_eigensystem(m) -> tuple[float, np.ndarray, bool]:
     """Smallest eigenvalue, a unit eigenvector for it, and whether it is tied.
 
     The input is symmetrized by averaging with its transpose.  The smallest
     eigenvalue lambda_0 counts as tied when the gap to the next one is at
-    most ``tie_rtol * max(|lambda_0|, |lambda_max|)``; a 1x1 matrix has no
+    most ``TIE_RTOL * max(|lambda_0|, |lambda_max|)``; a 1x1 matrix has no
     tie.  Only the two lowest eigenpairs are computed.  The threshold lies
-    between ``tie_rtol * max(|lambda_0|, |lambda_1|)`` and
-    ``tie_rtol * ||M||_F`` (which bounds |lambda_max|), so lambda_max is
+    between ``TIE_RTOL * max(|lambda_0|, |lambda_1|)`` and
+    ``TIE_RTOL * ||M||_F`` (which bounds |lambda_max|), so lambda_max is
     solved for only when the gap falls between those two.
     """
     m = as_matrix(m, "symmetric matrix")
@@ -179,12 +161,12 @@ def symmetric_eigensystem(m, tie_rtol) -> tuple[float, np.ndarray, bool]:
     if n == 1:
         return low, x, False
     gap = vals[1] - vals[0]
-    if gap > tie_rtol * max(float(np.linalg.norm(sym)), 1e-30):
+    if gap > TIE_RTOL * max(float(np.linalg.norm(sym)), 1e-30):
         return low, x, False
-    if gap <= tie_rtol * max(abs(vals[0]), abs(vals[1]), 1e-30):
+    if gap <= TIE_RTOL * max(abs(vals[0]), abs(vals[1]), 1e-30):
         return low, x, True
     top = _eigh_range(sym, n - 1, n - 1, eigvals_only=True)[0]
-    return low, x, bool(gap <= tie_rtol * max(abs(vals[0]), abs(top), 1e-30))
+    return low, x, bool(gap <= TIE_RTOL * max(abs(vals[0]), abs(top), 1e-30))
 
 
 def spectral_radius(m) -> float:
@@ -259,19 +241,14 @@ def orthonormal_range_basis(m) -> np.ndarray:
     return q[:, :rank].copy()
 
 
-def lu_solve(m, b) -> np.ndarray:
-    """Solve the square system M x = b by partial-pivoted LU.
+def _pivoted_lu(m):
+    """Partial-pivoted LU factors ``(lu, piv)`` of the square matrix M.
 
     Raises ``SingularMatrixError`` when the smallest pivot falls below
     ``PIVOT_RTOL * ||M||_F``.
     """
     m = as_matrix(m, "matrix")
     _require_square(m, "matrix")
-    b = as_vector(b, "right-hand side")
-    if b.shape[0] != m.shape[0]:
-        raise DimensionError(
-            f"rhs length {b.shape[0]} does not match matrix size {m.shape[0]}"
-        )
     with warnings.catch_warnings():
         # The pivot check below is our singularity report; scipy's warning is noise.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -281,15 +258,24 @@ def lu_solve(m, b) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix is singular to working precision (min pivot {pivots.min():.3e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lu, piv
+
+
+def lu_solve(m, b) -> np.ndarray:
+    """Solve the square system M x = b by partial-pivoted LU (see ``_pivoted_lu``)."""
+    factors = _pivoted_lu(m)
+    b = as_vector(b, "right-hand side")
+    if b.shape[0] != factors[0].shape[0]:
+        raise DimensionError(
+            f"rhs length {b.shape[0]} does not match matrix size {factors[0].shape[0]}"
+        )
+    return scipy.linalg.lu_solve(factors, b, check_finite=False)
 
 
 def is_invertible(m) -> bool:
     """Pivot-threshold invertibility test on a square matrix."""
-    m = as_matrix(m, "matrix")
-    _require_square(m, "matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    return bool(pivots.min() > PIVOT_RTOL * np.linalg.norm(m))
+    try:
+        _pivoted_lu(m)
+    except SingularMatrixError:
+        return False
+    return True

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import as_csr, as_matrix, as_vector, is_invertible
 from .sampling import replicate_rng
-from .solver import SystemPair, make_system
+from .solver import PAIRING_RTOL, SystemPair, make_system
 
 
 def gen_gaussian(m, n, seed) -> np.ndarray:
@@ -258,7 +258,7 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     v.data /= 3.0  # the dense quotients: a sparse division multiplies by 1/3
     pairing = a.multiply(v).sum(axis=1)
     norms = np.sqrt(a.multiply(a).sum(axis=1)) * np.sqrt(v.multiply(v).sum(axis=1))
-    ok = pairing > 1e-12 * norms
+    ok = pairing > PAIRING_RTOL * norms  # the rows make_system would reject
     dropped = int(np.count_nonzero(~ok))
     if dropped:
         warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)

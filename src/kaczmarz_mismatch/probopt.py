@@ -6,21 +6,22 @@ minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
 best-iterate tracker, since subgradient methods are not monotone.
 
-Both objectives and their gradients read an ``ExpectationOperator`` from
+Both gradients read an ``ExpectationOperator`` from
 ``diagnostics.expectation_operator``, on the rows ``diagnose`` analyses:
-(A, V) when m >= n and the coordinates (A Z, V Z) of rg V^T when m < n, so
-the optimizer improves the rates ``diagnose`` reports.  The gradient
-formulas hold unchanged in coordinates, because <Z^T a_i, y> = <a_i, Z y>.
-``optimize_probabilities`` forms the rows once and one operator per
-iterate; W's rows 2V - S A are formed once too, and each iterate's W is
-built in the same buffers.  The lambda side forms only W and solves only
-for its two lowest eigenpairs (``symmetric_eigensystem``, which also
-decides the tie flag), the norm side forms only V^T D A and solves only for
-the top singular pair of I - V^T D A.  Each gradient also returns the
-objective value from its own factorization, so the optimizer factors once
-per iterate.  The sign of the norm subgradient is fixed by that singular
-pair, so the optimizer draws no random numbers; the inequality it rests on
-is checked in the tests.
+(A, V) when m >= n and the coordinates (A Z, V Z) of rg V^T when m < n.
+The gradient formulas hold unchanged in coordinates, because
+<Z^T a_i, y> = <a_i, Z y>.  ``optimize_probabilities`` forms the rows once
+and one operator per iterate; W's rows 2V - S A are formed once too, and
+each iterate's W is built in the same buffers.  The lambda side forms only
+W and solves only for its two lowest eigenpairs (``symmetric_eigensystem``,
+which also decides the tie flag), the norm side forms only V^T D A and
+solves only for the top singular pair of ``iteration_matrix()``.  Each
+gradient also returns the objective value from its own factorization, so
+the optimizer factors once per iterate, the final one included.  Those are
+the calls ``compute_diagnostics`` makes, so ``diagnose`` reports bit for
+bit the lambda and norm the optimizer reached.  The sign of the norm
+subgradient is fixed by that singular pair, so the optimizer draws no
+random numbers; the inequality it rests on is checked in the tests.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ import numpy as np
 
 from .diagnostics import ExpectationOperator, expectation_operator
 from .errors import InvalidInputError
-from .linalg import as_vector, symmetric_eigensystem, top_singular_triplet
+from .linalg import TIE_RTOL, as_vector, symmetric_eigensystem, top_singular_triplet
 from .solver import StepRule, SystemPair
-
-# Relative eigen/singular gap below which the extremal vector is flagged as a
-# degenerate (tied) subdifferential point.
-DEGENERACY_GAP_RTOL = 1e-10
 
 
 class Objective(enum.Enum):
@@ -96,15 +93,6 @@ def project_simplex(y) -> np.ndarray:
     return p / math.fsum(p.tolist())
 
 
-def lambda_objective(op: ExpectationOperator) -> float:
-    lam, _, _ = symmetric_eigensystem(op.w, DEGENERACY_GAP_RTOL)
-    return lam
-
-
-def norm_objective(op: ExpectationOperator) -> float:
-    return top_singular_triplet(np.eye(op.vtda.shape[0]) - op.vtda).sigma
-
-
 def supergradient_lambda(op: ExpectationOperator):
     """Supergradient of p -> lambda_min(W(p)) at the distribution of ``op``.
 
@@ -114,7 +102,7 @@ def supergradient_lambda(op: ExpectationOperator):
     (near-)tied smallest eigenvalue, where any extremal eigenvector still
     yields a valid supergradient element.
     """
-    lam, x, degenerate = symmetric_eigensystem(op.w, DEGENERACY_GAP_RTOL)
+    lam, x, degenerate = symmetric_eigensystem(op.w)
     ax = op.a @ x
     vx = op.v @ x
     return op.pair.omega * (2.0 * vx - op.pair.s * ax) * ax, degenerate, lam
@@ -130,9 +118,8 @@ def subgradient_norm(op: ExpectationOperator):
     equality at q = p.  Returns (gradient, degenerate flag,
     ||I - V^T D A||); the flag marks a (near-)tied top singular value.
     """
-    n = op.vtda.shape[0]
-    sigma, left, right, second = top_singular_triplet(np.eye(n) - op.vtda)
-    degenerate = n > 1 and (sigma - second) <= DEGENERACY_GAP_RTOL * max(sigma, 1e-30)
+    sigma, left, right, second = top_singular_triplet(op.iteration_matrix())
+    degenerate = op.vtda.shape[0] > 1 and (sigma - second) <= TIE_RTOL * max(sigma, 1e-30)
     return -op.pair.omega * (op.v @ left) * (op.a @ right), degenerate, sigma
 
 
@@ -146,14 +133,13 @@ def optimize_probabilities(
     Ascent for the lambda objective, descent for the norm objective, exact
     simplex projection after every step, best iterate kept (the raw iterate
     sequence is not monotone).  Each iterate's objective value comes with its
-    gradient; only the final iterate is evaluated on its own.
+    gradient, the final iterate's too.
     """
     if sys.m < 2:
         raise InvalidInputError("probability optimization needs at least 2 rows")
     cfg = cfg or ProbOptConfig()
     maximizing = cfg.objective is Objective.MAX_LAMBDA_MIN
     gradient = supergradient_lambda if maximizing else subgradient_norm
-    evaluate = lambda_objective if maximizing else norm_objective
 
     p = np.full(sys.m, 1.0 / sys.m)
     # Forms the analysis rows once; each iterate's operator is made from it.
@@ -163,20 +149,17 @@ def optimize_probabilities(
     best_iteration = 0
     degenerate_iterations: list[int] = []
 
-    def record(q, value):
-        nonlocal best_p, best_value, best_iteration
-        if best_value is None or (value > best_value if maximizing else value < best_value):
-            best_p, best_value, best_iteration = q, value, len(values)
-        values.append(value)
-
-    for k in range(cfg.iterations):
+    for k in range(cfg.iterations + 1):
         g, degenerate, value = gradient(start.with_probabilities(p))
-        record(p, value)
+        if best_value is None or (value > best_value if maximizing else value < best_value):
+            best_p, best_value, best_iteration = p, value, k
+        values.append(value)
+        if k == cfg.iterations:  # the final iterate takes no step
+            break
         if degenerate:
             degenerate_iterations.append(k)
         step = cfg.step_at(k) * g
         p = project_simplex(p + step if maximizing else p - step)
-    record(p, evaluate(start.with_probabilities(p)))
 
     return ProbOptResult(
         best_p=best_p,

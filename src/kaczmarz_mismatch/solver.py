@@ -210,7 +210,7 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
 
     Rows of ``v`` with negative pairing <a_i, v_i> have their sign flipped
     (on CSR, their stored entries negated); rows with
-    |<a_i, v_i>| <= 1e-12 * ||a_i|| * ||v_i|| are rejected.  On CSR the
+    |<a_i, v_i>| <= PAIRING_RTOL * ||a_i|| * ||v_i|| are rejected.  On CSR the
     pairing and the row norms are sums over the stored entries, so they can
     differ from those of the dense form in the last bits.
     """

@@ -320,7 +320,31 @@ class TestOptimize:
         assert run_cli(["diagnose", "--system-dir", inst, "--p", p_opt]) == 0
         report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
         assert report["restricted"] == "true"
-        assert float(report[objective]) == pytest.approx(best, rel=0, abs=1e-12)
+        assert float(report[objective]) == best
+
+    @pytest.mark.parametrize("objective, pick", [("lambda", max), ("norm", min)],
+                             ids=["lambda", "norm"])
+    def test_diagnose_writes_the_best_history_cell(self, tmp_path, objective, pick):
+        # diagnose at p_opt.csv reads the rate the optimizer reached, to the
+        # last digit of the CSV cell.
+        inst, opt_dir, diag_dir = (str(tmp_path / name) for name in ("inst", "opt", "diag"))
+        assert run_cli(["generate", "--kind", "consistent", "--m", "200", "--n", "60",
+                        "--seed", "1", "--out", inst]) == 0
+        assert run_cli(["optimize", "--system-dir", inst, "--objective", objective,
+                        "--iters", "30", "--step", "0.1", "--out", opt_dir]) == 0
+        assert run_cli(["diagnose", "--system-dir", inst, "--p",
+                        "file:" + os.path.join(opt_dir, "p_opt.csv"), "--out", diag_dir]) == 0
+
+        def cells(path):
+            lines = [line for line in Path(path).read_text().splitlines()
+                     if not line.startswith("#")]
+            return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+        history = cells(os.path.join(opt_dir, "history.csv"))
+        best = pick((row["objective"] for row in history), key=float)
+        assert best != history[0]["objective"]  # p_opt is not the uniform start
+        (diag,) = cells(os.path.join(diag_dir, "diagnostics.csv"))
+        assert diag[objective] == best
 
     def test_history_best_so_far_monotone_norm(self, tmp_path):
         out = str(tmp_path / "sys")

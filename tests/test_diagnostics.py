@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz_mismatch import diagnostics, experiments, problems, probopt
 from kaczmarz_mismatch.diagnostics import (
@@ -25,7 +27,7 @@ from kaczmarz_mismatch.linalg import (
     lu_solve,
     orthonormal_range_basis,
     spectral_radius,
-    symmetric_eig_min,
+    symmetric_eigensystem,
     top_singular_triplet,
 )
 from kaczmarz_mismatch.problems import (
@@ -110,7 +112,7 @@ class TestContractionLambda:
         sys = make_system(a, a, np.zeros(20))
         p = row_norm_probabilities(sys)
         lam = compute_diagnostics(sys, p).lam
-        expected = symmetric_eig_min(a.T @ a)[0] / np.linalg.norm(a) ** 2
+        expected = symmetric_eigensystem(a.T @ a)[0] / np.linalg.norm(a) ** 2
         assert lam == pytest.approx(expected, rel=1e-10)
 
     def test_paper_scale_band(self):
@@ -182,7 +184,7 @@ class TestRateExpressions:
                 vtda = sys.v.T @ (pair.d[:, None] * sys.a)
                 atsda = sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
                 w = vtda + vtda.T - atsda
-                lam_min, _ = symmetric_eig_min(np.eye(sys.n) - w)
+                lam_min, _, _ = symmetric_eigensystem(np.eye(sys.n) - w)
                 assert lam_min >= -1e-8 * np.linalg.norm(w)
 
     def test_ordering_recorded_not_asserted(self):
@@ -207,6 +209,43 @@ class TestExpectationOperator:
         assert np.linalg.norm(op.w - w) <= 1e-13 * np.linalg.norm(w)
         np.testing.assert_array_equal(op.w, op.w.T)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(12, 5), (8, 8), (5, 12), (3, 20)]),
+        st.sampled_from([0.0, 0.3, 0.8]),
+        st.sampled_from([rule for rule in StepRule if rule.is_static]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_w_exactly_symmetric(self, shape, tau, rule, seed):
+        # W = (G + G^T) / 2 is symmetric bit for bit, so the eigensolver
+        # needs no skew check: a lone operator, operators that share W's
+        # buffers, and operators on coordinate rows, for m >= n and m < n.
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        v = np.where(np.abs(a) >= tau, a, 0.0)
+        dead = ~v.any(axis=1)
+        v[dead] = a[dead]
+        sys = make_system(a, v, np.zeros(m))
+        dists = rng.dirichlet(np.ones(m), size=3)
+        dists[2] *= rng.random(m) < 0.5  # some rows never drawn
+        dists[2, 0] += 1.0 - dists[2].sum()
+        lone = expectation_operator(sys, dists[0], rule)
+        assert np.array_equal(lone.w, lone.w.T)  # read before it shares buffers
+        z = orthonormal_range_basis(sys.v.T)
+        coords = ExpectationOperator(sys.a @ z, sys.v @ z, lone.pair)
+        assert np.array_equal(coords.w, coords.w.T)
+        for p in dists:
+            op = lone.with_probabilities(p)
+            assert np.array_equal(op.w, op.w.T)
+
+    def test_iteration_matrix_built_per_call(self):
+        sys = thresholded_instance(30, 8, 0.5, 3)
+        op = expectation_operator(sys, row_norm_probabilities(sys))
+        first = op.iteration_matrix()
+        np.testing.assert_array_equal(first, np.eye(8) - op.vtda)
+        assert op.iteration_matrix() is not first
+
     def test_matrices_formed_on_first_read_only(self):
         sys = thresholded_instance(30, 8, 0.5, 3)
         op = expectation_operator(sys, row_norm_probabilities(sys))
@@ -222,8 +261,8 @@ class TestExpectationOperator:
         "read",
         [
             lambda op: op,
-            probopt.lambda_objective,
-            probopt.norm_objective,
+            lambda op: probopt.supergradient_lambda(op)[2],
+            lambda op: probopt.subgradient_norm(op)[2],
             probopt.supergradient_lambda,
             probopt.subgradient_norm,
         ],
@@ -339,7 +378,7 @@ class TestRestricted:
         assert not plain.restricted
         z = orthonormal_range_basis(sys.v.T)
         op = ExpectationOperator(sys.a @ z, sys.v @ z, expectation_operator(sys, p).pair)
-        assert symmetric_eig_min(op.w)[0] == pytest.approx(plain.lam, abs=1e-8)
+        assert symmetric_eigensystem(op.w)[0] == pytest.approx(plain.lam, abs=1e-8)
         rho = spectral_radius(np.eye(6) - op.vtda)
         assert rho == pytest.approx(plain.rho_asymptotic, abs=1e-8)
 
@@ -378,7 +417,7 @@ class TestRestricted:
         assert np.linalg.norm(op.w - w_z) <= 1e-13 * np.linalg.norm(w_z)
         res = compute_diagnostics(sys, p, rule)
         assert res.restricted
-        assert res.lam == pytest.approx(symmetric_eig_min(w_z)[0], abs=1e-12)
+        assert res.lam == pytest.approx(symmetric_eigensystem(w_z)[0], abs=1e-12)
         assert res.rho_asymptotic == pytest.approx(spectral_radius(m_mat), abs=1e-12)
         assert res.norm_expectation == pytest.approx(
             top_singular_triplet(m_mat).sigma, abs=1e-12

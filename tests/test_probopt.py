@@ -6,15 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kaczmarz_mismatch import diagnostics
-from kaczmarz_mismatch.diagnostics import analysis_rows, expectation_operator
+from kaczmarz_mismatch import diagnostics, problems
+from kaczmarz_mismatch.diagnostics import (
+    analysis_rows,
+    compute_diagnostics,
+    expectation_operator,
+)
 from kaczmarz_mismatch.errors import InvalidInputError, NumericError
 from kaczmarz_mismatch.probopt import (
     Objective,
     ProbOptConfig,
     StepSchedule,
-    lambda_objective,
-    norm_objective,
     optimize_probabilities,
     project_simplex,
     subgradient_norm,
@@ -39,6 +41,16 @@ def mismatched_instance(m, n, tau, seed):
 
 def random_simplex(rng, m, size=None):
     return rng.dirichlet(np.ones(m), size=size)
+
+
+def lambda_objective(op):
+    """lambda_min(W(p)) as the optimizer reads it: its supergradient's third element."""
+    return supergradient_lambda(op)[2]
+
+
+def norm_objective(op):
+    """||I - V^T D A|| as the optimizer reads it: its subgradient's third element."""
+    return subgradient_norm(op)[2]
 
 
 def lam_at(sys, p, rule=StepRule.OBLIQUE_EXACT):
@@ -320,16 +332,36 @@ class TestOneMatrixPerObjective:
 
     def test_supergradient_never_forms_vtda(self):
         sys = mismatched_instance(12, 5, 0.4, 71)
-        ops = [expectation_operator(sys, np.full(12, 1 / 12)) for _ in range(2)]
-        supergradient_lambda(ops[0])
-        lambda_objective(ops[1])
-        assert [sorted(vars(op).keys() & {"vtda", "w"}) for op in ops] == [["w"], ["w"]]
+        op = expectation_operator(sys, np.full(12, 1 / 12))
+        supergradient_lambda(op)
+        assert sorted(vars(op).keys() & {"vtda", "w"}) == ["w"]
 
     def test_subgradient_never_forms_w(self):
         sys = mismatched_instance(12, 5, 0.4, 72)
         op = expectation_operator(sys, np.full(12, 1 / 12))
         subgradient_norm(op)
         assert sorted(vars(op).keys() & {"vtda", "w"}) == ["vtda"]
+
+
+class TestDiagnosedValue:
+    """``compute_diagnostics`` at ``best_p`` reads the value the optimizer reached."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("consistent", {}), ("inconsistent", {}), ("probopt", {"m": 150}),
+         ("underdetermined", {})],
+        ids=["consistent", "inconsistent", "probopt", "underdetermined"],
+    )
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    def test_equals_best_objective_bit_for_bit(self, kind, params, objective):
+        sys = problems.build_instance(kind, 1, **params)
+        cfg = ProbOptConfig(objective=objective, iterations=30, base_step=0.1)
+        res = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+        diag = compute_diagnostics(sys, res.best_p)
+        if objective is Objective.MAX_LAMBDA_MIN:
+            assert diag.lam == res.best_objective
+        else:
+            assert diag.norm_expectation == res.best_objective
 
 
 class TestOptimize:
