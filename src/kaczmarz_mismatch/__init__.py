@@ -7,11 +7,10 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
-    ScalingPair,
     compute_diagnostics,
     inconsistent_bound,
     noise_gamma,

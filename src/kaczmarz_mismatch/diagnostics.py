@@ -15,14 +15,17 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
 
 ``analysis_rows`` is the one place that decides which rows the analysis
 reads: the dense rows (A, V) when m >= n, the coordinates (A Z, V Z) when
-m < n.  ``ExpectationOperator`` forms V^T D A and W from those rows and a
-scaling pair, each on first use with one GEMM, W as sym(A^T D (2V - S A)),
-so a caller that reads one of them never pays for the other; its
-``iteration_matrix`` is the one place I - V^T D A is built.
-``expectation_operator`` builds it for (system, p, rule); on the
-coordinates its matrices are Z^T V^T D A Z and Z^T W Z, so the restricted
-analysis forms no n x n matrix.  ``compute_diagnostics`` reads lambda, rho
-and the norm off it and returns them with the noise quantities in one
+m < n.  ``expectation_operator`` builds one ``ExpectationOperator`` per
+system and step rule from those rows and the static step sizes.  Only
+D = diag(p_i omega_i) depends on the row distribution, so its matrices take
+p as an argument: ``vtda(p)`` forms V^T D A and ``w(p)`` forms W as
+sym(A^T D (2V - S A)), each a new matrix by one GEMM, so a caller that reads
+one of them never pays for the other.  2V - S A is formed once, on the
+first ``w``.  Its ``iteration_matrix`` is the one place I - V^T D A is
+built.  On the coordinates the matrices are Z^T V^T D A Z and Z^T W Z, so
+the restricted analysis forms no n x n matrix.  ``compute_diagnostics``
+reads lambda off W, forms V^T D A once and reads rho, the norm and the
+fixed-point error off it, and returns them with the noise quantities in one
 ``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
 operator with the same ``linalg`` calls (``symmetric_eigensystem`` for
 lambda, ``top_singular_triplet`` for the norm), so ``diagnose`` reports bit
@@ -37,7 +40,7 @@ asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,15 +73,6 @@ CSV_COLUMNS = (
     "restricted",
     "positivity_ok",
 )
-
-
-@dataclass(frozen=True)
-class ScalingPair:
-    """Diagonals of the expectation scaling matrices and the step sizes."""
-
-    d: np.ndarray  # p_i * omega_i
-    s: np.ndarray  # omega_i * ||v_i||^2
-    omega: np.ndarray  # static step size of row i
 
 
 @dataclass
@@ -136,87 +130,51 @@ class RateDiagnostics:
         )
 
 
-def _scaling(sys, p, rule):
-    if p.shape != (sys.m,):
-        raise DimensionError(f"p has shape {p.shape}, expected ({sys.m},)")
-    omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
-    return ScalingPair(d=p * omega, s=omega * sys.row_norms_sq("v"), omega=omega)
-
-
-class _WBuffers:
-    """Y = 2V - S A of one set of rows and steps, and the buffers W is built in.
-
-    W = sym(G) with G = A^T (D Y): its 2 A^T D V term symmetrizes to
-    V^T D A + A^T D V, and A^T S D A is symmetric.  Y depends on the rows
-    and the step sizes only, so operators that differ in D alone can share
-    it.  Y and the buffers are made on the first ``w_of``.
-    """
-
-    def __init__(self, a: np.ndarray, v: np.ndarray, s: np.ndarray):
-        self.a, self.v, self.s = a, v, s
-        self.y = None
-
-    def w_of(self, d: np.ndarray) -> np.ndarray:
-        """W for the diagonal ``d`` of D, written over the previous one."""
-        if self.y is None:
-            self.y = 2.0 * self.v
-            self.y -= self.s[:, None] * self.a
-            self.rows = np.empty_like(self.y)
-            self.g = np.empty((self.a.shape[1], self.a.shape[1]))
-            self.w = np.empty_like(self.g)
-        np.multiply(self.y, d[:, None], out=self.rows)
-        np.matmul(self.a.T, self.rows, out=self.g)
-        np.add(self.g, self.g.T, out=self.w)
-        self.w *= 0.5
-        return self.w
-
-
 class ExpectationOperator:
-    """The two expectation matrices of rows ``a``, ``v`` under a scaling pair.
+    """The expectation matrices of rows ``a``, ``v`` and steps ``omega``, as functions of p.
 
-    ``vtda`` (V^T D A) and ``w`` (W = V^T D A + A^T D V - A^T S D A) are
-    each formed on first read, by one matrix product, and kept.  ``a`` and
-    ``v`` are the system's rows, or their coordinates in a basis of a
-    subspace that holds every v_i.  ``with_probabilities`` gives the
-    operator of another row distribution on the same rows and steps.
+    Only D = diag(p_i omega_i) depends on the row distribution p, so one
+    operator serves every p: ``vtda(p)`` (V^T D A) and ``w(p)``
+    (W = V^T D A + A^T D V - A^T S D A) each return a new matrix, formed by
+    one matrix product, for the p passed.  ``s`` is the diagonal of S,
+    omega_i ||v_i||^2.  ``a`` and ``v`` are the system's rows, or their
+    coordinates in a basis of a subspace that holds every v_i.
     """
 
-    def __init__(self, a: np.ndarray, v: np.ndarray, pair: ScalingPair):
-        self.a = a
-        self.v = v
-        self.pair = pair
-        self._w_buffers: _WBuffers | None = None  # set by with_probabilities
+    def __init__(self, a: np.ndarray, v: np.ndarray, omega: np.ndarray, s: np.ndarray):
+        self.a, self.v, self.omega, self.s = a, v, omega, s
+
+    def _d(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        if p.shape != (self.a.shape[0],):
+            raise DimensionError(f"p has shape {p.shape}, expected ({self.a.shape[0]},)")
+        return p * self.omega
+
+    def vtda(self, p) -> np.ndarray:
+        return self.v.T @ (self._d(p)[:, None] * self.a)
 
     @cached_property
-    def vtda(self) -> np.ndarray:
-        return self.v.T @ (self.pair.d[:, None] * self.a)
+    def y(self) -> np.ndarray:
+        """Y = 2V - S A, the rows of W that do not depend on p; formed on the first ``w``."""
+        y = 2.0 * self.v
+        y -= self.s[:, None] * self.a
+        return y
 
-    def iteration_matrix(self) -> np.ndarray:
-        """I - V^T D A, the map from e_k to E[e_{k+1}]; a new matrix per call."""
-        return np.eye(self.vtda.shape[0]) - self.vtda
+    def w(self, p) -> np.ndarray:
+        """W = sym(G) with G = A^T (D Y).
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        buffers = self._w_buffers
-        if buffers is None:  # a lone operator: only W outlives these buffers
-            buffers = _WBuffers(self.a, self.v, self.pair.s)
-        return buffers.w_of(self.pair.d)
-
-    def with_probabilities(self, p: np.ndarray) -> ExpectationOperator:
-        """The operator of distribution ``p`` on these rows and step sizes.
-
-        Only D = diag(p_i omega_i) changes.  From the first call on, this
-        operator and those made from it by this method (and from those)
-        build ``w`` in one set of buffers, with Y = 2V - S A formed once, so
-        each ``w`` read overwrites the one read before.  For a caller that
-        moves from one distribution to the next, such as
-        ``probopt.optimize_probabilities``.
+        Its 2 A^T D V term symmetrizes to V^T D A + A^T D V, and A^T S D A
+        is symmetric; W is symmetric bit for bit.
         """
-        if self._w_buffers is None:
-            self._w_buffers = _WBuffers(self.a, self.v, self.pair.s)
-        op = ExpectationOperator(self.a, self.v, replace(self.pair, d=p * self.pair.omega))
-        op._w_buffers = self._w_buffers
-        return op
+        g = self.a.T @ (self.y * self._d(p)[:, None])
+        w = g + g.T
+        w *= 0.5
+        return w
+
+    @staticmethod
+    def iteration_matrix(vtda: np.ndarray) -> np.ndarray:
+        """I - V^T D A, the map from e_k to E[e_{k+1}]; a new matrix per call."""
+        return np.eye(vtda.shape[0]) - vtda
 
 
 def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:
@@ -245,20 +203,21 @@ def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expectation_operator(
-    sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
+    sys: SystemPair, rule: StepRule = StepRule.OBLIQUE_EXACT
 ) -> ExpectationOperator:
-    """The expectation operator of (system, p, rule) on ``analysis_rows``.
+    """The expectation operator of (system, rule) on ``analysis_rows``.
 
-    The one place where a row distribution becomes the expectation operator
-    (``probopt.optimize_probabilities`` then replaces only D per iterate);
-    every rate in this module and in ``probopt`` is read off its matrices,
-    which are m x m when m < n.  ``p`` must have one entry per row, but is
-    not checked to lie on the simplex, so the objectives can also be
-    evaluated just off it; callers taking user input validate it first.
+    The one place where a system and a step rule become the expectation
+    operator; every rate in this module and in ``probopt`` is read off its
+    matrices, which are m x m when m < n.  The p passed to them must have
+    one entry per row, but is not checked to lie on the simplex, so the
+    objectives can also be evaluated just off it; callers taking user input
+    validate it first.
     """
-    # The rank checks of the rows come before the checks on p and the rule.
+    # The rank checks of the rows come before the check on the rule.
     rows = analysis_rows(sys)
-    return ExpectationOperator(*rows, _scaling(sys, np.asarray(p, dtype=float), rule))
+    omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
+    return ExpectationOperator(*rows, omega, omega * sys.row_norms_sq("v"))
 
 
 def noise_gamma(sys: SystemPair) -> float:
@@ -278,9 +237,9 @@ def inconsistent_bound(k, lam, gamma, e0_sq) -> float:
     return (1.0 - lam / 2.0) ** k * e0_sq + (2.0 / lam) * gamma**2
 
 
-def _fixed_point_error(sys, op) -> float:
-    rhs = sys.v.T @ (op.pair.d * sys.noise)
-    z = lu_solve(op.vtda, rhs)  # singular when p is non-zero on fewer than n rows
+def _fixed_point_error(sys, d, vtda) -> float:
+    rhs = sys.v.T @ (d * sys.noise)
+    z = lu_solve(vtda, rhs)  # singular when p is non-zero on fewer than n rows
     return float(np.linalg.norm(z))
 
 
@@ -295,9 +254,10 @@ def compute_diagnostics(
     singular.
     """
     p = check_probability_vector(p)
-    op = expectation_operator(sys, p, rule)
-    lam, _, _ = symmetric_eigensystem(op.w)
-    m_mat = op.iteration_matrix()
+    op = expectation_operator(sys, rule)
+    lam, _, _ = symmetric_eigensystem(op.w(p))
+    vtda = op.vtda(p)
+    m_mat = op.iteration_matrix(vtda)
     diag = RateDiagnostics(
         lam=lam,
         rho_asymptotic=spectral_radius(m_mat),
@@ -310,7 +270,7 @@ def compute_diagnostics(
         diag.gamma = noise_gamma(sys)
         if sys.m >= sys.n:
             try:
-                diag.fixed_point_error = _fixed_point_error(sys, op)
+                diag.fixed_point_error = _fixed_point_error(sys, p * op.omega, vtda)
             except (SingularMatrixError, InvalidInputError):
                 diag.fixed_point_error = None
     return diag

@@ -5,10 +5,10 @@ Matrices are plain float64 numpy arrays (row-major); vectors are 1-d arrays.
 for the operators that stay sparse from the ray tracer to the files.
 The heavy factorizations are delegated to LAPACK via numpy/scipy, wrapped
 behind small functions that pin down the contracts the rest of the package
-relies on (symmetrization policy, tie test, rank drop tolerance, pivot
-checks).  It decides how each rate is read, for ``diagnose`` and the
-optimizer alike, so the two report the same bits: lambda_min by
-``symmetric_eigensystem``, the spectral norm by ``top_singular_triplet``.
+relies on (tie test, rank drop tolerance, pivot checks).  It decides how
+each rate is read, for ``diagnose`` and the optimizer alike, so the two
+report the same bits: lambda_min by ``symmetric_eigensystem``, the spectral
+norm by ``top_singular_triplet``.
 
 The symmetric and singular-value functions compute only the end of the
 spectrum they return, by LAPACK ``syevr`` over an index range:
@@ -144,28 +144,27 @@ def _eigh_range(sym, lo, hi, eigvals_only=False):
 def symmetric_eigensystem(m) -> tuple[float, np.ndarray, bool]:
     """Smallest eigenvalue, a unit eigenvector for it, and whether it is tied.
 
-    The input is symmetrized by averaging with its transpose.  The smallest
-    eigenvalue lambda_0 counts as tied when the gap to the next one is at
-    most ``TIE_RTOL * max(|lambda_0|, |lambda_max|)``; a 1x1 matrix has no
-    tie.  Only the two lowest eigenpairs are computed.  The threshold lies
-    between ``TIE_RTOL * max(|lambda_0|, |lambda_1|)`` and
-    ``TIE_RTOL * ||M||_F`` (which bounds |lambda_max|), so lambda_max is
-    solved for only when the gap falls between those two.
+    The input must be symmetric: the eigensolvers read its lower triangle
+    only.  The smallest eigenvalue lambda_0 counts as tied when the gap to
+    the next one is at most ``TIE_RTOL * max(|lambda_0|, |lambda_max|)``; a
+    1x1 matrix has no tie.  Only the two lowest eigenpairs are computed.
+    The threshold lies between ``TIE_RTOL * max(|lambda_0|, |lambda_1|)``
+    and ``TIE_RTOL * ||M||_F`` (which bounds |lambda_max|), so lambda_max
+    is solved for only when the gap falls between those two.
     """
     m = as_matrix(m, "symmetric matrix")
     _require_square(m, "symmetric matrix")
-    sym = 0.5 * (m + m.T)
-    n = sym.shape[0]
-    vals, vecs = _eigh_range(sym, 0, min(1, n - 1))
+    n = m.shape[0]
+    vals, vecs = _eigh_range(m, 0, min(1, n - 1))
     low, x = float(vals[0]), vecs[:, 0].copy()
     if n == 1:
         return low, x, False
     gap = vals[1] - vals[0]
-    if gap > TIE_RTOL * max(float(np.linalg.norm(sym)), 1e-30):
+    if gap > TIE_RTOL * max(float(np.linalg.norm(m)), 1e-30):
         return low, x, False
     if gap <= TIE_RTOL * max(abs(vals[0]), abs(vals[1]), 1e-30):
         return low, x, True
-    top = _eigh_range(sym, n - 1, n - 1, eigvals_only=True)[0]
+    top = _eigh_range(m, n - 1, n - 1, eigvals_only=True)[0]
     return low, x, bool(gap <= TIE_RTOL * max(abs(vals[0]), abs(top), 1e-30))
 
 

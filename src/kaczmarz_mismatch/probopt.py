@@ -6,22 +6,22 @@ minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
 best-iterate tracker, since subgradient methods are not monotone.
 
-Both gradients read an ``ExpectationOperator`` from
-``diagnostics.expectation_operator``, on the rows ``diagnose`` analyses:
-(A, V) when m >= n and the coordinates (A Z, V Z) of rg V^T when m < n.
-The gradient formulas hold unchanged in coordinates, because
-<Z^T a_i, y> = <a_i, Z y>.  ``optimize_probabilities`` forms the rows once
-and one operator per iterate; W's rows 2V - S A are formed once too, and
-each iterate's W is built in the same buffers.  The lambda side forms only
-W and solves only for its two lowest eigenpairs (``symmetric_eigensystem``,
-which also decides the tie flag), the norm side forms only V^T D A and
-solves only for the top singular pair of ``iteration_matrix()``.  Each
-gradient also returns the objective value from its own factorization, so
-the optimizer factors once per iterate, the final one included.  Those are
-the calls ``compute_diagnostics`` makes, so ``diagnose`` reports bit for
-bit the lambda and norm the optimizer reached.  The sign of the norm
-subgradient is fixed by that singular pair, so the optimizer draws no
-random numbers; the inequality it rests on is checked in the tests.
+Both gradients take an ``ExpectationOperator`` from
+``diagnostics.expectation_operator`` and a distribution p.  The operator is
+on the rows ``diagnose`` analyses: (A, V) when m >= n and the coordinates
+(A Z, V Z) of rg V^T when m < n.  The gradient formulas hold unchanged in
+coordinates, because <Z^T a_i, y> = <a_i, Z y>.  ``optimize_probabilities``
+builds one operator per call and reads it at each iterate, so the rows, and
+W's rows 2V - S A, are formed once.  The lambda side forms only W and solves
+only for its two lowest eigenpairs (``symmetric_eigensystem``, which also
+decides the tie flag), the norm side forms only V^T D A and solves only for
+the top singular pair of ``iteration_matrix``.  Each gradient also returns
+the objective value from its own factorization, so the optimizer factors
+once per iterate, the final one included.  Those are the calls
+``compute_diagnostics`` makes, so ``diagnose`` reports bit for bit the
+lambda and norm the optimizer reached.  The sign of the norm subgradient is
+fixed by that singular pair, so the optimizer draws no random numbers; the
+inequality it rests on is checked in the tests.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ def project_simplex(y) -> np.ndarray:
     return p / math.fsum(p.tolist())
 
 
-def supergradient_lambda(op: ExpectationOperator):
-    """Supergradient of p -> lambda_min(W(p)) at the distribution of ``op``.
+def supergradient_lambda(op: ExpectationOperator, p):
+    """Supergradient of p -> lambda_min(W(p)) at ``p``.
 
     With x a unit eigenvector for the smallest eigenvalue of W, the component
     for row i is omega_i * <2 v_i - s_i a_i, x> * <a_i, x>.  Returns
@@ -102,14 +102,14 @@ def supergradient_lambda(op: ExpectationOperator):
     (near-)tied smallest eigenvalue, where any extremal eigenvector still
     yields a valid supergradient element.
     """
-    lam, x, degenerate = symmetric_eigensystem(op.w)
+    lam, x, degenerate = symmetric_eigensystem(op.w(p))
     ax = op.a @ x
     vx = op.v @ x
-    return op.pair.omega * (2.0 * vx - op.pair.s * ax) * ax, degenerate, lam
+    return op.omega * (2.0 * vx - op.s * ax) * ax, degenerate, lam
 
 
-def subgradient_norm(op: ExpectationOperator):
-    """Subgradient of p -> ||I - V^T D A|| at the distribution of ``op``.
+def subgradient_norm(op: ExpectationOperator, p):
+    """Subgradient of p -> ||I - V^T D A|| at ``p``.
 
     With M(p) = I - V^T D A, which is affine in p, and a top singular pair
     M(p) right = sigma left, the component for row i is
@@ -118,9 +118,9 @@ def subgradient_norm(op: ExpectationOperator):
     equality at q = p.  Returns (gradient, degenerate flag,
     ||I - V^T D A||); the flag marks a (near-)tied top singular value.
     """
-    sigma, left, right, second = top_singular_triplet(op.iteration_matrix())
-    degenerate = op.vtda.shape[0] > 1 and (sigma - second) <= TIE_RTOL * max(sigma, 1e-30)
-    return -op.pair.omega * (op.v @ left) * (op.a @ right), degenerate, sigma
+    sigma, left, right, second = top_singular_triplet(op.iteration_matrix(op.vtda(p)))
+    degenerate = len(left) > 1 and (sigma - second) <= TIE_RTOL * max(sigma, 1e-30)
+    return -op.omega * (op.v @ left) * (op.a @ right), degenerate, sigma
 
 
 def optimize_probabilities(
@@ -141,16 +141,15 @@ def optimize_probabilities(
     maximizing = cfg.objective is Objective.MAX_LAMBDA_MIN
     gradient = supergradient_lambda if maximizing else subgradient_norm
 
+    op = expectation_operator(sys, rule)
     p = np.full(sys.m, 1.0 / sys.m)
-    # Forms the analysis rows once; each iterate's operator is made from it.
-    start = expectation_operator(sys, p, rule)
     values: list[float] = []
     best_p = best_value = None
     best_iteration = 0
     degenerate_iterations: list[int] = []
 
     for k in range(cfg.iterations + 1):
-        g, degenerate, value = gradient(start.with_probabilities(p))
+        g, degenerate, value = gradient(op, p)
         if best_value is None or (value > best_value if maximizing else value < best_value):
             best_p, best_value, best_iteration = p, value, k
         values.append(value)

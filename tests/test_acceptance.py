@@ -80,11 +80,11 @@ def mismatched_system(rng, m, n, tau):
 
 
 def lam_at(sys, p):
-    return supergradient_lambda(expectation_operator(sys, p))[2]
+    return supergradient_lambda(expectation_operator(sys), p)[2]
 
 
 def norm_at(sys, p):
-    return subgradient_norm(expectation_operator(sys, p))[2]
+    return subgradient_norm(expectation_operator(sys), p)[2]
 
 
 def test_criterion_01_hyperplane_exactness():
@@ -180,9 +180,9 @@ def test_criterion_05_noise_floor_and_fixed_point():
             assert stats.mean_sq_errors[idx] <= bound * 1.05
         # (b) the Monte-Carlo mean of x_k - truth matches the expectation
         # fixed point componentwise within 5 standard errors.
-        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
-        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-        fixed_point = lu_solve(vtda, sys.v.T @ (pair.d * sys.noise))
+        d = p * expectation_operator(sys, StepRule.OBLIQUE_EXACT).omega
+        vtda = sys.v.T @ (d[:, None] * sys.a)
+        fixed_point = lu_solve(vtda, sys.v.T @ (d * sys.noise))
         diffs = stats.final_x - sys.truth
         mc_mean = diffs.mean(axis=0)
         mc_se = diffs.std(axis=0, ddof=1) / np.sqrt(diffs.shape[0])
@@ -231,8 +231,9 @@ def test_criterion_07_gradient_oracles():
             q = rng.dirichlet(np.ones(8))
             h = 1e-6
 
-            g_lam, degenerate_lam, _ = supergradient_lambda(expectation_operator(sys, p))
-            g_norm, degenerate_norm, _ = subgradient_norm(expectation_operator(sys, p))
+            op = expectation_operator(sys)
+            g_lam, degenerate_lam, _ = supergradient_lambda(op, p)
+            g_norm, degenerate_norm, _ = subgradient_norm(op, p)
             if degenerate_lam or degenerate_norm:
                 continue
             dd_lam = g_lam @ (q - p)

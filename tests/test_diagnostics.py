@@ -56,6 +56,23 @@ def pairing_probabilities(sys):
     return sys.pairing / sys.pairing.sum()
 
 
+def random_system(m, n, tau, rng):
+    """Gaussian A with V its entries of magnitude >= tau (a row left empty keeps A's)."""
+    a = rng.standard_normal((m, n))
+    v = np.where(np.abs(a) >= tau, a, 0.0)
+    dead = ~v.any(axis=1)
+    v[dead] = a[dead]
+    return make_system(a, v, np.zeros(m))
+
+
+def some_distributions(rng, m):
+    """Three distributions on m rows, the last one zero on some rows."""
+    dists = rng.dirichlet(np.ones(m), size=3)
+    dists[2] *= rng.random(m) < 0.5  # some rows never drawn
+    dists[2, 0] += 1.0 - dists[2].sum()
+    return dists
+
+
 def pipeline_instance(name):
     """The instance the ``experiment`` pipeline ``name`` builds at its defaults."""
     exp = experiments.EXPERIMENTS[name]
@@ -75,31 +92,31 @@ class TestScaling:
         a = gen_gaussian(10, 4, 0)
         sys = make_system(a, a, a @ np.zeros(4))
         p = row_norm_probabilities(sys)
-        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
+        op = expectation_operator(sys, StepRule.OBLIQUE_EXACT)
         fro_sq = np.linalg.norm(a) ** 2
-        np.testing.assert_allclose(pair.d, np.full(10, 1.0 / fro_sq), rtol=1e-12)
-        np.testing.assert_allclose(pair.s, np.ones(10), rtol=1e-12)
+        np.testing.assert_allclose(p * op.omega, np.full(10, 1.0 / fro_sq), rtol=1e-12)
+        np.testing.assert_allclose(op.s, np.ones(10), rtol=1e-12)
 
     def test_pairing_probabilities_give_constant_d(self):
         sys = thresholded_instance(12, 5, 0.4, 1)
         p = pairing_probabilities(sys)
-        pair = expectation_operator(sys, p, StepRule.OBLIQUE_EXACT).pair
+        op = expectation_operator(sys, StepRule.OBLIQUE_EXACT)
         norm_v_sq = float(sys.pairing.sum())
-        np.testing.assert_allclose(pair.d, np.full(12, 1.0 / norm_v_sq), rtol=1e-12)
+        np.testing.assert_allclose(p * op.omega, np.full(12, 1.0 / norm_v_sq), rtol=1e-12)
 
     def test_single_row(self):
         sys = make_system(
             np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), np.zeros(1)
         )
-        pair = expectation_operator(sys, np.array([1.0]), StepRule.OBLIQUE_EXACT).pair
-        np.testing.assert_allclose(pair.d, [1.0])
-        np.testing.assert_allclose(pair.s, [1.0])
+        op = expectation_operator(sys, StepRule.OBLIQUE_EXACT)
+        np.testing.assert_allclose(np.array([1.0]) * op.omega, [1.0])
+        np.testing.assert_allclose(op.s, [1.0])
         np.testing.assert_allclose(sys.pairing, [1.0])
 
     def test_adaptive_rule_rejected(self):
         sys = thresholded_instance(5, 3, 0.4, 2)
         with pytest.raises(InvalidInputError):
-            expectation_operator(sys, np.full(5, 0.2), StepRule.ADAPTIVE_V_HYPERPLANE)
+            expectation_operator(sys, StepRule.ADAPTIVE_V_HYPERPLANE)
 
 
 class TestContractionLambda:
@@ -147,8 +164,8 @@ class TestRateExpressions:
     def test_norm_identity_against_expanded_product(self):
         sys = thresholded_instance(25, 8, 0.5, 4)
         p = row_norm_probabilities(sys)
-        pair = expectation_operator(sys, p).pair
-        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
+        op = expectation_operator(sys)
+        vtda = sys.v.T @ ((p * op.omega)[:, None] * sys.a)
         m = np.eye(8) - vtda
         expanded = np.eye(8) - vtda - vtda.T + vtda.T @ vtda
         nrm = compute_diagnostics(sys, p).norm_expectation
@@ -180,11 +197,13 @@ class TestRateExpressions:
                 StepRule.INVERSE_ROW_NORM_A,
                 StepRule.INVERSE_ROW_NORM_V,
             ]:
-                pair = expectation_operator(sys, p, rule).pair
-                vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-                atsda = sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+                op = expectation_operator(sys, rule)
+                d = p * op.omega
+                vtda = sys.v.T @ (d[:, None] * sys.a)
+                atsda = sys.a.T @ ((op.s * d)[:, None] * sys.a)
                 w = vtda + vtda.T - atsda
-                lam_min, _, _ = symmetric_eigensystem(np.eye(sys.n) - w)
+                i_w = np.eye(sys.n) - w
+                lam_min, _, _ = symmetric_eigensystem(0.5 * (i_w + i_w.T))
                 assert lam_min >= -1e-8 * np.linalg.norm(w)
 
     def test_ordering_recorded_not_asserted(self):
@@ -201,13 +220,14 @@ class TestExpectationOperator:
             else pipeline_instance(name)
         )
         p = row_norm_probabilities(sys)
-        op = expectation_operator(sys, p)
-        a, v, pair = op.a, op.v, op.pair  # coordinates (A Z, V Z) when m < n
-        vtda = v.T @ (pair.d[:, None] * a)
-        w = vtda + vtda.T - a.T @ ((pair.s * pair.d)[:, None] * a)
-        assert np.linalg.norm(op.vtda - vtda) <= 1e-13 * np.linalg.norm(vtda)
-        assert np.linalg.norm(op.w - w) <= 1e-13 * np.linalg.norm(w)
-        np.testing.assert_array_equal(op.w, op.w.T)
+        op = expectation_operator(sys)
+        a, v, d = op.a, op.v, p * op.omega  # coordinates (A Z, V Z) when m < n
+        vtda = v.T @ (d[:, None] * a)
+        w = vtda + vtda.T - a.T @ ((op.s * d)[:, None] * a)
+        op_w = op.w(p)
+        assert np.linalg.norm(op.vtda(p) - vtda) <= 1e-13 * np.linalg.norm(vtda)
+        assert np.linalg.norm(op_w - w) <= 1e-13 * np.linalg.norm(w)
+        np.testing.assert_array_equal(op_w, op_w.T)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -218,62 +238,92 @@ class TestExpectationOperator:
     )
     def test_w_exactly_symmetric(self, shape, tau, rule, seed):
         # W = (G + G^T) / 2 is symmetric bit for bit, so the eigensolver
-        # needs no skew check: a lone operator, operators that share W's
-        # buffers, and operators on coordinate rows, for m >= n and m < n.
+        # needs no skew check: on one operator read at several p, and on
+        # coordinate rows, for m >= n and m < n.
         m, n = shape
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((m, n))
-        v = np.where(np.abs(a) >= tau, a, 0.0)
-        dead = ~v.any(axis=1)
-        v[dead] = a[dead]
-        sys = make_system(a, v, np.zeros(m))
-        dists = rng.dirichlet(np.ones(m), size=3)
-        dists[2] *= rng.random(m) < 0.5  # some rows never drawn
-        dists[2, 0] += 1.0 - dists[2].sum()
-        lone = expectation_operator(sys, dists[0], rule)
-        assert np.array_equal(lone.w, lone.w.T)  # read before it shares buffers
+        sys = random_system(m, n, tau, rng)
+        dists = some_distributions(rng, m)
+        op = expectation_operator(sys, rule)
         z = orthonormal_range_basis(sys.v.T)
-        coords = ExpectationOperator(sys.a @ z, sys.v @ z, lone.pair)
-        assert np.array_equal(coords.w, coords.w.T)
+        coords = ExpectationOperator(sys.a @ z, sys.v @ z, op.omega, op.s)
+        assert np.array_equal(coords.w(dists[0]), coords.w(dists[0]).T)
         for p in dists:
-            op = lone.with_probabilities(p)
-            assert np.array_equal(op.w, op.w.T)
+            w = op.w(p)
+            assert np.array_equal(w, w.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(12, 5), (8, 8), (5, 12)]),
+        st.sampled_from([rule for rule in StepRule if rule.is_static]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.permutations(range(6)),
+    )
+    def test_matrices_match_fresh_operator_and_formula(self, shape, rule, seed, order):
+        # Read at several p in any order, one operator gives, bit for bit,
+        # the matrices of a fresh operator and of the formulas written out
+        # in plain numpy in the same order of operations.
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        sys = random_system(m, n, 0.3, rng)
+        dists = some_distributions(rng, m)
+        op = expectation_operator(sys, rule)
+        reads = [(name, p) for name in ("vtda", "w") for p in dists]
+        for name, p in (reads[i] for i in order):
+            got = getattr(op, name)(p)
+            fresh = getattr(expectation_operator(sys, rule), name)(p)
+            d = (p * op.omega)[:, None]
+            if name == "vtda":
+                formula = op.v.T @ (d * op.a)
+            else:
+                g = op.a.T @ ((2.0 * op.v - op.s[:, None] * op.a) * d)
+                formula = 0.5 * (g + g.T)
+            np.testing.assert_array_equal(got.view(np.int64), fresh.view(np.int64))
+            np.testing.assert_array_equal(got.view(np.int64), formula.view(np.int64))
+
+    def test_earlier_w_unchanged_by_later_read(self):
+        sys = thresholded_instance(30, 8, 0.5, 3)
+        op = expectation_operator(sys)
+        p1 = row_norm_probabilities(sys)
+        p2 = pairing_probabilities(sys)
+        w1 = op.w(p1)
+        kept = w1.copy()
+        vtda1 = op.vtda(p1)
+        kept_vtda = vtda1.copy()
+        w2 = op.w(p2)
+        op.vtda(p2)
+        assert w2 is not w1
+        np.testing.assert_array_equal(w1, kept)
+        np.testing.assert_array_equal(vtda1, kept_vtda)
+        assert not np.array_equal(w1, w2)
 
     def test_iteration_matrix_built_per_call(self):
         sys = thresholded_instance(30, 8, 0.5, 3)
-        op = expectation_operator(sys, row_norm_probabilities(sys))
-        first = op.iteration_matrix()
-        np.testing.assert_array_equal(first, np.eye(8) - op.vtda)
-        assert op.iteration_matrix() is not first
-
-    def test_matrices_formed_on_first_read_only(self):
-        sys = thresholded_instance(30, 8, 0.5, 3)
-        op = expectation_operator(sys, row_norm_probabilities(sys))
-        assert "vtda" not in vars(op) and "w" not in vars(op)
-        w = op.w
-        assert "vtda" not in vars(op)
-        assert op.w is w
-        vtda = op.vtda
-        assert op.vtda is vtda
+        op = expectation_operator(sys)
+        vtda = op.vtda(row_norm_probabilities(sys))
+        first = op.iteration_matrix(vtda)
+        np.testing.assert_array_equal(first, np.eye(8) - vtda)
+        assert op.iteration_matrix(vtda) is not first
 
     @pytest.mark.parametrize("k", [1, 5])  # 1 and m - 1 entries
     @pytest.mark.parametrize(
         "read",
         [
-            lambda op: op,
-            lambda op: probopt.supergradient_lambda(op)[2],
-            lambda op: probopt.subgradient_norm(op)[2],
+            lambda op, p: op.vtda(p),
+            lambda op, p: op.w(p),
+            lambda op, p: probopt.supergradient_lambda(op, p)[2],
+            lambda op, p: probopt.subgradient_norm(op, p)[2],
             probopt.supergradient_lambda,
             probopt.subgradient_norm,
         ],
-        ids=["expectation_operator", "lambda_objective", "norm_objective",
+        ids=["expectation_operator", "w", "lambda_objective", "norm_objective",
              "supergradient_lambda", "subgradient_norm"],
     )
     def test_rejects_p_of_wrong_length(self, read, k):
         # A short p on the simplex would broadcast against omega unchecked.
         sys = thresholded_instance(6, 3, 0.2, 5)
         with pytest.raises(DimensionError):
-            read(expectation_operator(sys, np.full(k, 1.0 / k)))
+            read(expectation_operator(sys), np.full(k, 1.0 / k))
 
 
 class TestNormCrossCheck:
@@ -283,7 +333,7 @@ class TestNormCrossCheck:
     def test_norm_matches_svd_and_gram_radius(self, name):
         sys = pipeline_instance(name)
         p = row_norm_probabilities(sys)
-        vtda = expectation_operator(sys, p).vtda  # fig3: range-restricted, m x m
+        vtda = expectation_operator(sys).vtda(p)  # fig3: range-restricted, m x m
         m = np.eye(vtda.shape[0]) - vtda
         sigma = top_singular_triplet(m).sigma
         assert sigma == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-13)
@@ -355,9 +405,9 @@ class TestNoiseQuantities:
         sys = assemble_inconsistent(a, mismatch_threshold(a, 0.3), 0.1, 8)
         p = np.zeros(12)
         p[:3] = 1.0 / 3.0
-        op = expectation_operator(sys, p)
+        op = expectation_operator(sys)
         with pytest.raises(SingularMatrixError):
-            lu_solve(op.vtda, sys.v.T @ (op.pair.d * sys.noise))
+            lu_solve(op.vtda(p), sys.v.T @ (p * op.omega * sys.noise))
         diag = compute_diagnostics(sys, p)
         assert not diag.restricted
         assert diag.gamma > 0
@@ -377,9 +427,10 @@ class TestRestricted:
         plain = compute_diagnostics(sys, p)
         assert not plain.restricted
         z = orthonormal_range_basis(sys.v.T)
-        op = ExpectationOperator(sys.a @ z, sys.v @ z, expectation_operator(sys, p).pair)
-        assert symmetric_eigensystem(op.w)[0] == pytest.approx(plain.lam, abs=1e-8)
-        rho = spectral_radius(np.eye(6) - op.vtda)
+        plain_op = expectation_operator(sys)
+        op = ExpectationOperator(sys.a @ z, sys.v @ z, plain_op.omega, plain_op.s)
+        assert symmetric_eigensystem(op.w(p))[0] == pytest.approx(plain.lam, abs=1e-8)
+        rho = spectral_radius(np.eye(6) - op.vtda(p))
         assert rho == pytest.approx(plain.rho_asymptotic, abs=1e-8)
 
     def test_single_row_exact_projection(self):
@@ -407,17 +458,18 @@ class TestRestricted:
         # from the n x n matrices, on fig3's default instance.
         sys = pipeline_instance("fig3")
         p = row_norm_probabilities(sys)
-        op = expectation_operator(sys, p, rule)
-        pair = op.pair
-        vtda = sys.v.T @ (pair.d[:, None] * sys.a)
-        w = vtda + vtda.T - sys.a.T @ ((pair.s * pair.d)[:, None] * sys.a)
+        op = expectation_operator(sys, rule)
+        d = p * op.omega
+        vtda = sys.v.T @ (d[:, None] * sys.a)
+        w = vtda + vtda.T - sys.a.T @ ((op.s * d)[:, None] * sys.a)
         z = orthonormal_range_basis(sys.v.T)
         w_z = z.T @ w @ z
         m_mat = np.eye(sys.m) - z.T @ vtda @ z
-        assert np.linalg.norm(op.w - w_z) <= 1e-13 * np.linalg.norm(w_z)
+        assert np.linalg.norm(op.w(p) - w_z) <= 1e-13 * np.linalg.norm(w_z)
         res = compute_diagnostics(sys, p, rule)
         assert res.restricted
-        assert res.lam == pytest.approx(symmetric_eigensystem(w_z)[0], abs=1e-12)
+        lam_z = symmetric_eigensystem(0.5 * (w_z + w_z.T))[0]
+        assert res.lam == pytest.approx(lam_z, abs=1e-12)
         assert res.rho_asymptotic == pytest.approx(spectral_radius(m_mat), abs=1e-12)
         assert res.norm_expectation == pytest.approx(
             top_singular_triplet(m_mat).sigma, abs=1e-12
@@ -440,7 +492,7 @@ class TestRestricted:
         sys = thresholded_instance(20, 5, 0.5, 10)
         a, v = analysis_rows(sys)
         assert a is sys.dense[0] and v is sys.dense[1]
-        op = expectation_operator(sys, row_norm_probabilities(sys))
+        op = expectation_operator(sys)
         assert op.a is a and op.v is v
 
     def test_rejects_rank_deficient_rows(self):
@@ -477,8 +529,8 @@ class TestAssembledDiagnostics:
         monkeypatch.setattr(diagnostics, "expectation_operator", counted)
         diag = compute_diagnostics(sys, p)
         assert len(calls) == 1
-        op = build(sys, p)
-        fixed_point = lu_solve(op.vtda, sys.v.T @ (op.pair.d * sys.noise))
+        op = build(sys)
+        fixed_point = lu_solve(op.vtda(p), sys.v.T @ (p * op.omega * sys.noise))
         assert diag.fixed_point_error == float(np.linalg.norm(fixed_point))
 
     def test_noisy_wide_system_skips_fixed_point(self, monkeypatch):
