@@ -212,7 +212,7 @@ def _cmd_diagnose(args, argv):
         os.path.join(out, "diagnostics.csv"), diag, headers
     )
     if not diag.guarantees_convergence:
-        print("warning: no convergence guarantee (lambda <= 0 or zero-probability rows)")
+        print("warning: no convergence guarantee (lambda <= 0)")
         return EXIT_NO_GUARANTEE
     return EXIT_OK
 

@@ -15,18 +15,19 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
 
 ``analysis_rows`` is the one place that decides which rows the analysis
 reads: the dense rows (A, V) when m >= n, the coordinates (A Z, V Z) when
-m < n.  ``expectation_operator`` builds one ``ExpectationOperator`` per
-system and step rule from those rows and the static step sizes.  Only
+m < n, read off the m x m products A V^T and V V^T.
+``expectation_operator`` builds one ``ExpectationOperator`` per system and
+step rule from those rows and the static step sizes.  Only
 D = diag(p_i omega_i) depends on the row distribution, so its matrices take
 p as an argument: ``vtda(p)`` forms V^T D A and ``w(p)`` forms W as
 sym(A^T D (2V - S A)), each a new matrix by one GEMM, so a caller that reads
 one of them never pays for the other.  2V - S A is formed once, on the
 first ``w``.  Its ``iteration_matrix`` is the one place I - V^T D A is
 built.  On the coordinates the matrices are Z^T V^T D A Z and Z^T W Z, so
-the restricted analysis forms no n x n matrix.  ``compute_diagnostics``
-reads lambda off W, forms V^T D A once and reads rho, the norm and the
-fixed-point error off it, and returns them with the noise quantities in one
-``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
+the restricted analysis forms no m x n or n x n matrix.
+``compute_diagnostics`` reads lambda off W, forms V^T D A once and reads
+rho, the norm and the fixed-point error off it, and returns them with the
+noise quantities in one ``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
 operator with the same ``linalg`` calls (``symmetric_eigensystem`` for
 lambda, ``top_singular_triplet`` for the norm), so ``diagnose`` reports bit
 for bit the values the optimizer reached.  The spectral norm is read off
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     DimensionError,
@@ -53,7 +55,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    is_invertible,
+    cholesky_coordinates,
     lu_solve,
     orthonormal_range_basis,
     spectral_radius,
@@ -92,7 +94,8 @@ class RateDiagnostics:
 
     @property
     def guarantees_convergence(self):
-        return self.lam > 0 and self.positivity_ok
+        """lambda > 0: the one-step bound holds for any p on the simplex."""
+        return self.lam > 0
 
     @property
     def ordering_observed(self):
@@ -177,29 +180,37 @@ class ExpectationOperator:
         return np.eye(vtda.shape[0]) - vtda
 
 
+def _dense(m) -> np.ndarray:
+    return m.toarray() if scipy.sparse.issparse(m) else m
+
+
+def check_range_solvable(av: np.ndarray) -> None:
+    """Reject a wide pair unless A V^T (m x m) has rank m, by pivoted QR.
+
+    Rank m means one solution in rg V^T, and full row rank of A and V.
+    """
+    rank = orthonormal_range_basis(av).shape[1]
+    if rank < av.shape[0]:
+        raise RankDeficiencyError(
+            f"A V^T has rank {rank} < {av.shape[0]}: no unique solution in rg V^T"
+        )
+
+
 def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:
-    """The rows the expectation analysis reads: ``sys.dense`` when m >= n.
+    """The rows the expectation analysis reads: (A, V) as dense arrays when m >= n.
 
     When m < n the rates are stated on rg V^T, so the rows are the m x m
-    coordinates (A Z, V Z) in the orthonormal basis Z of rg V^T.  That
-    requires full row rank of A and V and a nonsingular A V^T (so the
-    system has exactly one solution in rg V^T).
+    coordinates (A Z, V Z) in an orthonormal basis Z of rg V^T, read off the
+    products A V^T and V V^T (sparse on CSR) after the rank test of A V^T:
+    no m x n or n x n matrix is formed.
     """
+    a, v = sys.a, sys.v
     if sys.m >= sys.n:
-        return sys.dense
-    a, v = sys.dense
-    z = None
-    for name, mat in (("a", a), ("v", v)):
-        basis = orthonormal_range_basis(mat.T)
-        if basis.shape[1] < sys.m:
-            raise RankDeficiencyError(
-                f"matrix {name} does not have full row rank "
-                f"(rank {basis.shape[1]} < {sys.m})"
-            )
-        z = basis  # after the loop: orthonormal basis of rg V^T
-    if not is_invertible(a @ v.T):
-        raise SingularMatrixError("A V^T is singular; no unique solution in rg V^T")
-    return a @ z, v @ z
+        dense_a = _dense(a)
+        return dense_a, dense_a if v is a else _dense(v)
+    av = _dense(a @ v.T)
+    check_range_solvable(av)
+    return cholesky_coordinates(_dense(v @ v.T), av)
 
 
 def expectation_operator(

@@ -240,14 +240,19 @@ def orthonormal_range_basis(m) -> np.ndarray:
     return q[:, :rank].copy()
 
 
-def _pivoted_lu(m):
-    """Partial-pivoted LU factors ``(lu, piv)`` of the square matrix M.
+def lu_solve(m, b) -> np.ndarray:
+    """Solve the square system M x = b by partial-pivoted LU.
 
     Raises ``SingularMatrixError`` when the smallest pivot falls below
     ``PIVOT_RTOL * ||M||_F``.
     """
     m = as_matrix(m, "matrix")
     _require_square(m, "matrix")
+    b = as_vector(b, "right-hand side")
+    if b.shape[0] != m.shape[0]:
+        raise DimensionError(
+            f"rhs length {b.shape[0]} does not match matrix size {m.shape[0]}"
+        )
     with warnings.catch_warnings():
         # The pivot check below is our singularity report; scipy's warning is noise.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -257,24 +262,19 @@ def _pivoted_lu(m):
         raise SingularMatrixError(
             f"matrix is singular to working precision (min pivot {pivots.min():.3e})"
         )
-    return lu, piv
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def lu_solve(m, b) -> np.ndarray:
-    """Solve the square system M x = b by partial-pivoted LU (see ``_pivoted_lu``)."""
-    factors = _pivoted_lu(m)
-    b = as_vector(b, "right-hand side")
-    if b.shape[0] != factors[0].shape[0]:
-        raise DimensionError(
-            f"rhs length {b.shape[0]} does not match matrix size {factors[0].shape[0]}"
-        )
-    return scipy.linalg.lu_solve(factors, b, check_finite=False)
+def cholesky_coordinates(gram, m) -> tuple[np.ndarray, np.ndarray]:
+    """(M L^-T, L) for the Cholesky factor L of ``gram`` = L L^T.
 
-
-def is_invertible(m) -> bool:
-    """Pivot-threshold invertibility test on a square matrix."""
+    For G = V V^T and M = A V^T these are the coordinates (A Z, V Z) in the
+    orthonormal basis Z = V^T L^-T of rg V^T.  ``RankDeficiencyError`` when
+    G is not positive definite to working precision.
+    """
     try:
-        _pivoted_lu(m)
-    except SingularMatrixError:
-        return False
-    return True
+        low = scipy.linalg.cholesky(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(f"V V^T is not positive definite: {exc}") from exc
+    coords = scipy.linalg.solve_triangular(low, m.T, lower=True, check_finite=False)
+    return coords.T, low

@@ -21,13 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .errors import (
-    DimensionError,
-    EmptySystemError,
-    InvalidInputError,
-    SingularMatrixError,
-)
-from .linalg import as_csr, as_matrix, as_vector, is_invertible
+from .diagnostics import check_range_solvable
+from .errors import DimensionError, EmptySystemError, InvalidInputError
+from .linalg import as_csr, as_matrix, as_vector
 from .sampling import replicate_rng
 from .solver import PAIRING_RTOL, SystemPair, make_system
 
@@ -92,8 +88,7 @@ def assemble_underdetermined(m, n, tau, seed) -> SystemPair:
     v = mismatch_threshold(a, tau)
     c = replicate_rng(seed, 2).standard_normal(m)
     truth = v.T @ c
-    if not is_invertible(a @ v.T):
-        raise SingularMatrixError("A V^T is singular for this seed; pick another")
+    check_range_solvable(a @ v.T)
     return make_system(a, v, a @ truth, truth=truth)
 
 

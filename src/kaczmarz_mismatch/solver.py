@@ -26,8 +26,9 @@ rows would, and the kernel reads no column outside them.
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
 Validation, the pairing and row norms, the starting point and the logged
-residuals run on either kind, on CSR over the stored entries only; only the
-expectation analysis reads dense rows, made by ``SystemPair.dense``.  Sums
+residuals run on either kind, on CSR over the stored entries only.  The
+expectation analysis (``diagnostics.analysis_rows``) reads the dense rows
+when m >= n, and two m x m products of the operators when m < n.  Sums
 over stored entries or over spans can differ from dense sums in the last
 bits, so a CSR system and its dense form can give different traces; reruns
 of either are byte-identical.
@@ -166,20 +167,6 @@ class SystemPair:
         """
         a = _row_spans(self.a)
         return a, a if self.v is self.a else _row_spans(self.v)
-
-    @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, v) as dense arrays, for the expectation analysis.
-
-        Only ``diagnostics.analysis_rows`` reads them; the solver reads
-        ``kernel_rows``.  Dense operators are returned as they are.  CSR ones
-        are made dense here, on first read, and kept: one array for both
-        when ``v is a``.
-        """
-        if not scipy.sparse.issparse(self.a):
-            return self.a, self.v
-        a = self.a.toarray()
-        return a, a if self.v is self.a else self.v.toarray()
 
 
 def _row_dots(x, y) -> np.ndarray:

@@ -9,7 +9,10 @@ into a dense matrix, the plain form of the per-angle sparse tracer in
 dense matrix, the plain form of ``problems.ct_mismatch_pair``.
 ``rkma_step`` is one row update of the solver kernel ``_sweep``, and
 ``exact_one_step_expectation`` sums it over every row, the oracle for the
-closed-form expectation matrices of ``diagnostics``.  ``random_csr`` draws
+closed-form expectation matrices of ``diagnostics``.
+``reference_analysis_rows`` reads the restricted rows (A Z, V Z) with Z
+from the pivoted QR of V^T, the oracle for the Gram coordinates of
+``diagnostics.analysis_rows``.  ``random_csr`` draws
 the sparse operators of the property tests that compare a CSR operator with
 its dense form.
 """
@@ -24,8 +27,9 @@ from kaczmarz_mismatch.errors import (
     EmptySystemError,
     InvalidInputError,
     NumericError,
+    RankDeficiencyError,
 )
-from kaczmarz_mismatch.linalg import as_matrix, as_vector
+from kaczmarz_mismatch.linalg import as_matrix, as_vector, lu_solve, orthonormal_range_basis
 from kaczmarz_mismatch.sampling import check_probability_vector
 from kaczmarz_mismatch.solver import (
     StepRule,
@@ -327,6 +331,27 @@ def random_csr(rng, shape, density, values=None):
 def dense(m):
     """``m`` as a dense array: ``toarray()`` of a sparse matrix, else ``m`` itself."""
     return m.toarray() if scipy.sparse.issparse(m) else m
+
+
+def reference_analysis_rows(sys):
+    """The coordinates (A Z, V Z) of a wide system in the QR basis Z of rg V^T.
+
+    A^T and V^T must each have rank m at the drop tolerance of
+    ``orthonormal_range_basis``, and A V^T must pass the pivot check of
+    ``lu_solve``.  Three factorizations on the dense n x m matrices, where
+    the package makes one rank test and one Cholesky factorization of the
+    m x m products.
+    """
+    a, v = dense(sys.a), dense(sys.v)
+    if sys.m >= sys.n:
+        raise InvalidInputError(f"restricted rows need m < n, got {sys.m} x {sys.n}")
+    for name, mat in (("a", a), ("v", v)):
+        rank = orthonormal_range_basis(mat.T).shape[1]
+        if rank < sys.m:
+            raise RankDeficiencyError(f"matrix {name} has rank {rank} < {sys.m}")
+    lu_solve(a @ v.T, np.ones(sys.m))  # raises SingularMatrixError
+    z = orthonormal_range_basis(v.T)
+    return a @ z, v @ z
 
 
 def rkma_step(sys, x, i, rule=StepRule.OBLIQUE_EXACT):

@@ -512,8 +512,8 @@ class TestExitCodes:
             assert not os.path.exists(out), argv
 
     def test_rank_deficient_ct_is_numeric_failure(self, tmp_path, capsys):
-        # The CT forward rows are rank deficient, so neither the restricted
-        # rates nor their optimization are defined.
+        # A V^T of the wide CT pair has rank below m, so neither the
+        # restricted rates nor their optimization are defined.
         inst = str(tmp_path / "ct")
         assert run_cli(["generate", "--kind", "ct", "--grid", "16", "--angle-step", "10",
                         "--rays", "24", "--out", inst]) == 0
@@ -525,7 +525,7 @@ class TestExitCodes:
             capsys.readouterr()
             assert run_cli(argv) == 2, argv
             assert capsys.readouterr().err == (
-                "numeric failure: matrix a does not have full row rank (rank 128 < 132)\n"
+                "numeric failure: A V^T has rank 128 < 132: no unique solution in rg V^T\n"
             ), argv
         assert not out.exists()
 

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kaczmarz_mismatch import diagnostics, experiments, problems, probopt
@@ -20,6 +21,7 @@ from kaczmarz_mismatch.errors import (
     DimensionError,
     InvalidInputError,
     NoGuaranteeError,
+    NumericError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -40,6 +42,8 @@ from kaczmarz_mismatch.problems import (
     mismatch_threshold,
 )
 from kaczmarz_mismatch.solver import StepRule, make_system
+
+import oracles
 
 
 def thresholded_instance(m, n, tau, seed):
@@ -454,8 +458,12 @@ class TestRestricted:
         ids=lambda rule: rule.value,
     )
     def test_coordinates_match_conjugated_matrices(self, rule):
-        # The operator on (A Z, V Z) against Z^T W Z and Z^T V^T D A Z formed
-        # from the n x n matrices, on fig3's default instance.
+        # The operator on the rows of analysis_rows against Z^T W Z and
+        # Z^T V^T D A Z formed from the n x n matrices, on fig3's default
+        # instance, for the QR basis Z of rg V^T.  The two bases of rg V^T
+        # differ by an orthogonal m x m factor, so the test compares what
+        # that factor leaves unchanged: the spectrum of W, the singular
+        # values of I - V^T D A, and the three rates.
         sys = pipeline_instance("fig3")
         p = row_norm_probabilities(sys)
         op = expectation_operator(sys, rule)
@@ -465,7 +473,14 @@ class TestRestricted:
         z = orthonormal_range_basis(sys.v.T)
         w_z = z.T @ w @ z
         m_mat = np.eye(sys.m) - z.T @ vtda @ z
-        assert np.linalg.norm(op.w(p) - w_z) <= 1e-13 * np.linalg.norm(w_z)
+        scale = np.linalg.norm(w_z)
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(op.w(p)), np.linalg.eigvalsh(w_z), rtol=0, atol=1e-13 * scale
+        )
+        np.testing.assert_allclose(
+            np.linalg.svd(op.iteration_matrix(op.vtda(p)), compute_uv=False),
+            np.linalg.svd(m_mat, compute_uv=False), rtol=0, atol=1e-13,
+        )
         res = compute_diagnostics(sys, p, rule)
         assert res.restricted
         lam_z = symmetric_eigensystem(0.5 * (w_z + w_z.T))[0]
@@ -474,6 +489,41 @@ class TestRestricted:
         assert res.norm_expectation == pytest.approx(
             top_singular_triplet(m_mat).sigma, abs=1e-12
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        m_frac=st.floats(0.0, 1.0),
+        tau=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        rule=st.sampled_from([rule for rule in StepRule if rule.is_static]),
+    )
+    def test_gram_coordinates_match_reference(self, n, m_frac, tau, seed, rule):
+        # On every wide thresholded system the QR reference accepts, the rows
+        # of analysis_rows give its lambda, rho and norm.  Both bases of
+        # rg V^T are orthonormal; the Gram one is computed through the
+        # Cholesky factor of G = V V^T, so its error grows with kappa(G).
+        # Tolerance: 100 kappa(G) eps, relative to ||W||_F for lambda and to
+        # max(1, value) for rho and the norm; over 4000 random draws the
+        # largest error was 3.3 kappa(G) eps.
+        rng = np.random.default_rng(seed)
+        sys = random_system(2 + int(m_frac * (n - 3)), n, tau, rng)
+        try:
+            reference_rows = oracles.reference_analysis_rows(sys)
+        except NumericError:
+            assume(False)
+        op = expectation_operator(sys, rule)
+        reference = ExpectationOperator(*reference_rows, op.omega, op.s)
+        p = rng.dirichlet(np.ones(sys.m))
+        tol = 100 * np.linalg.cond(sys.v @ sys.v.T) * np.finfo(float).eps
+        w, w_ref = op.w(p), reference.w(p)
+        lam_gap = symmetric_eigensystem(w)[0] - symmetric_eigensystem(w_ref)[0]
+        assert abs(lam_gap) <= tol * np.linalg.norm(w_ref)
+        m_mat = op.iteration_matrix(op.vtda(p))
+        m_ref = reference.iteration_matrix(reference.vtda(p))
+        for read in (spectral_radius, lambda mat: top_singular_triplet(mat).sigma):
+            want = read(m_ref)
+            assert abs(read(m_mat) - want) <= tol * max(1.0, want)
 
     def test_forms_no_n_by_n_matrix(self):
         sys = assemble_underdetermined(40, 400, 0.3, 3)
@@ -488,17 +538,42 @@ class TestRestricted:
 
     def test_tall_system_reads_dense_rows(self):
         # m >= n: the analysis reads the system's own dense arrays, so the
-        # unrestricted rates are unchanged bit for bit.
+        # unrestricted rates are unchanged bit for bit.  A CSR pair is made
+        # dense on each call, into one array when v is a.
         sys = thresholded_instance(20, 5, 0.5, 10)
         a, v = analysis_rows(sys)
-        assert a is sys.dense[0] and v is sys.dense[1]
+        assert a is sys.a and v is sys.v
         op = expectation_operator(sys)
         assert op.a is a and op.v is v
+        csr_a, csr_v = scipy.sparse.csr_array(sys.a), scipy.sparse.csr_array(sys.v)
+        a, v = analysis_rows(make_system(csr_a, csr_v, sys.b))
+        np.testing.assert_array_equal(a, sys.a)
+        np.testing.assert_array_equal(v, sys.v)
+        a, v = analysis_rows(make_system(csr_a, csr_a, sys.b))
+        assert v is a and isinstance(a, np.ndarray)
+        np.testing.assert_array_equal(a, sys.a)
 
     def test_rejects_rank_deficient_rows(self):
+        # One rank test on A V^T: rank-deficient rows, and full-rank A and V
+        # whose A V^T is singular, are rejected alike.
         a = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         sys = make_system(a, a, np.zeros(2))
-        with pytest.raises(RankDeficiencyError, match="matrix a does not have full row rank"):
+        with pytest.raises(RankDeficiencyError, match="A V\\^T has rank 1 < 2"):
+            compute_diagnostics(sys, np.array([0.5, 0.5]))
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        v = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        sys = make_system(a, v, np.zeros(2))
+        with pytest.raises(RankDeficiencyError, match="A V\\^T has rank 1 < 2"):
+            compute_diagnostics(sys, np.array([0.5, 0.5]))
+
+    def test_gram_cholesky_failure_is_rank_deficiency(self):
+        # A V^T = [[1, 1], [0, 1]] passes its rank test, but V's rows differ
+        # by 1e-9, so V V^T rounds to [[1, 1], [1, 1]] and fails its Cholesky
+        # factorization: the failure is raised, not swallowed.
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1e9, 0.0]])
+        v = np.array([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]])
+        sys = make_system(a, v, np.zeros(2))
+        with pytest.raises(RankDeficiencyError, match="V V\\^T is not positive definite"):
             compute_diagnostics(sys, np.array([0.5, 0.5]))
 
 
@@ -557,11 +632,42 @@ class TestAssembledDiagnostics:
         assert diag.fixed_point_error is None
 
     def test_positivity_flag(self):
+        # Zero entries of p are reported, but the guarantee reads lambda
+        # alone: the one-step identity holds for any p on the simplex.
         sys = thresholded_instance(4, 2, 0.4, 13)
         p = np.array([0.5, 0.5, 0.0, 0.0])
         diag = compute_diagnostics(sys, p)
         assert not diag.positivity_ok
-        assert not diag.guarantees_convergence
+        assert diag.lam > 0
+        assert diag.guarantees_convergence
+        negative = RateDiagnostics(lam=-1e-3, rho_asymptotic=0.9, norm_expectation=1.1)
+        assert negative.positivity_ok and not negative.guarantees_convergence
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 10),
+        n=st.integers(1, 5),
+        tau=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        rule=st.sampled_from([rule for rule in StepRule if rule.is_static]),
+    )
+    def test_zero_probabilities_keep_the_contraction(self, m, n, tau, seed, rule):
+        # At a p with zero entries and lambda > 0, the exact one-step
+        # expectation E||e_{k+1}||^2 = ||e||^2 - e^T W e is at most
+        # (1 - lambda) ||e||^2.  Tolerance 1e-10 ||e||^2 (lambda and the
+        # summed expectation are each exact to rounding).
+        assume(m >= n)
+        rng = np.random.default_rng(seed)
+        base = random_system(m, n, tau, rng)
+        sys = make_system(base.a, base.v, np.zeros(m), truth=np.zeros(n))
+        p = some_distributions(rng, m)[2]
+        assume(np.any(p == 0.0))
+        diag = compute_diagnostics(sys, p, rule)
+        assume(diag.lam > 0)
+        x = rng.standard_normal(n)
+        _, mean_sq = oracles.exact_one_step_expectation(sys, x, p, rule)
+        e_sq = float(x @ x)
+        assert mean_sq <= (1.0 - diag.lam) * e_sq + 1e-10 * e_sq
 
     def test_csv_row_matches_columns(self):
         diag = RateDiagnostics(

@@ -407,10 +407,6 @@ class TestLuSolve:
         with pytest.raises(DimensionError):
             linalg.lu_solve(np.eye(3), np.ones(2))
 
-    def test_is_invertible(self):
-        assert linalg.is_invertible(np.eye(3))
-        assert not linalg.is_invertible(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8),
@@ -419,10 +415,35 @@ class TestLuSolve:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_solve_fails_exactly_when_not_invertible(self, n, rank, log_scale, seed):
-        # One pivot check decides both: full-rank and rank-deficient inputs.
+        # One pivot check, at any scale: a Gaussian matrix of full rank is
+        # solved to a backward-stable residual, a rank-deficient one rejected.
         m = shaped_matrix(n, n, min(rank, n), seed) * 10.0**log_scale
-        if linalg.is_invertible(m):
-            assert np.all(np.isfinite(linalg.lu_solve(m, np.ones(n))))
+        if rank >= n:
+            x = linalg.lu_solve(m, np.ones(n))
+            residual = np.linalg.norm(m @ x - 1.0)
+            assert residual <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(x)
         else:
             with pytest.raises(SingularMatrixError):
                 linalg.lu_solve(m, np.ones(n))
+
+
+class TestCholeskyCoordinates:
+    def test_coordinates_in_an_orthonormal_basis(self):
+        # G = V V^T = L L^T: Z = V^T L^-T is orthonormal, and the function
+        # returns (A Z, V Z) = (A V^T L^-T, L).
+        rng = np.random.default_rng(41)
+        a, v = rng.standard_normal((5, 12)), rng.standard_normal((5, 12))
+        coords, low = linalg.cholesky_coordinates(v @ v.T, a @ v.T)
+        np.testing.assert_array_equal(low, np.tril(low))
+        gram = v @ v.T
+        np.testing.assert_allclose(low @ low.T, gram, rtol=0, atol=1e-13 * np.linalg.norm(gram))
+        z = np.linalg.solve(low, v).T
+        np.testing.assert_allclose(z.T @ z, np.eye(5), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(coords, a @ z, rtol=0, atol=1e-13 * np.linalg.norm(a))
+        np.testing.assert_allclose(low, v @ z, rtol=0, atol=1e-13 * np.linalg.norm(v))
+
+    def test_not_positive_definite_rejected(self):
+        v = np.array([[1.0, 0.0], [2.0, 0.0]])  # rank 1: V V^T is singular
+        with pytest.raises(RankDeficiencyError, match="V V\\^T is not positive definite"):
+            linalg.cholesky_coordinates(v @ v.T, np.eye(2))
+

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm as normal_dist
 
 from kaczmarz_mismatch import experiments
-from kaczmarz_mismatch.errors import EmptySystemError, InvalidInputError
+from kaczmarz_mismatch.diagnostics import compute_diagnostics
+from kaczmarz_mismatch.errors import EmptySystemError, InvalidInputError, RankDeficiencyError
 from kaczmarz_mismatch.linalg import orthonormal_range_basis
 from kaczmarz_mismatch.problems import (
     assemble_consistent,
@@ -403,6 +404,24 @@ class TestCtMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * (2 * sys.m * sys.n * 8)
+
+    def test_rejected_diagnostics_read_two_products(self):
+        # The wide pair is rejected by the rank test of the m x m product
+        # A V^T, read off CSR products: the peak is 3.8 m x n matrices (the
+        # product and its pivoted QR). Dense rows and their n x m range
+        # bases took it to 4.9.
+        warm = build_ct_instance(8, 30.0, 9, 4)
+        compute_diagnostics(warm, experiments.probability_scheme(warm, "pairing"))
+        sys = build_ct_instance(32, 5.0, 90, 4)
+        p = experiments.probability_scheme(sys, "pairing")
+        tracemalloc.start()
+        try:
+            with pytest.raises(RankDeficiencyError, match="A V\\^T has rank 936 < 984"):
+                compute_diagnostics(sys, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.3 * sys.m * sys.n * 8
 
     def test_ct_experiment_makes_no_dense_operator(self, tmp_path):
         # Both solves read row spans: those of A and V, then the matched

@@ -90,7 +90,7 @@ def norm_subgradient_cases(draw):
 def wide_cases(draw):
     """(system, p, static rule, probe generator) on a wide thresholded system.
 
-    A and V have full row rank and A V^T is nonsingular, so the objectives
+    A V^T has rank m (so A and V have full row rank), so the objectives
     are the restricted ones, read on the coordinates (A Z, V Z).
     """
     rule = draw(st.sampled_from([rule for rule in StepRule if rule.is_static]))
@@ -455,19 +455,20 @@ class TestOptimize:
         assert result.objective_evals[0] == evaluate(op, np.full(20, 1 / 20))
 
     def test_wide_rows_formed_once_per_call(self, monkeypatch):
-        calls = {"orthonormal_range_basis": 0, "is_invertible": 0}
+        sys = assemble_underdetermined(20, 60, 0.3, 11)
+        calls = {"orthonormal_range_basis": 0, "cholesky_coordinates": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(diagnostics, name)):
                 calls[_name] += 1
                 return _original(*args)
 
             monkeypatch.setattr(diagnostics, name, counted)
-        sys = assemble_underdetermined(20, 60, 0.3, 11)
         for objective in Objective:
             cfg = ProbOptConfig(objective=objective, iterations=25)
             optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
-        # Two range bases and one invertibility check per call, none per iterate.
-        assert calls == {"orthonormal_range_basis": 4, "is_invertible": 2}
+        # One rank test of A V^T and one Cholesky factorization of V V^T per
+        # call, none per iterate.
+        assert calls == {"orthonormal_range_basis": 2, "cholesky_coordinates": 2}
 
     def test_w_rows_formed_once_per_call(self, monkeypatch):
         formed = []

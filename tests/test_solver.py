@@ -123,22 +123,9 @@ class TestOperatorKinds:
         for name in ("a", "v"):
             np.testing.assert_allclose(got.row_norms_sq(name), want.row_norms_sq(name),
                                        rtol=1e-13, atol=0)
-        for dense_rows, operator in zip(got.dense, (got.a, got.v)):
-            np.testing.assert_array_equal(dense_rows.view(np.int64),
-                                          operator.toarray().view(np.int64))
         for name in ("a", "v", "pairing"):
             np.testing.assert_array_equal(getattr(mixed, name).view(np.int64),
                                           getattr(want, name).view(np.int64))
-
-    def test_dense_rows_made_once(self):
-        a = scipy.sparse.csr_array(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0]]))
-        sys = make_system(a, a, np.ones(2))
-        assert sys.v is sys.a
-        dense_a, dense_v = sys.dense
-        assert dense_v is dense_a and sys.dense is sys.dense
-        np.testing.assert_array_equal(dense_a, a.toarray())
-        sys = make_system(a.toarray(), 2.0 * a.toarray(), np.ones(2))
-        assert sys.dense[0] is sys.a and sys.dense[1] is sys.v
 
     def test_sparse_input_validated(self):
         bad = scipy.sparse.csr_array(np.array([[1.0, np.nan]]))
