@@ -57,7 +57,7 @@ from .errors import (
 from .linalg import (
     cholesky_coordinates,
     lu_solve,
-    orthonormal_range_basis,
+    numerical_rank,
     spectral_radius,
     symmetric_eigensystem,
     top_singular_triplet,
@@ -189,7 +189,7 @@ def check_range_solvable(av: np.ndarray) -> None:
 
     Rank m means one solution in rg V^T, and full row rank of A and V.
     """
-    rank = orthonormal_range_basis(av).shape[1]
+    rank = numerical_rank(av)
     if rank < av.shape[0]:
         raise RankDeficiencyError(
             f"A V^T has rank {rank} < {av.shape[0]}: no unique solution in rg V^T"

@@ -2,10 +2,13 @@
 
 Each experiment builds its instance through ``problems.build_instance``,
 runs the relevant solves, and writes traces, diagnostics, and
-theoretical-bound curves with provenance headers.  ``EXPERIMENTS`` lists
-each pipeline's instance kind, parameters with their desk-scale defaults
-(seconds to minutes), and the ``experiment`` flags that reach the published
-problem sizes.
+theoretical-bound curves with provenance headers.  Every solve runs through
+``_solve``, which writes its trace; a matched solve (V = A) runs on
+``solver.matched_pair`` of the mismatched system, so both read one set of
+spans of A.  fig1-fig3 share the rest of their steps in ``_figure``.
+``EXPERIMENTS`` lists each pipeline's instance kind, parameters with their
+desk-scale defaults (seconds to minutes), and the ``experiment`` flags that
+reach the published problem sizes.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from .diagnostics import (
 )
 from .errors import InvalidInputError
 from .fileio import FORMAT_VERSION, provenance_lines, write_table_csv, write_vector_csv
-from .linalg import orthonormal_range_basis
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
-from .solver import SolverConfig, StepRule, make_system, run
+from .solver import SolverConfig, StepRule, matched_pair, run
 
 
 @dataclass(frozen=True)
@@ -142,94 +144,80 @@ def _write_manifest(out_dir, name, command, seed, instance, params):
     )
 
 
-def experiment_fig1(out_dir, command="experiment fig1", **params):
-    """Overdetermined consistent comparison: matched vs mismatched adjoint."""
-    seed, instance, own, sys_mis = _setup("fig1", params)
+def _solve(out_dir, headers, cfg, solves):
+    """Run each ``stem: (system, p)`` in order, write ``<stem>.csv``; the traces by stem."""
+    traces = {}
+    for stem, (system, p) in solves.items():
+        traces[stem] = run(system, p, cfg)
+        write_trace_csv(os.path.join(out_dir, f"{stem}.csv"), traces[stem], headers)
+    return traces
+
+
+def _figure(name, out_dir, command, params, table, matched):
+    """The steps fig1-fig3 share, at rownorm-a p; returns the diagnostics.
+
+    ``table(sys, diag, mismatched trace)`` gives the file name, columns and
+    rows of the figure's own table.  ``matched`` adds the matched solve.
+    """
+    seed, instance, own, sys = _setup(name, params)
     cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    sys_matched = make_system(sys_mis.a, sys_mis.a, sys_mis.b, truth=sys_mis.truth)
-    p = probability_scheme(sys_mis, "rownorm-a")
-
-    diag = compute_diagnostics(sys_mis, p)
-    trace_mis = run(sys_mis, p, cfg)
-    trace_matched = run(sys_matched, p, cfg)
+    p = probability_scheme(sys, "rownorm-a")
+    diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
 
     headers = _headers(command, seed, instance)
-    write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
-    write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
+    solves = {"rkma_trace": (sys, p)}
+    if matched:
+        solves["rk_trace"] = (matched_pair(sys), p)
+    traces = _solve(out_dir, headers, cfg, solves)
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
-
-    e0 = trace_mis.error_norms[0]
-    rows = []
-    for k in trace_mis.logged_k:
-        sq_bound = (1.0 - diag.lam) ** k * e0**2
-        rows.append((k, sq_bound, np.sqrt(sq_bound), diag.rho_asymptotic**k * e0))
-    write_table_csv(
-        os.path.join(out_dir, "bound.csv"),
-        ("k", "sq_error_bound", "error_bound", "rate_curve"),
-        rows,
-        header_lines=headers,
-    )
-    _write_manifest(out_dir, "fig1", command, seed, instance, own)
+    file_name, columns, rows = table(sys, diag, traces["rkma_trace"])
+    write_table_csv(os.path.join(out_dir, file_name), columns, rows, header_lines=headers)
+    _write_manifest(out_dir, name, command, seed, instance, own)
     return diag
+
+
+def experiment_fig1(out_dir, command="experiment fig1", **params):
+    """Overdetermined consistent comparison: matched vs mismatched adjoint."""
+
+    def bound(sys, diag, trace):
+        e0 = trace.error_norms[0]
+        rows = []
+        for k in trace.logged_k:
+            sq_bound = (1.0 - diag.lam) ** k * e0**2
+            rows.append((k, sq_bound, np.sqrt(sq_bound), diag.rho_asymptotic**k * e0))
+        return "bound.csv", ("k", "sq_error_bound", "error_bound", "rate_curve"), rows
+
+    return _figure("fig1", out_dir, command, params, bound, matched=True)
 
 
 def experiment_fig2(out_dir, command="experiment fig2", **params):
     """Inconsistent right-hand side: error decays to a nonzero floor."""
-    seed, instance, own, sys = _setup("fig2", params)
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
-    p = probability_scheme(sys, "rownorm-a")
 
-    diag = compute_diagnostics(sys, p)
-    trace = run(sys, p, cfg)
+    def bound(sys, diag, trace):
+        e0_sq = trace.error_norms[0] ** 2
+        rows = []
+        for k in trace.logged_k:
+            sq_bound = inconsistent_bound(k, diag.lam, diag.gamma, e0_sq)
+            rows.append((k, sq_bound, np.sqrt(sq_bound), diag.fixed_point_error))
+        return "bound.csv", ("k", "sq_error_bound", "error_bound", "floor"), rows
 
-    headers = _headers(command, seed, instance)
-    write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace, headers)
-    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
-
-    e0_sq = trace.error_norms[0] ** 2
-    rows = []
-    for k in trace.logged_k:
-        sq_bound = inconsistent_bound(k, diag.lam, diag.gamma, e0_sq)
-        rows.append((k, sq_bound, np.sqrt(sq_bound), diag.fixed_point_error))
-    write_table_csv(
-        os.path.join(out_dir, "bound.csv"),
-        ("k", "sq_error_bound", "error_bound", "floor"),
-        rows,
-        header_lines=headers,
-    )
-    _write_manifest(out_dir, "fig2", command, seed, instance, own)
-    return diag
+    return _figure("fig2", out_dir, command, params, bound, matched=False)
 
 
 def experiment_fig3(out_dir, command="experiment fig3", **params):
-    """Underdetermined case: solution in rg V^T, out of reach for matched rows."""
-    seed, instance, own, sys = _setup("fig3", params)
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
-    sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
-    p = probability_scheme(sys, "rownorm-a")
+    """Underdetermined case: solution in rg V^T, out of reach for matched rows.
 
-    diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
-    trace_mis = run(sys, p, cfg)
-    trace_matched = run(sys_matched, p, cfg)
+    ``plateau.csv`` holds ||truth - A^+ b||, the distance from the truth to
+    the min-norm solution that the matched iteration reaches from x_0 = 0.
+    """
 
-    za = orthonormal_range_basis(sys.a.T)
-    plateau = float(np.linalg.norm(sys.truth - za @ (za.T @ sys.truth)))
+    def plateau(sys, diag, trace):
+        min_norm = np.linalg.lstsq(sys.a, sys.b, rcond=None)[0]
+        gap = float(np.linalg.norm(sys.truth - min_norm))
+        return "plateau.csv", ("matched_range_gap",), [(gap,)]
 
-    headers = _headers(command, seed, instance)
-    write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
-    write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
-    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
-    write_table_csv(
-        os.path.join(out_dir, "plateau.csv"),
-        ("matched_range_gap",),
-        [(plateau,)],
-        header_lines=headers,
-    )
-    _write_manifest(out_dir, "fig3", command, seed, instance, own)
-    return diag
+    return _figure("fig3", out_dir, command, params, plateau, matched=True)
 
 
 def experiment_ct(out_dir, command="experiment ct", **params):
@@ -237,15 +225,14 @@ def experiment_ct(out_dir, command="experiment ct", **params):
     seed, instance, own, sys = _setup("ct", params)
     cfg = SolverConfig(max_iterations=own["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    sys_matched = make_system(sys.a, sys.a, sys.b, truth=sys.truth)
-
-    trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
-    trace_matched = run(sys_matched, probability_scheme(sys_matched, "rownorm-a"), cfg)
 
     own = {"rows": sys.m, **own}
     headers = _headers(command, seed, {**instance, **own})
-    write_trace_csv(os.path.join(out_dir, "rkma_trace.csv"), trace_mis, headers)
-    write_trace_csv(os.path.join(out_dir, "rk_trace.csv"), trace_matched, headers)
+    traces = _solve(out_dir, headers, cfg, {
+        "rkma_trace": (sys, probability_scheme(sys, "pairing")),
+        "rk_trace": (matched_pair(sys), probability_scheme(sys, "rownorm-a")),
+    })
+    trace_mis, trace_matched = traces.values()
     write_vector_csv(os.path.join(out_dir, "phantom.csv"), sys.truth, headers)
     write_vector_csv(os.path.join(out_dir, "recon_rkma.csv"), trace_mis.final_x, headers)
     write_vector_csv(os.path.join(out_dir, "recon_rk.csv"), trace_matched.final_x, headers)
@@ -318,14 +305,14 @@ def experiment_table1(out_dir, command="experiment table1", **params):
             header_lines=headers,
         )
 
-    summary_rows = []
+    traces = _solve(
+        out_dir, headers, cfg, {f"trace_{name}": (sys, p) for name, p in schemes.items()}
+    )
     error_target = own["error_target"]
-    for name, p in schemes.items():
-        trace = run(sys, p, cfg)
-        write_trace_csv(os.path.join(out_dir, f"trace_{name}.csv"), trace, headers)
-        summary_rows.append(
-            (name, iterations_to_error(trace, error_target), trace.error_norms[-1])
-        )
+    summary_rows = [
+        (name, iterations_to_error(trace, error_target), trace.error_norms[-1])
+        for name, trace in zip(schemes, traces.values())
+    ]
     write_table_csv(
         os.path.join(out_dir, "summary.csv"),
         ("scheme", "iterations_to_target", "final_error"),

@@ -42,7 +42,7 @@ from .errors import (
 # Relative gap below which the smallest eigenvalue, or the top singular
 # value, counts as tied (a degenerate subdifferential point).
 TIE_RTOL = 1e-10
-# Rank drop tolerance for the range-basis detection, relative to ||M||_F.
+# Rank drop tolerance of ``numerical_rank``, relative to ||M||_F.
 RANK_DROP_RTOL = 1e-10
 # Pivot threshold for declaring an LU factorization singular.
 PIVOT_RTOL = 1e-12
@@ -222,22 +222,18 @@ def top_singular_triplet(m) -> SingularTriplet:
     )
 
 
-def orthonormal_range_basis(m) -> np.ndarray:
-    """Orthonormal basis Z of range(M), detected by column-pivoted QR.
+def numerical_rank(m) -> int:
+    """Rank of M by column-pivoted QR, read off the diagonal of R alone.
 
-    Columns of R with |R_kk| below ``RANK_DROP_RTOL * ||M||_F`` are dropped.
-    A zero matrix has no range and is rejected.
+    Diagonal entries of R with |R_kk| at or below ``RANK_DROP_RTOL * ||M||_F``
+    do not count.  No Q is formed.  A zero matrix is rejected.
     """
     m = as_matrix(m, "matrix")
     fro = np.linalg.norm(m)
     if fro == 0.0:
         raise RankDeficiencyError("zero matrix has rank 0; no range basis exists")
-    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.count_nonzero(diag > RANK_DROP_RTOL * fro))
-    if rank == 0:
-        raise RankDeficiencyError("matrix rank is 0 at the drop tolerance")
-    return q[:, :rank].copy()
+    r, _ = scipy.linalg.qr(m, mode="r", pivoting=True)
+    return int(np.count_nonzero(np.abs(np.diag(r)) > RANK_DROP_RTOL * fro))
 
 
 def lu_solve(m, b) -> np.ndarray:

@@ -21,7 +21,9 @@ stored column to its last, with the view of ``x`` over the same columns.
 own span over all of ``x``, so a dense system makes exactly the BLAS calls
 of a kernel on whole rows.  The spans of a CSR operator are views into one
 packed buffer; on the tomography pair they hold about half of what the dense
-rows would, and the kernel reads no column outside them.
+rows would, and the kernel reads no column outside them.  ``matched_pair``
+makes the matched system (V = A) of a pair, whose kernel reads the spans of
+A that the pair already holds.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
@@ -241,6 +243,19 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
                     f"truth does not solve the system: ||A truth - b|| = {residual:.3e}"
                 )
     return SystemPair(a=a, v=v, b=b, noise=noise, truth=truth, pairing=pairing)
+
+
+def matched_pair(sys: SystemPair) -> SystemPair:
+    """The system with V = A, keeping ``sys``'s b, noise and truth.
+
+    It passes ``make_system``'s checks, and its kernel reads the spans of A
+    that ``sys`` holds (made now if ``sys`` has none yet): the pair packs no
+    second copy of A's rows.
+    """
+    matched = make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
+    spans = sys.kernel_rows[0]
+    vars(matched)["kernel_rows"] = (spans, spans)  # where cached_property keeps its value
+    return matched
 
 
 def static_step_sizes(sys: SystemPair, rule: StepRule) -> np.ndarray:

@@ -10,8 +10,10 @@ dense matrix, the plain form of ``problems.ct_mismatch_pair``.
 ``rkma_step`` is one row update of the solver kernel ``_sweep``, and
 ``exact_one_step_expectation`` sums it over every row, the oracle for the
 closed-form expectation matrices of ``diagnostics``.
+``range_basis`` is an orthonormal basis of a range by pivoted QR, which the
+package never forms (it reads only ranks, by ``linalg.numerical_rank``).
 ``reference_analysis_rows`` reads the restricted rows (A Z, V Z) with Z
-from the pivoted QR of V^T, the oracle for the Gram coordinates of
+from the ``range_basis`` of V^T, the oracle for the Gram coordinates of
 ``diagnostics.analysis_rows``.  ``random_csr`` draws
 the sparse operators of the property tests that compare a CSR operator with
 its dense form.
@@ -20,6 +22,7 @@ its dense form.
 import warnings
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from kaczmarz_mismatch.errors import (
@@ -29,7 +32,7 @@ from kaczmarz_mismatch.errors import (
     NumericError,
     RankDeficiencyError,
 )
-from kaczmarz_mismatch.linalg import as_matrix, as_vector, lu_solve, orthonormal_range_basis
+from kaczmarz_mismatch.linalg import RANK_DROP_RTOL, as_matrix, as_vector, lu_solve
 from kaczmarz_mismatch.sampling import check_probability_vector
 from kaczmarz_mismatch.solver import (
     StepRule,
@@ -333,11 +336,24 @@ def dense(m):
     return m.toarray() if scipy.sparse.issparse(m) else m
 
 
+def range_basis(m):
+    """Orthonormal basis Z of range(M): the leading columns of a pivoted QR.
+
+    The columns kept are those whose |R_kk| exceeds ``RANK_DROP_RTOL *
+    ||M||_F``, the test of ``linalg.numerical_rank``, so Z has that rank
+    as its column count.
+    """
+    m = as_matrix(m, "matrix")
+    q, r, _ = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    rank = int(np.count_nonzero(np.abs(np.diag(r)) > RANK_DROP_RTOL * np.linalg.norm(m)))
+    return q[:, :rank].copy()
+
+
 def reference_analysis_rows(sys):
     """The coordinates (A Z, V Z) of a wide system in the QR basis Z of rg V^T.
 
     A^T and V^T must each have rank m at the drop tolerance of
-    ``orthonormal_range_basis``, and A V^T must pass the pivot check of
+    ``range_basis``, and A V^T must pass the pivot check of
     ``lu_solve``.  Three factorizations on the dense n x m matrices, where
     the package makes one rank test and one Cholesky factorization of the
     m x m products.
@@ -346,11 +362,11 @@ def reference_analysis_rows(sys):
     if sys.m >= sys.n:
         raise InvalidInputError(f"restricted rows need m < n, got {sys.m} x {sys.n}")
     for name, mat in (("a", a), ("v", v)):
-        rank = orthonormal_range_basis(mat.T).shape[1]
+        rank = range_basis(mat.T).shape[1]
         if rank < sys.m:
             raise RankDeficiencyError(f"matrix {name} has rank {rank} < {sys.m}")
     lu_solve(a @ v.T, np.ones(sys.m))  # raises SingularMatrixError
-    z = orthonormal_range_basis(v.T)
+    z = range_basis(v.T)
     return a @ z, v @ z
 
 

@@ -20,7 +20,6 @@ from kaczmarz_mismatch.diagnostics import (
 from kaczmarz_mismatch.experiments import iterations_to_error, probability_scheme
 from kaczmarz_mismatch.linalg import (
     lu_solve,
-    orthonormal_range_basis,
     spectral_radius,
     symmetric_eigensystem,
     top_singular_triplet,
@@ -200,7 +199,7 @@ def test_criterion_06_underdetermined_range_restricted():
         e0 = trace.error_norms[0]
         assert iterations_to_error(trace, 1e-6 * e0) is not None
         # Iterates started at 0 stay in rg V^T, at every run length.
-        z = orthonormal_range_basis(sys.v.T)
+        z = oracles.range_basis(sys.v.T)
         finals = [
             run(sys, p, SolverConfig(max_iterations=k, log_stride=k, seed=3)).final_x
             for k in (1, 7, 2000)
@@ -214,7 +213,7 @@ def test_criterion_06_underdetermined_range_restricted():
         trace_matched = run(
             sys_matched, p, SolverConfig(max_iterations=10**5, log_stride=2000, seed=3)
         )
-        za = orthonormal_range_basis(sys.a.T)
+        za = oracles.range_basis(sys.a.T)
         plateau = np.linalg.norm(sys.truth - za @ (za.T @ sys.truth))
         assert abs(trace_matched.error_norms[-1] - plateau) <= 0.1 * plateau
 

@@ -359,32 +359,39 @@ class TestTopSingularTripletOracle:
         assert trip.sigma - trip.second == pytest.approx(3e-11, rel=1e-3)
 
 
-class TestOrthonormalRangeBasis:
+class TestNumericalRank:
     def test_two_columns_in_r3(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        z = linalg.orthonormal_range_basis(m)
-        assert z.shape == (3, 2)
-        np.testing.assert_allclose(z.T @ z, np.eye(2), atol=1e-10)
-        assert np.allclose(z[2, :], 0.0, atol=1e-10)
+        assert linalg.numerical_rank(m) == 2
 
     def test_duplicate_column_rank_one(self):
         col = np.array([1.0, 2.0, -1.0])
         m = np.column_stack([col, col])
-        z = linalg.orthonormal_range_basis(m)
-        assert z.shape == (3, 1)
+        assert linalg.numerical_rank(m) == 1
 
     def test_full_row_rank_wide_matrix(self):
         rng = np.random.default_rng(29)
         v = rng.standard_normal((100, 500))
-        z = linalg.orthonormal_range_basis(v.T)
+        assert linalg.numerical_rank(v.T) == 100
+        assert linalg.numerical_rank(v) == 100
+        # The tests' range basis has as many columns, orthonormal and spanning.
+        z = oracles.range_basis(v.T)
         assert z.shape == (500, 100)
         np.testing.assert_allclose(z.T @ z, np.eye(100), atol=1e-10)
         resid = v.T - z @ (z.T @ v.T)
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(v)
 
+    def test_rank_drop_at_tolerance(self):
+        # A column at 1e-13 of the others is dropped; one at 1e-8 is kept.
+        rng = np.random.default_rng(30)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        for scale, rank in ((1e-13, 2), (1e-8, 3)):
+            m = q @ np.diag([1.0, 1.0, scale])
+            assert linalg.numerical_rank(m) == rank
+
     def test_zero_matrix_rejected(self):
-        with pytest.raises(RankDeficiencyError):
-            linalg.orthonormal_range_basis(np.zeros((4, 3)))
+        with pytest.raises(RankDeficiencyError, match="zero matrix has rank 0"):
+            linalg.numerical_rank(np.zeros((4, 3)))
 
 
 class TestLuSolve:

@@ -456,7 +456,7 @@ class TestOptimize:
 
     def test_wide_rows_formed_once_per_call(self, monkeypatch):
         sys = assemble_underdetermined(20, 60, 0.3, 11)
-        calls = {"orthonormal_range_basis": 0, "cholesky_coordinates": 0}
+        calls = {"numerical_rank": 0, "cholesky_coordinates": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(diagnostics, name)):
                 calls[_name] += 1
@@ -468,7 +468,7 @@ class TestOptimize:
             optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         # One rank test of A V^T and one Cholesky factorization of V V^T per
         # call, none per iterate.
-        assert calls == {"orthonormal_range_basis": 2, "cholesky_coordinates": 2}
+        assert calls == {"numerical_rank": 2, "cholesky_coordinates": 2}
 
     def test_w_rows_formed_once_per_call(self, monkeypatch):
         formed = []

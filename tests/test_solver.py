@@ -16,6 +16,7 @@ from kaczmarz_mismatch.solver import (
     SolverConfig,
     StepRule,
     make_system,
+    matched_pair,
     run,
     run_replicates,
     static_step_sizes,
@@ -429,6 +430,40 @@ class TestRowSpans:
         np.testing.assert_array_equal(got.rows_visited, want.rows_visited)
 
 
+class TestMatchedPair:
+    """``matched_pair`` against the matched system made afresh by ``make_system``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_pair(), st.booleans(), st.booleans(), st.sampled_from(ALL_RULES),
+           st.integers(1, 60))
+    def test_run_matches_fresh_system(self, pair, dense, noisy, rule, iterations):
+        a, v, rng = pair
+        if dense:
+            a, v = a.toarray(), v.toarray()
+        truth = rng.standard_normal(a.shape[1])
+        noise = 0.1 * rng.standard_normal(a.shape[0]) if noisy else None
+        try:
+            sys = make_system(a, v, a @ truth, noise=noise, truth=truth)
+        except InvalidInputError:
+            sys = None
+        assume(sys is not None)
+        matched = matched_pair(sys)
+        fresh = make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
+        # The pair reads the spans of A that sys holds, for A and V alike.
+        a_spans, v_spans = matched.kernel_rows
+        assert a_spans is sys.kernel_rows[0] and v_spans is a_spans
+        assert matched.noise is sys.noise and matched.truth is sys.truth
+
+        def bits(trace):
+            floats = (trace.error_norms, trace.residual_norms, trace.final_x)
+            return (trace.logged_k, [np.asarray(f).view(np.int64).tolist() for f in floats],
+                    trace.rows_visited.tolist(), trace.stopped_early)
+
+        p = np.full(sys.m, 1.0 / sys.m)
+        cfg = SolverConfig(rule=rule, max_iterations=iterations, log_stride=7, seed=5)
+        assert bits(run(matched, p, cfg)) == bits(run(fresh, p, cfg))
+
+
 # Small integer entries keep every pairing cosine above 1/200 and the rounding
 # of one step far below the tolerances used here.
 small_ints = st.integers(-5, 5).map(float)
@@ -549,8 +584,6 @@ class TestRun:
         assert trace.error_norms[-1] <= 1e-6 * trace.error_norms[0]
 
     def test_range_confinement_when_started_in_range(self):
-        from kaczmarz_mismatch.linalg import orthonormal_range_basis
-
         rng = np.random.default_rng(8)
         m, n = 20, 60
         a = rng.standard_normal((m, n))
@@ -558,7 +591,7 @@ class TestRun:
         c = rng.standard_normal(m)
         truth = v.T @ c
         sys = make_system(a, v, a @ truth, truth=truth)
-        z = orthonormal_range_basis(sys.v.T)
+        z = oracles.range_basis(sys.v.T)
         cfg = SolverConfig(max_iterations=500, log_stride=50, seed=4)
         p = np.full(m, 1 / m)
 
@@ -570,8 +603,6 @@ class TestRun:
             assert out_of_range <= 1e-8 * np.linalg.norm(x)
 
     def test_underdetermined_plateau_vs_mismatched_decay(self):
-        from kaczmarz_mismatch.linalg import orthonormal_range_basis
-
         rng = np.random.default_rng(99)
         m, n = 40, 120
         a = rng.standard_normal((m, n))
@@ -589,7 +620,7 @@ class TestRun:
 
         assert trace_mis.error_norms[-1] <= 1e-6 * trace_mis.error_norms[0]
 
-        za = orthonormal_range_basis(a.T)
+        za = oracles.range_basis(a.T)
         plateau = np.linalg.norm(truth - za @ (za.T @ truth))
         assert trace_matched.error_norms[-1] == pytest.approx(plateau, rel=1e-6)
 
