@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,
@@ -19,7 +19,6 @@ from .probopt import (  # noqa: E402
     Objective,
     ProbOptConfig,
     ProbOptResult,
-    StepSchedule,
     optimize_probabilities,
     project_simplex,
     subgradient_norm,

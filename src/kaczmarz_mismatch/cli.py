@@ -35,12 +35,8 @@ from .fileio import (
     write_table_csv,
     write_vector_csv,
 )
-from .probopt import (
-    Objective,
-    ProbOptConfig,
-    StepSchedule,
-    optimize_probabilities,
-)
+from .probopt import Objective, ProbOptConfig, optimize_probabilities
+from .sampling import replicate_rng
 from .solver import SolverConfig, StepRule, make_system, run
 
 EXIT_OK = 0
@@ -125,9 +121,10 @@ def _build_parser():
     opt.add_argument("--rule", default="oblique",
                      choices=[r.value for r in StepRule])
     opt.add_argument("--iters", type=int, default=200)
-    opt.add_argument("--step", type=float, default=1.0)
-    opt.add_argument("--schedule", choices=[s.value for s in StepSchedule],
-                     default="sqrt")
+    opt.add_argument("--step", type=float, default=1.0,
+                     help="the step at iterate k is STEP / sqrt(k + 1). On generate "
+                          "--kind underdetermined --seed 1 the default 1.0 never "
+                          "leaves uniform; 0.1 reaches lambda 6.20e-3")
     opt.add_argument("--seed", type=int, default=0,
                      help="recorded in the output headers only: the optimizer "
                           "draws no random numbers")
@@ -182,7 +179,7 @@ def _cmd_generate(args, argv):
     os.makedirs(out, exist_ok=True)
 
     command = _command_string(argv)
-    headers = provenance_lines(__version__, command, seed)
+    headers = provenance_lines(command, seed)
     comment = "\n".join(headers)
     write_matrix_market(os.path.join(out, "A.mtx"), sys_pair.a, comment=comment)
     write_matrix_market(os.path.join(out, "V.mtx"), sys_pair.v, comment=comment)
@@ -207,7 +204,7 @@ def _cmd_diagnose(args, argv):
         print(line)
     out = args.out or args.system_dir
     os.makedirs(out, exist_ok=True)
-    headers = provenance_lines(__version__, _command_string(argv), "-")
+    headers = provenance_lines(_command_string(argv), "-")
     experiments.write_diagnostics_csv(
         os.path.join(out, "diagnostics.csv"), diag, headers
     )
@@ -222,8 +219,6 @@ def _cmd_solve(args, argv):
     p = _resolve_probabilities(sys_pair, args.p)
     start_coefficients = None
     if args.start_in_range:
-        from .sampling import replicate_rng
-
         start_coefficients = replicate_rng(args.seed, 7).standard_normal(sys_pair.m)
     cfg = SolverConfig(
         rule=StepRule(args.rule),
@@ -235,13 +230,10 @@ def _cmd_solve(args, argv):
     )
     trace = run(sys_pair, p, cfg)
     os.makedirs(args.out, exist_ok=True)
-    headers = provenance_lines(__version__, _command_string(argv), args.seed) + [
-        f"rule: {args.rule}",
-        f"p: {args.p}",
-        f"iters: {args.iters}",
-        f"log_stride: {args.log_stride}",
-        f"tol: {args.tol}",
-    ]
+    headers = provenance_lines(_command_string(argv), args.seed, {
+        "rule": args.rule, "p": args.p, "iters": args.iters,
+        "log_stride": args.log_stride, "tol": args.tol,
+    })
     experiments.write_trace_csv(os.path.join(args.out, "trace.csv"), trace, headers)
     last_err = trace.error_norms[-1] if trace.error_norms else float("nan")
     print(
@@ -256,17 +248,13 @@ def _cmd_optimize(args, argv):
     cfg = ProbOptConfig(
         objective=Objective(args.objective),
         iterations=args.iters,
-        schedule=StepSchedule(args.schedule),
         base_step=args.step,
     )
     result = optimize_probabilities(sys_pair, StepRule(args.rule), cfg)
     os.makedirs(args.out, exist_ok=True)
-    headers = provenance_lines(__version__, _command_string(argv), args.seed) + [
-        f"objective: {args.objective}",
-        f"iters: {args.iters}",
-        f"step: {args.step}",
-        f"schedule: {args.schedule}",
-    ]
+    headers = provenance_lines(_command_string(argv), args.seed, {
+        "objective": args.objective, "iters": args.iters, "step": args.step,
+    })
     write_vector_csv(
         os.path.join(args.out, "p_opt.csv"), result.best_p, headers,
         column="probability",

@@ -62,7 +62,7 @@ from .linalg import (
     symmetric_eigensystem,
     top_singular_triplet,
 )
-from .sampling import POSITIVITY_FLOOR, check_probability_vector
+from .sampling import check_probability_vector
 from .solver import StepRule, SystemPair, static_step_sizes
 
 # Columns of the one-row CSV serialization, in order.
@@ -73,7 +73,6 @@ CSV_COLUMNS = (
     "gamma",
     "fixed_point_error",
     "restricted",
-    "positivity_ok",
 )
 
 
@@ -84,7 +83,6 @@ class RateDiagnostics:
     norm_expectation: float
     gamma: float | None = None
     fixed_point_error: float | None = None
-    positivity_ok: bool = True
     restricted: bool = False
 
     @property
@@ -115,7 +113,6 @@ class RateDiagnostics:
             "fixed_point_error: "
             + ("" if self.fixed_point_error is None else format(self.fixed_point_error, ".17g")),
             f"restricted: {str(self.restricted).lower()}",
-            f"positivity_ok: {str(self.positivity_ok).lower()}",
             f"guarantees_convergence: {str(self.guarantees_convergence).lower()}",
             f"ordering_rho_le_norm_le_improvement: {str(self.ordering_observed).lower()}",
         ]
@@ -129,7 +126,6 @@ class RateDiagnostics:
             self.gamma,
             self.fixed_point_error,
             self.restricted,
-            self.positivity_ok,
         )
 
 
@@ -273,7 +269,6 @@ def compute_diagnostics(
         lam=lam,
         rho_asymptotic=spectral_radius(m_mat),
         norm_expectation=top_singular_triplet(m_mat).sigma,
-        positivity_ok=bool(np.all(p >= POSITIVITY_FLOOR)),
         restricted=sys.m < sys.n,
     )
     del m_mat  # not kept alive through the fixed-point LU

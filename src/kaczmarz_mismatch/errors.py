@@ -26,14 +26,7 @@ class NumericError(KaczmarzError, RuntimeError):
 
 
 class ConvergenceError(NumericError):
-    """An iterative kernel hit its iteration cap.
-
-    ``estimate`` carries the best value available when the failure occurred.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """An iterative kernel hit its iteration cap."""
 
 
 class SingularMatrixError(NumericError):

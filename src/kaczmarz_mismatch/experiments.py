@@ -117,12 +117,6 @@ def write_manifest(out_dir, command, seed, parameters, **fields):
         fh.write("\n")
 
 
-def _headers(command, seed, params):
-    return list(provenance_lines(__version__, command, seed)) + [
-        f"{key}: {value}" for key, value in params.items()
-    ]
-
-
 def _setup(name, given):
     """(seed, instance parameters, own parameters, instance) of pipeline ``name``.
 
@@ -165,7 +159,7 @@ def _figure(name, out_dir, command, params, table, matched):
     p = probability_scheme(sys, "rownorm-a")
     diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
 
-    headers = _headers(command, seed, instance)
+    headers = provenance_lines(command, seed, instance)
     solves = {"rkma_trace": (sys, p)}
     if matched:
         solves["rk_trace"] = (matched_pair(sys), p)
@@ -227,7 +221,7 @@ def experiment_ct(out_dir, command="experiment ct", **params):
     os.makedirs(out_dir, exist_ok=True)
 
     own = {"rows": sys.m, **own}
-    headers = _headers(command, seed, {**instance, **own})
+    headers = provenance_lines(command, seed, {**instance, **own})
     traces = _solve(out_dir, headers, cfg, {
         "rkma_trace": (sys, probability_scheme(sys, "pairing")),
         "rk_trace": (matched_pair(sys), probability_scheme(sys, "rownorm-a")),
@@ -273,7 +267,7 @@ def experiment_table1(out_dir, command="experiment table1", **params):
         "opt_norm": opt_norm.best_p,
     }
 
-    headers = _headers(command, seed, {**instance, "iters": opt_iterations})
+    headers = provenance_lines(command, seed, {**instance, "iters": opt_iterations})
 
     quantities = {}
     for name, p in schemes.items():

@@ -20,20 +20,21 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+from . import __version__
 from .errors import InvalidInputError
 from .linalg import as_csr, as_matrix, as_vector
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
-def provenance_lines(tool_version, command, seed):
-    """Standard header block carried at the top of every output file."""
+def provenance_lines(command, seed, params=None):
+    """Header block of every output file: provenance, then one line per parameter."""
     return [
-        f"tool_version: {tool_version}",
+        f"tool_version: {__version__}",
         f"format_version: {FORMAT_VERSION}",
         f"command: {command}",
         f"seed: {seed}",
-    ]
+    ] + [f"{key}: {value}" for key, value in (params or {}).items()]
 
 
 def write_matrix_market(path, m, comment=""):
@@ -72,15 +73,7 @@ def read_matrix_market(path):
 
 
 def write_vector_csv(path, v, header_lines=(), column="value"):
-    v = as_vector(v)
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(f"{column}\n")
-    for x in v:
-        buf.write(f"{x:.17g}\n")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    write_table_csv(path, (column,), ((x,) for x in as_vector(v)), header_lines)
 
 
 def read_vector_csv(path):
@@ -127,34 +120,3 @@ def write_table_csv(path, columns, rows, header_lines=()):
         buf.write(",".join(cells) + "\n")
     with open(path, "w", newline="\n") as fh:
         fh.write(buf.getvalue())
-
-
-def read_table_csv(path):
-    """Read a CSV table written by ``write_table_csv``: (columns, list of rows).
-
-    Cells are parsed as floats where possible; empty cells become None.
-    """
-    columns = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = cells
-                continue
-            parsed = []
-            for cell in cells:
-                if cell == "":
-                    parsed.append(None)
-                else:
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        parsed.append(cell)
-            rows.append(parsed)
-    if columns is None:
-        raise InvalidInputError(f"no header row found in {path}")
-    return columns, rows

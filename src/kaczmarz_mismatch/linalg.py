@@ -175,12 +175,8 @@ def spectral_radius(m) -> float:
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
-        # Rare QR-iteration stall inside LAPACK; report the Frobenius norm as
-        # the best available upper bound on the radius.
-        raise ConvergenceError(
-            f"eigenvalue iteration did not converge: {exc}",
-            estimate=float(np.linalg.norm(m)),
-        ) from exc
+        # Rare QR-iteration stall inside LAPACK.
+        raise ConvergenceError(f"eigenvalue iteration did not converge: {exc}") from exc
     return float(np.max(np.abs(eigs)))
 
 

@@ -43,16 +43,10 @@ class Objective(enum.Enum):
     MIN_SPECTRAL_NORM = "norm"
 
 
-class StepSchedule(enum.Enum):
-    CONSTANT = "const"
-    SQRT_DECAY = "sqrt"
-
-
 @dataclass
 class ProbOptConfig:
     objective: Objective = Objective.MAX_LAMBDA_MIN
     iterations: int = 200
-    schedule: StepSchedule = StepSchedule.SQRT_DECAY
     base_step: float = 1.0
 
     def __post_init__(self):
@@ -60,11 +54,6 @@ class ProbOptConfig:
             raise InvalidInputError("iterations must be >= 1")
         if not 0 < self.base_step < math.inf:
             raise InvalidInputError(f"base_step = {self.base_step} must be finite and > 0")
-
-    def step_at(self, k):
-        if self.schedule is StepSchedule.CONSTANT:
-            return self.base_step
-        return self.base_step / math.sqrt(k + 1.0)
 
 
 @dataclass
@@ -130,7 +119,8 @@ def optimize_probabilities(
 ) -> ProbOptResult:
     """Projected super/subgradient iteration from the uniform distribution.
 
-    Ascent for the lambda objective, descent for the norm objective, exact
+    Ascent for the lambda objective, descent for the norm objective, a step of
+    ``cfg.base_step / sqrt(k + 1)`` times the gradient at iterate k, exact
     simplex projection after every step, best iterate kept (the raw iterate
     sequence is not monotone).  Each iterate's objective value comes with its
     gradient, the final iterate's too.
@@ -157,7 +147,7 @@ def optimize_probabilities(
             break
         if degenerate:
             degenerate_iterations.append(k)
-        step = cfg.step_at(k) * g
+        step = cfg.base_step / math.sqrt(k + 1.0) * g
         p = project_simplex(p + step if maximizing else p - step)
 
     return ProbOptResult(

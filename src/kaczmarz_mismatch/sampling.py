@@ -17,8 +17,6 @@ from .linalg import as_vector
 
 # |sum(p) - 1| allowed at validation; fsum makes the check itself exact.
 SUM_TOL = 1e-12
-# Weights below this count as zero for the positivity guarantee flag.
-POSITIVITY_FLOOR = 1e-15
 
 
 def check_probability_vector(p) -> np.ndarray:

@@ -48,7 +48,7 @@ from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionError, InvalidInputError, NumericError
 from .linalg import CSRArray, as_csr, as_matrix, as_vector
-from .sampling import DiscreteSampler, check_probability_vector, replicate_rng
+from .sampling import DiscreteSampler, replicate_rng
 
 # Rows whose pairing <a_i, v_i> falls below this relative threshold make the
 # oblique step division meaningless and are rejected at construction.
@@ -366,10 +366,10 @@ def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
 
 
 def _sampler(sys: SystemPair, p) -> DiscreteSampler:
-    p = check_probability_vector(p)
-    if len(p) != sys.m:
-        raise DimensionError(f"p has length {len(p)}, expected {sys.m}")
-    return DiscreteSampler(p)
+    sampler = DiscreteSampler(p)
+    if sampler.m != sys.m:
+        raise DimensionError(f"p has length {sampler.m}, expected {sys.m}")
+    return sampler
 
 
 def _run(sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng) -> Trace:

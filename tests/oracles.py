@@ -16,7 +16,8 @@ package never forms (it reads only ranks, by ``linalg.numerical_rank``).
 from the ``range_basis`` of V^T, the oracle for the Gram coordinates of
 ``diagnostics.analysis_rows``.  ``random_csr`` draws
 the sparse operators of the property tests that compare a CSR operator with
-its dense form.
+its dense form.  ``read_table_csv`` reads back the CSV tables the package
+writes.
 """
 
 import warnings
@@ -439,3 +440,34 @@ def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):
             f"{mean_sq:.16e} vs {quad:.16e}"
         )
     return mean, mean_sq
+
+
+def read_table_csv(path):
+    """Read a CSV table written by ``fileio.write_table_csv``: (columns, list of rows).
+
+    Cells are parsed as floats where possible; empty cells become None.
+    """
+    columns = None
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            if columns is None:
+                columns = cells
+                continue
+            parsed = []
+            for cell in cells:
+                if cell == "":
+                    parsed.append(None)
+                else:
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        parsed.append(cell)
+            rows.append(parsed)
+    if columns is None:
+        raise InvalidInputError(f"no header row found in {path}")
+    return columns, rows

@@ -21,7 +21,7 @@ def run_cli(args):
 
 
 def read_csv(path):
-    return fileio.read_table_csv(path)
+    return oracles.read_table_csv(path)
 
 
 class TestGenerate:
@@ -53,8 +53,7 @@ class TestGenerate:
         assert code == 0
         columns, rows = read_csv(os.path.join(out, "diagnostics.csv"))
         assert columns == list(
-            ("lambda", "rho", "norm", "gamma", "fixed_point_error",
-             "restricted", "positivity_ok")
+            ("lambda", "rho", "norm", "gamma", "fixed_point_error", "restricted")
         )
         assert rows[0][0] > 0  # lambda
 
@@ -247,6 +246,39 @@ class TestSolve:
         t2 = (tmp_path / "r2" / "trace.csv").read_text()
         strip = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
         assert strip(t1) == strip(t2)
+
+
+def header_lines(path):
+    with open(path) as fh:
+        return [line[2:].rstrip("\n") for line in fh if line.startswith("# ")]
+
+
+class TestHeaders:
+    def test_solve_and_optimize_header_lines(self, tmp_path):
+        sys_dir = tmp_path / "sys"
+        sys_dir.mkdir()
+        eye = np.eye(3)
+        fileio.write_matrix_market(sys_dir / "A.mtx", eye)
+        fileio.write_matrix_market(sys_dir / "V.mtx", eye)
+        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(3))
+        runs = {
+            "trace.csv": (["solve", "--system-dir", str(sys_dir), "--iters", "20",
+                           "--log-stride", "5", "--seed", "4", "--tol", "1e-09",
+                           "--out", str(tmp_path / "solve")],
+                          ["rule: oblique", "p: uniform", "iters: 20", "log_stride: 5",
+                           "tol: 1e-09"]),
+            "p_opt.csv": (["optimize", "--system-dir", str(sys_dir), "--iters", "3",
+                           "--step", "0.5", "--seed", "6", "--out", str(tmp_path / "opt")],
+                          ["objective: lambda", "iters: 3", "step: 0.5"]),
+        }
+        for name, (argv, own) in runs.items():
+            assert run_cli(argv) == 0
+            assert header_lines(os.path.join(argv[-1], name)) == [
+                f"tool_version: {kaczmarz_mismatch.__version__}",
+                "format_version: 2",
+                "command: kaczmarz-mismatch " + " ".join(argv),
+                f"seed: {argv[argv.index('--seed') + 1]}",
+            ] + own
 
 
 class TestOptimize:
@@ -534,6 +566,7 @@ class TestExitCodes:
         (["experiment", "--name", "ct", "--tau", "9"], "--tau"),
         (["experiment", "--name", "fig1", "--zero-frac", "0.3"], "--zero-frac"),
         (["generate", "--kind", "ct", "--m", "7"], "--m"),
+        (["optimize", "--system-dir", "sys", "--schedule", "sqrt"], "--schedule"),
     ])
     def test_unused_flag_rejected(self, tmp_path, capsys, argv, flag):
         assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1

@@ -415,7 +415,6 @@ class TestNoiseQuantities:
         assert not diag.restricted
         assert diag.gamma > 0
         assert diag.fixed_point_error is None
-        assert not diag.positivity_ok
         full_support = compute_diagnostics(sys, row_norm_probabilities(sys))
         assert full_support.fixed_point_error > 0
 
@@ -630,17 +629,16 @@ class TestAssembledDiagnostics:
         assert diag.gamma > 0
         assert diag.fixed_point_error is None
 
-    def test_positivity_flag(self):
-        # Zero entries of p are reported, but the guarantee reads lambda
-        # alone: the one-step identity holds for any p on the simplex.
+    def test_zero_weights_keep_guarantee(self):
+        # The guarantee reads lambda alone: the one-step identity holds for
+        # any p on the simplex, zero entries included.
         sys = thresholded_instance(4, 2, 0.4, 13)
         p = np.array([0.5, 0.5, 0.0, 0.0])
         diag = compute_diagnostics(sys, p)
-        assert not diag.positivity_ok
         assert diag.lam > 0
         assert diag.guarantees_convergence
         negative = RateDiagnostics(lam=-1e-3, rho_asymptotic=0.9, norm_expectation=1.1)
-        assert negative.positivity_ok and not negative.guarantees_convergence
+        assert not negative.guarantees_convergence
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -4,6 +4,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kaczmarz_mismatch
 from kaczmarz_mismatch import fileio
 from kaczmarz_mismatch.errors import InvalidInputError
 
@@ -53,7 +54,7 @@ class TestMatrixMarketFormat:
         ],
     )
     def test_round_trip_bitwise_with_provenance(self, tmp_path, fmt, matrix):
-        lines = fileio.provenance_lines("0.2.0", "generate --kind test", 11)
+        lines = fileio.provenance_lines("generate --kind test", 11)
         first, second = tmp_path / "first.mtx", tmp_path / "second.mtx"
         fileio.write_matrix_market(first, matrix, comment="\n".join(lines))
         assert header(first)[2] == fmt
@@ -81,7 +82,7 @@ class TestSparseAndDense:
         csr = oracles.random_csr(np.random.default_rng(seed), (m, n), density)
         dense = csr.toarray()
         tmp = tmp_path_factory.mktemp("mtx")
-        comment = "\n".join(fileio.provenance_lines("0.0.0", "test", seed))
+        comment = "\n".join(fileio.provenance_lines("test", seed))
         fileio.write_matrix_market(tmp / "csr.mtx", csr, comment=comment)
         fileio.write_matrix_market(tmp / "dense.mtx", dense, comment=comment)
         assert (tmp / "csr.mtx").read_bytes() == (tmp / "dense.mtx").read_bytes()
@@ -138,12 +139,14 @@ class TestVectorCsv:
         v = np.array([1.0, -2.5, 1e-17, 3.141592653589793])
         path = tmp_path / "v.csv"
         fileio.write_vector_csv(
-            path, v, header_lines=fileio.provenance_lines("0.1.0", "test", 7)
+            path, v, header_lines=fileio.provenance_lines("test", 7, {"rule": "oblique"})
         )
         np.testing.assert_array_equal(fileio.read_vector_csv(path), v)
-        text = path.read_text()
-        assert text.startswith("# tool_version: 0.1.0\n")
-        assert "# seed: 7\n" in text
+        assert path.read_text().startswith(
+            f"# tool_version: {kaczmarz_mismatch.__version__}\n"
+            f"# format_version: {fileio.FORMAT_VERSION}\n"
+            "# command: test\n# seed: 7\n# rule: oblique\nvalue\n1\n-2.5\n"
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -159,7 +162,7 @@ class TestTableCsv:
             [(0, None, 5.0), (10, 0.25, 1.0)],
             header_lines=["config: demo"],
         )
-        columns, rows = fileio.read_table_csv(path)
+        columns, rows = oracles.read_table_csv(path)
         assert columns == ["k", "error_norm", "residual_norm"]
         assert rows[0] == [0.0, None, 5.0]
         assert rows[1] == [10.0, 0.25, 1.0]

@@ -224,14 +224,13 @@ class TestSpectralRadius:
                 oracles.charpoly_spectral_radius(m), rel=1e-8, abs=1e-9
             )
 
-    def test_convergence_failure_carries_estimate(self, monkeypatch):
+    def test_convergence_failure_raises(self, monkeypatch):
         def boom(_):
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", boom)
-        with pytest.raises(ConvergenceError) as exc_info:
+        with pytest.raises(ConvergenceError, match="did not converge"):
             linalg.spectral_radius(np.eye(3))
-        assert exc_info.value.estimate == pytest.approx(np.sqrt(3.0))
 
 
 class TestTopSingularTriplet:

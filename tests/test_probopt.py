@@ -18,7 +18,6 @@ from kaczmarz_mismatch.errors import InvalidInputError, NumericError
 from kaczmarz_mismatch.probopt import (
     Objective,
     ProbOptConfig,
-    StepSchedule,
     optimize_probabilities,
     project_simplex,
     subgradient_norm,
@@ -493,9 +492,3 @@ class TestOptimize:
         sys = make_system(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
         with pytest.raises(InvalidInputError):
             optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, ProbOptConfig())
-
-    def test_schedules(self):
-        cfg_const = ProbOptConfig(schedule=StepSchedule.CONSTANT, base_step=0.5)
-        cfg_sqrt = ProbOptConfig(schedule=StepSchedule.SQRT_DECAY, base_step=0.5)
-        assert cfg_const.step_at(8) == 0.5
-        assert cfg_sqrt.step_at(8) == pytest.approx(0.5 / 3.0)
