@@ -73,7 +73,7 @@ def read_matrix_market(path):
 
 
 def write_vector_csv(path, v, header_lines=(), column="value"):
-    write_table_csv(path, (column,), ((x,) for x in as_vector(v)), header_lines)
+    write_table_csv(path, (column,), ((x,) for x in as_vector(v).tolist()), header_lines)
 
 
 def read_vector_csv(path):
@@ -107,7 +107,9 @@ def write_table_csv(path, columns, rows, header_lines=()):
     for row in rows:
         cells = []
         for value in row:
-            if value is None:
+            if type(value) is float:  # most cells: skip the chain below
+                cells.append(f"{value:.17g}")
+            elif value is None:
                 cells.append("")
             elif isinstance(value, bool):
                 cells.append(str(value).lower())

@@ -116,25 +116,33 @@ def _require_square(m, name):
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
 
 
+# LAPACK dsyevr, called directly: scipy.linalg.eigh would query the
+# workspace and validate its arguments again on every call.
+_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=float)
+# (lwork, liwork) of dsyevr by matrix order, from one workspace query each.
+_SYEVR_WORK: dict[int, tuple[int, int]] = {}
+
+
 def _eigh_range(sym, lo, hi, eigvals_only=False):
     """Eigenvalues lo..hi (0-based, ascending), with eigenvectors unless
     ``eigvals_only``, of a symmetric matrix by LAPACK syevr.
 
-    syevr can return fewer eigenvalues than asked for, or fail, when the
-    index range splits a cluster of equal eigenvalues, as in the Gram matrix
-    of an oblique projector I - v a^T / <a, v>; the full decomposition is
-    sliced instead.
+    syevr reads the lower triangle.  It can return fewer eigenvalues than
+    asked for, or fail, when the index range splits a cluster of equal
+    eigenvalues, as in the Gram matrix of an oblique projector
+    I - v a^T / <a, v>; the full decomposition is sliced instead.
     """
-    try:
-        found = scipy.linalg.eigh(
-            sym, eigvals_only=eigvals_only, subset_by_index=[lo, hi],
-            driver="evr", check_finite=False,
-        )
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        if len(found if eigvals_only else found[0]) == hi - lo + 1:
-            return found
+    n = sym.shape[0]
+    if n not in _SYEVR_WORK:
+        work, iwork, _ = _SYEVR_LWORK(n, lower=1)
+        _SYEVR_WORK[n] = (int(work), int(iwork))
+    lwork, liwork = _SYEVR_WORK[n]
+    vals, vecs, found, _, info = _SYEVR(
+        sym, compute_v=0 if eigvals_only else 1, range="I", lower=1,
+        il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork,
+    )
+    if info == 0 and found == hi - lo + 1:
+        return vals[:found] if eigvals_only else (vals[:found], vecs)
     if eigvals_only:
         return np.linalg.eigvalsh(sym)[lo : hi + 1]
     vals, vecs = np.linalg.eigh(sym)

@@ -264,14 +264,39 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
 
 
 def smooth_phantom(grid_n, seed) -> np.ndarray:
-    """Smooth positive test image, flattened row-major and scaled to max 1."""
-    import scipy.ndimage  # here, not at module level: only CT builds pay its import
+    """Smooth positive test image, flattened row-major and scaled to max 1.
 
+    A uniform field from stream (seed, 3), blurred by ``_gaussian_blur`` with
+    sigma = max(1, grid_n / 12).
+    """
     rng = replicate_rng(seed, 3)
     field = rng.random((grid_n, grid_n))
-    smooth = scipy.ndimage.gaussian_filter(field, sigma=max(1.0, grid_n / 12.0))
+    smooth = _gaussian_blur(field, max(1.0, grid_n / 12.0))
     smooth /= smooth.max()
     return smooth.reshape(-1)
+
+
+def _gaussian_blur(image, sigma) -> np.ndarray:
+    """SciPy's ``gaussian_filter(image, sigma)`` of a 2-d array, bit for bit.
+
+    Separable, axis 0 then axis 1, with reflected boundaries (``np.pad``'s
+    "symmetric") and the normalized kernel truncated at radius
+    int(4 sigma + 0.5).  Each point sums w_0 x_i, then (x_{i+j} + x_{i-j}) w_j
+    for j from the radius down to 1: the order of SciPy's correlation loop
+    over a symmetric kernel, which keeps its bits.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    weights = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = weights / weights.sum()
+    for _ in range(2):  # blur along axis 0 and transpose, twice
+        size = image.shape[0]
+        padded = np.pad(image, ((radius, radius), (0, 0)), mode="symmetric")
+        blurred = weights[radius] * image
+        for j in range(radius, 0, -1):
+            pair = padded[radius + j : radius + j + size] + padded[radius - j : radius - j + size]
+            blurred += pair * weights[radius + j]
+        image = blurred.T
+    return image
 
 
 def build_ct_instance(grid, angle_step, rays, seed, span_factor=1.4) -> SystemPair:

@@ -582,15 +582,40 @@ class TestPackaging:
         assert match is not None
         assert match.group(1) == kaczmarz_mismatch.__version__
 
-    def test_cli_import_leaves_out_ndimage(self):
-        # Only the CT phantom filters an image; every command pays the imports.
+    @staticmethod
+    def fresh_python(code, cwd=None):
+        """Standard output of ``code`` run in a fresh interpreter on this package."""
         package_root = str(Path(kaczmarz_mismatch.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [package_root, os.environ.get("PYTHONPATH")])
         ))
         done = subprocess.run(
-            [sys.executable, "-c", "import sys, kaczmarz_mismatch.cli; "
-             "print('scipy.ndimage' in sys.modules, 'scipy.sparse' in sys.modules)"],
-            env=env, check=True, capture_output=True, text=True,
+            [sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+            capture_output=True, text=True,
         )
-        assert done.stdout.split() == ["False", "True"]
+        return done.stdout
+
+    def test_cli_import_leaves_out_ndimage(self):
+        # No command filters an image with scipy.ndimage, and every command
+        # pays the imports of the CLI module.
+        out = self.fresh_python(
+            "import sys, kaczmarz_mismatch.cli; "
+            "print('scipy.ndimage' in sys.modules, 'scipy.sparse' in sys.modules)"
+        )
+        assert out.split() == ["False", "True"]
+
+    def test_ct_commands_leave_out_ndimage_and_special(self, tmp_path):
+        # The CT phantom is blurred in numpy: a CT build loads neither
+        # scipy.ndimage nor the scipy.special it would pull in.
+        out = self.fresh_python(
+            "import sys\n"
+            "from kaczmarz_mismatch.cli import main\n"
+            "assert main(['generate', '--kind', 'ct', '--grid', '12', '--angle-step', '10',"
+            " '--rays', '36', '--out', 'ct']) == 0\n"
+            "assert main(['experiment', '--name', 'ct', '--grid', '12', '--rays', '36',"
+            " '--sweeps', '2', '--out', 'exp']) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.ndimage', 'scipy.special'))))\n",
+            cwd=tmp_path,
+        )
+        assert out.splitlines()[-1] == "[]"

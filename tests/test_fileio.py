@@ -167,6 +167,16 @@ class TestTableCsv:
         assert rows[0] == [0.0, None, 5.0]
         assert rows[1] == [10.0, 0.25, 1.0]
 
+    def test_mixed_row_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        row = (0.1, np.float64(-1 / 3), 7, np.int64(-3), True, False, None, "oblique",
+               float("inf"), -0.0)
+        fileio.write_table_csv(path, [f"c{i}" for i in range(len(row))], [row], ["h: 1"])
+        assert path.read_bytes() == (
+            b"# h: 1\nc0,c1,c2,c3,c4,c5,c6,c7,c8,c9\n"
+            b"0.10000000000000001,-0.33333333333333331,7,-3,true,false,,oblique,inf,-0\n"
+        )
+
     def test_deterministic_bytes(self, tmp_path):
         rows = [(k, float(k) / 3.0, bool(k % 2)) for k in range(20)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -24,6 +24,7 @@ from kaczmarz_mismatch.problems import (
     parallel_beam_matrix,
     smooth_phantom,
 )
+from kaczmarz_mismatch.sampling import replicate_rng
 from kaczmarz_mismatch.solver import SolverConfig, run
 
 import oracles
@@ -445,6 +446,18 @@ class TestPhantom:
         assert x.min() >= 0.0
         assert x.max() == pytest.approx(1.0)
         np.testing.assert_array_equal(x, smooth_phantom(16, 15))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 64), st.integers(0, 2**64 - 1))
+    def test_equals_ndimage_blur(self, grid, seed):
+        # The numpy blur computes scipy.ndimage's values bit for bit, grids
+        # 2-5 included, where the kernel radius exceeds the image.
+        import scipy.ndimage
+
+        field = replicate_rng(seed, 3).random((grid, grid))
+        want = scipy.ndimage.gaussian_filter(field, sigma=max(1.0, grid / 12.0))
+        want /= want.max()
+        np.testing.assert_array_equal(smooth_phantom(grid, seed), want.reshape(-1))
 
     def test_smoothness_vs_raw_noise(self):
         grid = 32

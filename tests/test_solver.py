@@ -8,6 +8,7 @@ import scipy.sparse
 from kaczmarz_mismatch.errors import (
     DimensionError,
     InvalidInputError,
+    NumericError,
 )
 from kaczmarz_mismatch.sampling import DiscreteSampler, replicate_rng
 from kaczmarz_mismatch.solver import (
@@ -758,6 +759,31 @@ class TestReplicates:
             other = _run(sys, DiscreteSampler(p), cfg, replicate_rng(seed, r))
             np.testing.assert_array_equal(stats.final_x[r], other.final_x)
             np.testing.assert_array_equal(stats.sq_errors[:, r], np.square(other.error_norms))
+
+    @pytest.mark.parametrize("iterations", [110, 200])
+    def test_overflow_raises(self, iterations):
+        # Each rownorm-v step multiplies the error by 1 - a/v = -999: the
+        # iterate is inf after about 103 steps and NaN from the next one on.
+        sys = make_system([[1000.0]], [[1.0]], [1000.0], truth=[1.0])
+        cfg = SolverConfig(
+            rule=StepRule.INVERSE_ROW_NORM_V, max_iterations=iterations,
+            log_stride=iterations,
+        )
+        with pytest.raises(NumericError, match=f"iteration {iterations}"):
+            run(sys, [1.0], cfg)
+        with pytest.raises(NumericError, match=f"iteration {iterations}"):
+            run_replicates(sys, [1.0], cfg, 3)
+
+    def test_replicates_compute_no_residual(self):
+        rng = np.random.default_rng(32)
+        sys = random_pair(rng, 8, 3)
+        cfg = SolverConfig(max_iterations=50, log_stride=10, seed=5)
+        full = _run(sys, DiscreteSampler(np.full(8, 1 / 8)), cfg, replicate_rng(5, 1))
+        bare = _run(sys, DiscreteSampler(np.full(8, 1 / 8)), cfg, replicate_rng(5, 1),
+                    residuals=False)
+        assert len(full.residual_norms) == 6 and bare.residual_norms == []
+        assert bare.error_norms == full.error_norms
+        np.testing.assert_array_equal(bare.final_x, full.final_x)
 
     @pytest.mark.parametrize("reps", [0, -1])
     def test_rejects_empty_batch(self, reps):
