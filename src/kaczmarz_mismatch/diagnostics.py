@@ -221,9 +221,8 @@ def expectation_operator(
     objectives can also be evaluated just off it; callers taking user input
     validate it first.
     """
-    # The rank checks of the rows come before the check on the rule.
     rows = analysis_rows(sys)
-    omega = static_step_sizes(sys, rule)  # rejects the adaptive rule
+    omega = static_step_sizes(sys, rule)
     return ExpectationOperator(*rows, omega, omega * sys.row_norms_sq("v"))
 
 

@@ -12,8 +12,8 @@ in use: b, or b plus the stored noise vector for inconsistent systems.
 
 ``_sweep`` is the one implementation of the update: ``run`` and
 ``run_replicates`` call it through ``_run``, the logged iteration on one
-random stream.  A static-rule step is one BLAS ``ddot`` and one ``daxpy`` on
-the iterate in place.
+random stream.  A step is one BLAS ``ddot`` and one ``daxpy`` on the
+iterate in place.
 
 The kernel reads each row as its span: the row's values from its first
 stored column to its last, with the view of ``x`` over the same columns.
@@ -55,8 +55,6 @@ from .sampling import DiscreteSampler, replicate_rng
 PAIRING_RTOL = 1e-12
 # Consistency required of (A, b, truth) when no noise vector is stored.
 CONSISTENCY_RTOL = 1e-8
-# Residual magnitude below which the adaptive step is defined as a no-op.
-ADAPTIVE_RESIDUAL_FLOOR = 1e-14
 # Rows drawn per ``DiscreteSampler.draw_array`` call in ``run``.  The size is
 # fixed, so the row sequence depends on the seed alone, not on the iteration
 # count or the logging stride.
@@ -115,11 +113,6 @@ class StepRule(enum.Enum):
     OBLIQUE_EXACT = "oblique"          # omega = 1/<a_i, v_i>, lands on the a-hyperplane
     INVERSE_ROW_NORM_A = "rownorm-a"   # omega = 1/||a_i||^2
     INVERSE_ROW_NORM_V = "rownorm-v"   # omega = 1/||v_i||^2
-    ADAPTIVE_V_HYPERPLANE = "adaptive-v"  # iterate-dependent; lands on the v-hyperplane
-
-    @property
-    def is_static(self):
-        return self is not StepRule.ADAPTIVE_V_HYPERPLANE
 
 
 @dataclass(frozen=True)
@@ -259,11 +252,7 @@ def matched_pair(sys: SystemPair) -> SystemPair:
 
 
 def static_step_sizes(sys: SystemPair, rule: StepRule) -> np.ndarray:
-    """Per-row omega for the iterate-independent rules."""
-    if not rule.is_static:
-        raise InvalidInputError(
-            "adaptive rule has no static step sizes (omega depends on the iterate)"
-        )
+    """Per-row omega of ``rule``."""
     if rule is StepRule.OBLIQUE_EXACT:
         return 1.0 / sys.pairing
     if rule is StepRule.INVERSE_ROW_NORM_A:
@@ -328,9 +317,7 @@ def _kernel(sys: SystemPair, x: np.ndarray):
 def _sweep(kernel, omega, beta, rows):
     """Apply the row updates for ``rows``, in order, to the iterate in place.
 
-    Static rules (``omega`` holds the step sizes): x <- x - omega_i (<a_i, x> - beta_i) v_i.
-    Adaptive rule (``omega`` is None): x <- x - (<v_i, x> - beta_i) / ||v_i||^2 v_i,
-    skipped while |<a_i, x> - beta_i| <= ADAPTIVE_RESIDUAL_FLOOR.
+    Each is x <- x - omega_i (<a_i, x> - beta_i) v_i, with ``omega`` the step sizes.
 
     ``kernel`` comes from ``_kernel``; each product runs over row i's span
     and the view of x under it.  The iterate must be a contiguous float64
@@ -341,16 +328,8 @@ def _sweep(kernel, omega, beta, rows):
     """
     a_rows, a_x, v_rows, v_x, v_width = kernel
     # daxpy's length is passed positionally: it parses keywords much more slowly.
-    if omega is None:
-        for i in rows:
-            beta_i = beta[i]
-            if abs(ddot(a_rows[i], a_x[i]) - beta_i) <= ADAPTIVE_RESIDUAL_FLOOR:
-                continue
-            v_i, x_i = v_rows[i], v_x[i]
-            daxpy(v_i, x_i, v_width[i], (beta_i - ddot(v_i, x_i)) / ddot(v_i, v_i))
-    else:
-        for i in rows:
-            daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
+    for i in rows:
+        daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
 
 
 def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
@@ -382,7 +361,7 @@ def _run(
     ``residual_norms`` stays empty; the error norm is checked for finiteness
     instead.
     """
-    omega = static_step_sizes(sys, cfg.rule).tolist() if cfg.rule.is_static else None
+    omega = static_step_sizes(sys, cfg.rule).tolist()
     rhs = sys.rhs
     beta = rhs.tolist()
 
@@ -399,13 +378,16 @@ def _run(
 
     def log_point(k):
         logged_k.append(k)
-        if sys.truth is not None:
-            error_norms.append(float(np.linalg.norm(x - sys.truth)))
+        # The squared norm of a finite iterate past about 1e154 overflows: the
+        # norm is then inf, without a warning, and the checks below raise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sys.truth is not None:
+                error_norms.append(float(np.linalg.norm(x - sys.truth)))
+            residual = float(np.linalg.norm(sys.a @ x - rhs)) if residuals else None
         if not residuals:
             if not np.isfinite(error_norms[-1]):
                 raise NumericError(f"non-finite error at iteration {k}")
             return None
-        residual = float(np.linalg.norm(sys.a @ x - rhs))
         residual_norms.append(residual)
         if not np.isfinite(residual):
             raise NumericError(f"non-finite residual at iteration {k}")

@@ -378,7 +378,7 @@ def rkma_step(sys, x, i, rule=StepRule.OBLIQUE_EXACT):
         raise DimensionError(f"x has length {x.shape[0]}, expected {sys.n}")
     if not 0 <= i < sys.m:
         raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
-    omega = [float(static_step_sizes(sys, rule)[i])] if rule.is_static else None
+    omega = [float(static_step_sizes(sys, rule)[i])]
     x_new = x.copy()
     # The kernel over the one-row system: row i's spans and views of x_new.
     one_row = tuple([part[i]] for part in _kernel(sys, x_new))
@@ -405,8 +405,6 @@ def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):
         raise InvalidInputError("exact expectation needs the known solution")
     if sys.noise is not None:
         raise InvalidInputError("exact expectation is defined for consistent systems")
-    if not rule.is_static:
-        raise InvalidInputError("adaptive rule has no static expectation matrices")
     p = check_probability_vector(p)
     if len(p) != sys.m:
         raise DimensionError(f"p has length {len(p)}, expected {sys.m}")

@@ -219,7 +219,7 @@ class TestSolve:
         _, rows = read_csv(os.path.join(run_dir, "trace.csv"))
         assert all(row[1] is None for row in rows)
 
-    def test_start_in_range_and_adaptive_rule(self, tmp_path):
+    def test_start_in_range(self, tmp_path):
         out = str(tmp_path / "sys")
         run_cli(["generate", "--kind", "underdetermined", "--m", "15", "--n", "40",
                  "--tau", "0.3", "--seed", "11", "--out", out])
@@ -227,11 +227,6 @@ class TestSolve:
         code = run_cli(["solve", "--system-dir", out, "--p", "rownorm-a",
                         "--rule", "oblique", "--iters", "3000", "--log-stride", "500",
                         "--seed", "2", "--start-in-range", "--out", run_dir])
-        assert code == 0
-        adaptive_dir = str(tmp_path / "run_adaptive")
-        code = run_cli(["solve", "--system-dir", out, "--p", "uniform",
-                        "--rule", "adaptive-v", "--iters", "500",
-                        "--log-stride", "100", "--seed", "2", "--out", adaptive_dir])
         assert code == 0
 
     def test_repeat_run_byte_identical(self, tmp_path):
@@ -572,6 +567,15 @@ class TestExitCodes:
         assert run_cli(argv + ["--out", str(tmp_path / "x")]) == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose", "optimize"])
+    def test_unknown_rule_rejected(self, tmp_path, capsys, command):
+        # --rule takes the three step rules of StepRule; adaptive-v is not one.
+        out = tmp_path / "x"
+        argv = [command, "--system-dir", "sys", "--rule", "adaptive-v", "--out", str(out)]
+        assert run_cli(argv) == 1
+        assert "invalid choice: 'adaptive-v'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPackaging:

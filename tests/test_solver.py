@@ -12,7 +12,6 @@ from kaczmarz_mismatch.errors import (
 )
 from kaczmarz_mismatch.sampling import DiscreteSampler, replicate_rng
 from kaczmarz_mismatch.solver import (
-    ADAPTIVE_RESIDUAL_FLOOR,
     ROW_BLOCK,
     SolverConfig,
     StepRule,
@@ -211,23 +210,6 @@ class TestStep:
             z = x_new + w
             assert np.linalg.norm(x_new - x) <= np.linalg.norm(z - x) + 1e-10
 
-    def test_adaptive_rule_lands_on_v_hyperplane(self):
-        rng = np.random.default_rng(3)
-        sys = random_pair(rng, 4, 5, tau=0.2)
-        x = rng.standard_normal(5)
-        i = 2
-        x_new = rkma_step(sys, x, i, StepRule.ADAPTIVE_V_HYPERPLANE)
-        assert sys.v[i] @ x_new == pytest.approx(sys.rhs[i], abs=1e-10)
-
-    def test_adaptive_rule_degenerate_residual_is_noop(self):
-        sys = make_system(
-            np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]), np.array([1.0])
-        )
-        x = np.array([1.0, 5.0])  # exactly on the a-hyperplane
-        np.testing.assert_array_equal(
-            rkma_step(sys, x, 0, StepRule.ADAPTIVE_V_HYPERPLANE), x
-        )
-
     def test_step_size_variants(self):
         rng = np.random.default_rng(4)
         sys = random_pair(rng, 3, 4, tau=0.2)
@@ -247,15 +229,8 @@ class TestStep:
 
 def reference_step(sys, x, i, rule):
     """The row update written out in numpy, as the kernel's reference."""
-    a_i, v_i, beta = sys.a[i], sys.v[i], sys.rhs[i]
-    residual = a_i @ x - beta
-    if rule.is_static:
-        coeff = residual * static_step_sizes(sys, rule)[i]
-    elif abs(residual) <= ADAPTIVE_RESIDUAL_FLOOR:
-        return x.copy()
-    else:
-        coeff = (v_i @ x - beta) / (v_i @ v_i)
-    return x - coeff * v_i
+    residual = sys.a[i] @ x - sys.rhs[i]
+    return x - residual * static_step_sizes(sys, rule)[i] * sys.v[i]
 
 
 class TestKernel:
@@ -270,7 +245,7 @@ class TestKernel:
         x0 = rng.standard_normal(7)
 
         x = x0.copy()
-        omega = static_step_sizes(sys, rule).tolist() if rule.is_static else None
+        omega = static_step_sizes(sys, rule).tolist()
         _sweep(_kernel(sys, x), omega, sys.rhs.tolist(), rows)
         composed = x0
         reference = x0
@@ -281,8 +256,7 @@ class TestKernel:
         np.testing.assert_allclose(x, composed, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x, reference, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("rule", [StepRule.OBLIQUE_EXACT, StepRule.ADAPTIVE_V_HYPERPLANE],
-                             ids=lambda r: r.value)
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.value)
     def test_shorter_run_is_prefix_of_longer_run(self, rule):
         # Every run replays the one row stream of its seed, drawn in blocks of
         # ROW_BLOCK, whatever its length and log stride.
@@ -406,7 +380,7 @@ class TestRowSpans:
         i = data.draw(st.integers(0, sys.m - 1))
         x0 = rng.standard_normal(sys.n)
         x = x0.copy()
-        omega = static_step_sizes(sys, rule).tolist() if rule.is_static else None
+        omega = static_step_sizes(sys, rule).tolist()
         _sweep(_kernel(sys, x), omega, sys.rhs.tolist(), [i])
         outside = np.ones(sys.n, dtype=bool)
         outside[sys.kernel_rows[1].cols[i]] = False
@@ -416,8 +390,7 @@ class TestRowSpans:
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * scale)
 
     @settings(max_examples=60, deadline=None)
-    @given(span_pair(), st.sampled_from([StepRule.OBLIQUE_EXACT, StepRule.ADAPTIVE_V_HYPERPLANE]),
-           st.integers(1, 60))
+    @given(span_pair(), st.sampled_from(ALL_RULES), st.integers(1, 60))
     def test_run_matches_dense_form(self, pair, rule, iterations):
         a, v, rng = pair
         systems = self.systems(a, v, rng)
@@ -499,7 +472,6 @@ class TestStepProperties:
            st.one_of(st.just(-1.0), st.floats(1e-2, 1e2)))
     def test_row_sign_flip_and_scaling_invariance(self, case, rule, factor):
         a, v, x, beta = case
-        assume(abs(a @ x - beta) > 1e-10)  # the adaptive rule's no-op test is not scale-free
         base = rkma_step(make_system(a[None, :], v[None, :], [beta]), x, 0, rule)
         scaled = make_system(factor * a[None, :], factor * v[None, :], [factor * beta])
         np.testing.assert_allclose(rkma_step(scaled, x, 0, rule), base, rtol=0, atol=1e-9)
@@ -555,20 +527,6 @@ class TestRun:
         trace = run(sys, np.array([1.0]), SolverConfig(max_iterations=3, seed=0))
         # One oblique step solves the single equation; later steps are no-ops.
         assert trace.residual_norms[-1] <= 1e-12
-
-    def test_adaptive_rule_run(self):
-        rng = np.random.default_rng(77)
-        sys = random_pair(rng, 30, 8, tau=0.4)
-        cfg = SolverConfig(
-            rule=StepRule.ADAPTIVE_V_HYPERPLANE,
-            max_iterations=5000,
-            log_stride=1000,
-            seed=6,
-        )
-        trace = run(sys, np.full(30, 1 / 30), cfg)
-        # Projections onto the v-hyperplanes of a consistent system still
-        # shrink the residual on this instance.
-        assert trace.residual_norms[-1] < trace.residual_norms[0]
 
     def test_consistent_thresholded_instance_converges(self):
         # Desk-scale overdetermined instance; positive contraction constant
@@ -772,6 +730,16 @@ class TestReplicates:
         with pytest.raises(NumericError, match=f"iteration {iterations}"):
             run(sys, [1.0], cfg)
         with pytest.raises(NumericError, match=f"iteration {iterations}"):
+            run_replicates(sys, [1.0], cfg, 3)
+        # Logged at every step, the squared norms overflow while the iterate
+        # is still finite: |e_k| = 999^k, so the residual 1000 e_k passes
+        # 1e154 at k = 51 and the error at k = 52.
+        cfg = SolverConfig(
+            rule=StepRule.INVERSE_ROW_NORM_V, max_iterations=iterations, log_stride=1
+        )
+        with pytest.raises(NumericError, match="non-finite residual at iteration 51$"):
+            run(sys, [1.0], cfg)
+        with pytest.raises(NumericError, match="non-finite error at iteration 52$"):
             run_replicates(sys, [1.0], cfg, 3)
 
     def test_replicates_compute_no_residual(self):
