@@ -184,10 +184,12 @@ def _cmd_generate(args, argv):
     write_matrix_market(os.path.join(out, "A.mtx"), sys_pair.a, comment=comment)
     write_matrix_market(os.path.join(out, "V.mtx"), sys_pair.v, comment=comment)
     write_vector_csv(os.path.join(out, "b.csv"), sys_pair.b, headers)
-    if sys_pair.noise is not None:
-        write_vector_csv(os.path.join(out, "r.csv"), sys_pair.noise, headers)
-    if sys_pair.truth is not None:
-        write_vector_csv(os.path.join(out, "xhat.csv"), sys_pair.truth, headers)
+    for name, vector in (("r.csv", sys_pair.noise), ("xhat.csv", sys_pair.truth)):
+        path = os.path.join(out, name)
+        if vector is not None:
+            write_vector_csv(path, vector, headers)
+        elif os.path.exists(path):
+            os.remove(path)  # an earlier instance's: _load_system would read it
     experiments.write_manifest(
         out, command, seed, {"kind": args.kind, **params},
         rows=sys_pair.m, cols=sys_pair.n,

@@ -9,6 +9,14 @@ Vectors and traces travel
 as CSV with '#' comment headers.  Writers are deterministic: identical data
 and header text produce byte-identical files, and floats are rendered with
 17 significant digits so round-trips are exact.
+
+``scipy.io`` is imported inside the two Matrix Market functions, not at
+module level: it loads its matlab, arff, netcdf and fast_matrix_market
+submodules, and the ``experiment`` pipelines, which move no ``.mtx`` file,
+would pay for them through ``import kaczmarz_mismatch.cli``.  The functions
+import ``mmread``/``mmwrite`` by name, because ``import scipy.io`` in a
+function body would make ``scipy`` a local name there, unbound at its
+``scipy.sparse`` calls.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ import io
 import os
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from . import __version__
@@ -45,6 +52,8 @@ def write_matrix_market(path, m, comment=""):
     non-zero entries, in row-major order; a zero of either sign, stored or
     not, is left out and reads back as +0.
     """
+    from scipy.io import mmwrite
+
     if scipy.sparse.issparse(m):
         m = as_csr(m)
         nonzero = np.count_nonzero(m.data)
@@ -57,13 +66,15 @@ def write_matrix_market(path, m, comment=""):
         m = as_matrix(m)
         if 2 * np.count_nonzero(m) <= m.size:
             m = scipy.sparse.coo_array(m)
-    scipy.io.mmwrite(path, m, comment=comment, precision=17)
+    mmwrite(path, m, comment=comment, precision=17)
 
 
 def read_matrix_market(path):
     """The matrix of a Matrix Market file: CSR for coordinate files, dense for array files."""
+    from scipy.io import mmread
+
     try:
-        m = scipy.io.mmread(path)
+        m = mmread(path)
     except Exception as exc:
         raise InvalidInputError(f"cannot read Matrix Market file {path}: {exc}") from exc
     name = os.path.basename(path)
@@ -77,17 +88,27 @@ def write_vector_csv(path, v, header_lines=(), column="value"):
 
 
 def read_vector_csv(path):
+    """The numbers of a one-column CSV file, '#' and blank lines skipped.
+
+    The first other line may be a column header; any later line that is
+    not a number is invalid input, named by its line number.
+    """
     values = []
     try:
         with open(path) as fh:
-            for line in fh:
+            header_allowed = True
+            for number, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
                     values.append(float(line))
                 except ValueError:
-                    continue  # column header
+                    if not header_allowed:
+                        raise InvalidInputError(
+                            f"{path}, line {number}: {line!r} is not a number"
+                        ) from None
+                header_allowed = False
     except OSError as exc:
         raise InvalidInputError(f"cannot read vector file {path}: {exc}") from exc
     if not values:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import kaczmarz_mismatch
-from kaczmarz_mismatch import experiments, fileio
+from kaczmarz_mismatch import experiments, fileio, problems
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
+from kaczmarz_mismatch.solver import make_system
 
 import oracles
 
@@ -62,6 +63,36 @@ class TestGenerate:
         run_cli(["generate", "--kind", "inconsistent", "--m", "20", "--n", "5",
                  "--noise-scale", "0.1", "--seed", "2", "--out", out])
         assert os.path.exists(os.path.join(out, "r.csv"))
+
+    def test_regenerate_removes_stale_noise(self, tmp_path, capsys):
+        # A consistent instance written over an inconsistent one leaves no
+        # r.csv behind, so diagnose reads no noise into it.
+        out = str(tmp_path / "sys")
+        for kind in ("inconsistent", "consistent"):
+            assert run_cli(["generate", "--kind", kind, "--m", "30", "--n", "8",
+                            "--seed", "1", "--out", out]) == 0
+        assert not os.path.exists(os.path.join(out, "r.csv"))
+        capsys.readouterr()
+        assert run_cli(["diagnose", "--system-dir", out]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert "gamma: " in report and "fixed_point_error: " in report
+
+    def test_regenerate_removes_stale_truth(self, tmp_path, monkeypatch):
+        # Every kind has a truth today; an instance without one must not
+        # leave an earlier xhat.csv to be read as its solution.
+        out = tmp_path / "sys"
+        argv = ["generate", "--kind", "consistent", "--m", "30", "--n", "8",
+                "--out", str(out)]
+        assert run_cli(argv) == 0
+        build = problems.build_instance
+
+        def no_truth(*args, **kwargs):
+            built = build(*args, **kwargs)
+            return make_system(built.a, built.v, built.b)
+
+        monkeypatch.setattr(problems, "build_instance", no_truth)
+        assert run_cli(argv) == 0
+        assert sorted(os.listdir(out)) == ["A.mtx", "V.mtx", "b.csv", "manifest.json"]
 
     def test_identical_invocations_byte_identical(self, tmp_path):
         out1 = str(tmp_path / "s1")
@@ -241,6 +272,22 @@ class TestSolve:
         t2 = (tmp_path / "r2" / "trace.csv").read_text()
         strip = lambda t: [l for l in t.splitlines() if not l.startswith("#")]
         assert strip(t1) == strip(t2)
+
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys):
+        out = tmp_path / "sys"
+        assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
+                        "--seed", "1", "--out", str(out)]) == 0
+        lines = (out / "b.csv").read_text().splitlines(keepends=True)
+        lines[9] = "0.12x5\n"  # a value row: the header block is 5 lines
+        (out / "b.csv").write_text("".join(lines))
+        capsys.readouterr()
+        run_dir = tmp_path / "run"
+        assert run_cli(["solve", "--system-dir", str(out), "--iters", "10",
+                        "--out", str(run_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {out / 'b.csv'}, line 10: '0.12x5' is not a number\n"
+        )
+        assert not run_dir.exists()
 
 
 def header_lines(path):
@@ -601,12 +648,51 @@ class TestPackaging:
 
     def test_cli_import_leaves_out_ndimage(self):
         # No command filters an image with scipy.ndimage, and every command
-        # pays the imports of the CLI module.
+        # pays the imports of the CLI module; scipy.io waits for a .mtx file.
         out = self.fresh_python(
             "import sys, kaczmarz_mismatch.cli; "
-            "print('scipy.ndimage' in sys.modules, 'scipy.sparse' in sys.modules)"
+            "print(*(m in sys.modules for m in ('scipy.ndimage', 'scipy.sparse', 'scipy.io')))"
         )
-        assert out.split() == ["False", "True"]
+        assert out.split() == ["False", "True", "False"]
+
+    def test_pipelines_leave_out_scipy_io(self, tmp_path):
+        # The five pipelines, at the sizes of the CI rerun step, read and
+        # write no Matrix Market file, so no module under scipy.io loads.
+        runs = [
+            ["fig1", "--seed", "1", "--m", "60", "--n", "15", "--iters", "2000",
+             "--log-stride", "200"],
+            ["fig2", "--seed", "2", "--m", "60", "--n", "15", "--iters", "2000",
+             "--log-stride", "200"],
+            ["fig3", "--seed", "3", "--m", "20", "--n", "60", "--iters", "4000",
+             "--log-stride", "500"],
+            ["table1", "--seed", "5", "--m", "40", "--n", "12", "--iters", "40"],
+            ["ct", "--seed", "1", "--grid", "8", "--rays", "24", "--sweeps", "2"],
+        ]
+        out = self.fresh_python(
+            "import sys\n"
+            "from kaczmarz_mismatch.cli import main\n"
+            f"for name, *flags in {runs!r}:\n"
+            "    assert main(['experiment', '--name', name, *flags, '--out', name]) == 0\n"
+            "print(sorted(m for m in sys.modules if (m + '.').startswith('scipy.io.')))\n",
+            cwd=tmp_path,
+        )
+        assert out.splitlines()[-1] == "[]"
+
+    def test_generate_and_solve_load_scipy_io_in_fresh_processes(self, tmp_path):
+        # Each command imports the Matrix Market function it needs on its
+        # first .mtx write (generate) or read (solve).
+        for argv in (
+            ["generate", "--kind", "consistent", "--m", "30", "--n", "8", "--out", "sys"],
+            ["solve", "--system-dir", "sys", "--iters", "100", "--out", "run"],
+        ):
+            out = self.fresh_python(
+                "import sys\n"
+                "from kaczmarz_mismatch.cli import main\n"
+                f"print(main({argv!r}), 'scipy.io' in sys.modules)\n",
+                cwd=tmp_path,
+            )
+            assert out.splitlines()[-1] == "0 True", argv
+        assert (tmp_path / "run" / "trace.csv").exists()
 
     def test_ct_commands_leave_out_ndimage_and_special(self, tmp_path):
         # The CT phantom is blurred in numpy: a CT build loads neither

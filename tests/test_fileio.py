@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -151,6 +153,24 @@ class TestVectorCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError):
             fileio.read_vector_csv(tmp_path / "absent.csv")
+
+    def test_file_without_header(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("# note\n1.5\n\n-2\n")
+        np.testing.assert_array_equal(fileio.read_vector_csv(path), [1.5, -2.0])
+
+    @pytest.mark.parametrize("text, number, line", [
+        ("value\n1\n0.12x5\n3\n", 3, "0.12x5"),
+        ("# seed: 1\nvalue\n1\nvalue\n2\n", 4, "value"),  # a second header
+        ("1\nvalue\n", 2, "value"),  # a header after a number
+    ], ids=["malformed", "second-header", "late-header"])
+    def test_non_numeric_row_past_the_first(self, tmp_path, text, number, line):
+        # Only the first non-comment line may be a column header.
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        message = f"{path}, line {number}: {line!r} is not a number"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            fileio.read_vector_csv(path)
 
 
 class TestTableCsv:
