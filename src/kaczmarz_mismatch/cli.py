@@ -139,6 +139,25 @@ def _build_parser():
     return parser
 
 
+def _report(*lines):
+    """Print a command's summary to stdout; called once its files are written.
+
+    A reader that stops early (``| grep -q``, ``| head``) closes the pipe.
+    The rest of the summary is then dropped and the command keeps its own
+    exit code; stdout is pointed at the null device, so the interpreter's
+    last flush of the unwritten text does not fail as well.
+    """
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        try:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, _sys.stdout.fileno())
+            os.close(null)
+        except (AttributeError, OSError, ValueError):
+            pass  # no file descriptor behind stdout to redirect
+
+
 def _command_string(argv):
     return "kaczmarz-mismatch " + " ".join(argv)
 
@@ -190,11 +209,14 @@ def _cmd_generate(args, argv):
             write_vector_csv(path, vector, headers)
         elif os.path.exists(path):
             os.remove(path)  # an earlier instance's: _load_system would read it
+    stale = os.path.join(out, "diagnostics.csv")  # diagnose of an earlier instance
+    if os.path.exists(stale):
+        os.remove(stale)
     experiments.write_manifest(
         out, command, seed, {"kind": args.kind, **params},
         rows=sys_pair.m, cols=sys_pair.n,
     )
-    print(f"wrote {args.kind} instance ({sys_pair.m} x {sys_pair.n}) to {out}")
+    _report(f"wrote {args.kind} instance ({sys_pair.m} x {sys_pair.n}) to {out}")
     return EXIT_OK
 
 
@@ -202,18 +224,17 @@ def _cmd_diagnose(args, argv):
     sys_pair = _load_system(args.system_dir)
     p = _resolve_probabilities(sys_pair, args.p)
     diag = compute_diagnostics(sys_pair, p, StepRule(args.rule))
-    for line in diag.report_lines():
-        print(line)
     out = args.out or args.system_dir
     os.makedirs(out, exist_ok=True)
     headers = provenance_lines(_command_string(argv), "-")
     experiments.write_diagnostics_csv(
         os.path.join(out, "diagnostics.csv"), diag, headers
     )
+    lines = diag.report_lines()
     if not diag.guarantees_convergence:
-        print("warning: no convergence guarantee (lambda <= 0)")
-        return EXIT_NO_GUARANTEE
-    return EXIT_OK
+        lines.append("warning: no convergence guarantee (lambda <= 0)")
+    _report(*lines)
+    return EXIT_OK if diag.guarantees_convergence else EXIT_NO_GUARANTEE
 
 
 def _cmd_solve(args, argv):
@@ -238,7 +259,7 @@ def _cmd_solve(args, argv):
     })
     experiments.write_trace_csv(os.path.join(args.out, "trace.csv"), trace, headers)
     last_err = trace.error_norms[-1] if trace.error_norms else float("nan")
-    print(
+    _report(
         f"ran {trace.logged_k[-1]} iterations; final residual "
         f"{trace.residual_norms[-1]:.6e}; final error {last_err:.6e}"
     )
@@ -265,9 +286,11 @@ def _cmd_optimize(args, argv):
         os.path.join(args.out, "history.csv"), ("iter", "objective"),
         enumerate(result.objective_evals), header_lines=headers,
     )
-    print(f"best {args.objective} objective: {result.best_objective:.9g}")
-    print(f"best_iteration: {result.best_iteration}")
-    print(f"degenerate_iterations: {len(result.degenerate_iterations)}")
+    _report(
+        f"best {args.objective} objective: {result.best_objective:.9g}",
+        f"best_iteration: {result.best_iteration}",
+        f"degenerate_iterations: {len(result.degenerate_iterations)}",
+    )
     return EXIT_OK
 
 
@@ -278,7 +301,7 @@ def _cmd_experiment(args, argv):
     # Looked up at call time, so a wrapper installed on the module sees the call.
     runner = getattr(experiments, f"experiment_{args.name}")
     runner(args.out, command=_command_string(argv), **params)
-    print(f"experiment {args.name} written to {args.out}")
+    _report(f"experiment {args.name} written to {args.out}")
     return EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -23,6 +24,14 @@ def run_cli(args):
 
 def read_csv(path):
     return oracles.read_table_csv(path)
+
+
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
+    package_root = str(Path(kaczmarz_mismatch.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    ))
 
 
 class TestGenerate:
@@ -76,6 +85,18 @@ class TestGenerate:
         assert run_cli(["diagnose", "--system-dir", out]) == 0
         report = capsys.readouterr().out.splitlines()
         assert "gamma: " in report and "fixed_point_error: " in report
+
+    def test_regenerate_removes_stale_diagnostics(self, tmp_path):
+        # diagnose writes into the system directory by default; a new
+        # instance there must not sit beside the old instance's diagnostics.
+        out = str(tmp_path / "sys")
+        assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
+                        "--out", out]) == 0
+        assert run_cli(["diagnose", "--system-dir", out]) == 0
+        assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+        assert run_cli(["generate", "--kind", "underdetermined", "--m", "8", "--n", "30",
+                        "--out", out]) == 0
+        assert not os.path.exists(os.path.join(out, "diagnostics.csv"))
 
     def test_regenerate_removes_stale_truth(self, tmp_path, monkeypatch):
         # Every kind has a truth today; an instance without one must not
@@ -195,6 +216,55 @@ class TestDiagnose:
         fileio.write_vector_csv(sys_dir / "b.csv", np.ones(2))
         code = run_cli(["diagnose", "--system-dir", str(sys_dir), "--p", "uniform"])
         assert code == 3
+
+    @pytest.mark.parametrize("v, code", [
+        ([[1.0, 0.0], [1.0, 0.2]], 0),  # V = A
+        ([[1.0, 4.0], [1.0, -3.0]], 3),  # lambda < 0, as in test_no_guarantee_exit_code
+    ])
+    def test_closed_stdout_keeps_exit_code_and_csv(
+        self, tmp_path, capsys, monkeypatch, v, code
+    ):
+        # A reader that has gone away (| grep -q) ends the report, not the
+        # command: diagnostics.csv is written and the exit code is diagnose's.
+        sys_dir = tmp_path / "sys"
+        sys_dir.mkdir()
+        fileio.write_matrix_market(sys_dir / "A.mtx", np.array([[1.0, 0.0], [1.0, 0.2]]))
+        fileio.write_matrix_market(sys_dir / "V.mtx", np.array(v))
+        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(2))
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run_cli(["diagnose", "--system-dir", str(sys_dir), "--p", "uniform"]) == code
+        assert capsys.readouterr().err == ""
+        assert read_csv(sys_dir / "diagnostics.csv")[0][0] == "lambda"
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_ends_quietly(self, tmp_path, unbuffered):
+        # The same through a real pipe whose reader closed before the
+        # command ran: no message, and nothing left for the exit flush.
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        sys_dir = str(tmp_path / "sys")
+        assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
+                        "--out", sys_dir]) == 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "kaczmarz_mismatch.cli", "diagnose",
+                 "--system-dir", sys_dir, "--out", str(tmp_path / "diag")],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert os.path.exists(tmp_path / "diag" / "diagnostics.csv")
 
     def test_probabilities_from_file(self, tmp_path):
         out = str(tmp_path / "sys")
@@ -636,12 +706,8 @@ class TestPackaging:
     @staticmethod
     def fresh_python(code, cwd=None):
         """Standard output of ``code`` run in a fresh interpreter on this package."""
-        package_root = str(Path(kaczmarz_mismatch.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        ))
         done = subprocess.run(
-            [sys.executable, "-c", code], cwd=cwd, env=env, check=True,
+            [sys.executable, "-c", code], cwd=cwd, env=package_env(), check=True,
             capture_output=True, text=True,
         )
         return done.stdout

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,17 @@ def sparse_matrix(m, n, nnz, seed):
     out = np.zeros((m, n))
     out.flat[rng.choice(m * n, size=nnz, replace=False)] = rng.standard_normal(nnz)
     return out
+
+
+@pytest.fixture
+def scipy_threads(monkeypatch):
+    """scipy's Matrix Market module with 2 threads set; None before scipy 1.12."""
+    try:
+        from scipy.io import _fast_matrix_market as fmm
+    except ImportError:
+        return None
+    monkeypatch.setattr(fmm, "PARALLELISM", 2)
+    return fmm
 
 
 class TestMatrixMarketFormat:
@@ -49,13 +61,37 @@ class TestMatrixMarketFormat:
         assert header(path)[2] == "array"
 
     @pytest.mark.parametrize(
+        "matrix, fmt",
+        [
+            (np.array([[2.0, 1.0, 3.0], [1.0, 5.0, 4.0], [3.0, 4.0, 6.0]]), "array"),
+            (np.array([[0.0, 1.0, -3.0], [-1.0, 0.0, 4.0], [3.0, -4.0, 0.0]]), "array"),
+            (scipy.sparse.csr_array(np.diag([1.0, 2.0, 3.0])), "coordinate"),
+        ],
+        ids=["symmetric", "skew-symmetric", "diagonal-csr"],
+    )
+    def test_square_matrix_header_is_general(self, tmp_path, matrix, fmt):
+        # Every entry is written, whatever symmetry the values happen to have.
+        path = tmp_path / "a.mtx"
+        fileio.write_matrix_market(path, matrix)
+        assert header(path) == ["%%MatrixMarket", "matrix", fmt, "real", "general"]
+        body = path.read_text().splitlines()[3:]  # past the header, comment and sizes
+        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
+        assert len(body) == (3 if fmt == "coordinate" else 9)
+        back = fileio.read_matrix_market(path)
+        back = back.toarray() if scipy.sparse.issparse(back) else back
+        np.testing.assert_array_equal(back, dense)
+
+    @pytest.mark.parametrize(
         "fmt, matrix",
         [
             ("coordinate", sparse_matrix(30, 70, 42, 4)),
             ("array", np.random.default_rng(5).standard_normal((9, 7))),
+            # Bodies over 1 MB, which scipy's writer splits into chunks.
+            ("coordinate", scipy.sparse.csr_array(sparse_matrix(400, 1000, 40000, 6))),
+            ("array", np.random.default_rng(7).standard_normal((300, 300))),
         ],
     )
-    def test_round_trip_bitwise_with_provenance(self, tmp_path, fmt, matrix):
+    def test_round_trip_bitwise_with_provenance(self, tmp_path, scipy_threads, fmt, matrix):
         lines = fileio.provenance_lines("generate --kind test", 11)
         first, second = tmp_path / "first.mtx", tmp_path / "second.mtx"
         fileio.write_matrix_market(first, matrix, comment="\n".join(lines))
@@ -63,11 +99,36 @@ class TestMatrixMarketFormat:
         back = fileio.read_matrix_market(first)
         assert scipy.sparse.issparse(back) == (fmt == "coordinate")
         dense = back.toarray() if fmt == "coordinate" else back
-        np.testing.assert_array_equal(dense.view(np.int64), matrix.view(np.int64))
+        expected = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
+        np.testing.assert_array_equal(dense.view(np.int64), expected.view(np.int64))
         text = first.read_text().splitlines()
         assert text[1 : 1 + len(lines)] == [f"%{line}" for line in lines]
         fileio.write_matrix_market(second, back, comment="\n".join(lines))
         assert second.read_bytes() == first.read_bytes()
+        if scipy_threads is None:
+            return
+        # One thread writes the bytes scipy's two-thread writer does, and
+        # leaves scipy's setting as the caller had it.
+        assert scipy_threads.PARALLELISM == 2
+        reference = tmp_path / "reference.mtx"
+        scipy.io.mmwrite(
+            reference, scipy.sparse.coo_array(matrix) if fmt == "coordinate" else matrix,
+            comment="\n".join(lines), precision=17,
+        )
+        assert reference.read_bytes() == first.read_bytes()
+
+    def test_nested_calls_restore_scipy_setting_once(self, tmp_path, scipy_threads):
+        # Calls from several threads overlap like nested ones: the pin holds
+        # until the last call leaves.
+        if scipy_threads is None:
+            pytest.skip("scipy before 1.12 has no fast_matrix_market")
+        path = tmp_path / "a.mtx"
+        with fileio._one_thread:
+            assert scipy_threads.PARALLELISM == 1
+            fileio.write_matrix_market(path, np.eye(2))
+            fileio.read_matrix_market(path)
+            assert scipy_threads.PARALLELISM == 1
+        assert scipy_threads.PARALLELISM == 2
 
 
 class TestSparseAndDense:
