@@ -4,8 +4,9 @@ Each experiment builds its instance through ``problems.build_instance``,
 runs the relevant solves, and writes traces, diagnostics, and
 theoretical-bound curves with provenance headers.  Every solve runs through
 ``_solve``, which writes its trace; a matched solve (V = A) runs on
-``solver.matched_pair`` of the mismatched system, so both read one set of
-spans of A.  fig1-fig3 share the rest of their steps in ``_figure``.
+``solver.matched_pair`` of the mismatched system, and each solve packs the
+row spans it reads for its own run.  fig1-fig3 share the rest of their
+steps in ``_figure``.
 ``EXPERIMENTS`` lists each pipeline's instance kind, parameters with their
 desk-scale defaults (seconds to minutes), and the ``experiment`` flags that
 reach the published problem sizes.

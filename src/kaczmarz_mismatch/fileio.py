@@ -37,6 +37,7 @@ from __future__ import annotations
 import io
 import os
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import scipy.sparse
@@ -107,7 +108,8 @@ def write_matrix_market(path, m, comment=""):
     Otherwise in array format.  ``m`` is dense or sparse; a sparse matrix
     and its dense form write the same file.  Coordinate files hold only the
     non-zero entries, in row-major order; a zero of either sign, stored or
-    not, is left out and reads back as +0.
+    not, is left out and reads back as +0.  The file is ``path`` itself,
+    whatever its suffix.
     """
     from scipy.io import mmwrite
 
@@ -123,8 +125,11 @@ def write_matrix_market(path, m, comment=""):
         m = as_matrix(m)
         if 2 * np.count_nonzero(m) <= m.size:
             m = scipy.sparse.coo_array(m)
-    with _one_thread:
-        mmwrite(path, m, comment=comment, precision=17, symmetry="general")
+    # scipy appends ".mtx" to any other path.  It writes an open file as
+    # given, but 10-20% more slowly than a file it opens itself.
+    native = os.fspath(path).endswith(".mtx")
+    with _one_thread, (nullcontext(path) if native else open(path, "wb")) as target:
+        mmwrite(target, m, comment=comment, precision=17, symmetry="general")
 
 
 def read_matrix_market(path):

@@ -17,13 +17,13 @@ iterate in place.
 
 The kernel reads each row as its span: the row's values from its first
 stored column to its last, with the view of ``x`` over the same columns.
-``SystemPair.kernel_rows`` makes them once per system.  A dense row is its
-own span over all of ``x``, so a dense system makes exactly the BLAS calls
-of a kernel on whole rows.  The spans of a CSR operator are views into one
-packed buffer; on the tomography pair they hold about half of what the dense
-rows would, and the kernel reads no column outside them.  ``matched_pair``
-makes the matched system (V = A) of a pair, whose kernel reads the spans of
-A that the pair already holds.
+``_kernel`` makes them once per run, and they are freed when the run ends.
+A dense row is its own span over all of ``x``, so a dense system makes
+exactly the BLAS calls of a kernel on whole rows.  The spans of a CSR
+operator are views into one packed buffer; on the tomography pair they hold
+about half of what the dense rows would, and the kernel reads no column
+outside them.  When ``v is a`` (the matched system of ``matched_pair``) one
+set of spans serves both.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -61,37 +60,20 @@ CONSISTENCY_RTOL = 1e-8
 ROW_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class RowSpans:
-    """One operator's rows as the row kernel reads them.
+def _row_spans(rows):
+    """The spans of dense or CSR ``rows``: (values, columns, widths).
 
     ``values[i]`` holds row i's values from its first stored column to its
-    last: the columns ``cols[i]`` of the iterate, ``widths[i]`` of them.  A
-    dense operator's spans are its rows, and ``cols`` is None: each span
-    covers the whole iterate.
-    """
-
-    values: list[np.ndarray]
-    widths: list[int]
-    cols: list[slice] | None = None
-
-    def views(self, x: np.ndarray) -> list[np.ndarray]:
-        """The part of ``x`` under each span: views, so updating one updates ``x``."""
-        if self.cols is None:
-            return [x] * len(self.values)
-        return [x[c] for c in self.cols]
-
-
-def _row_spans(rows) -> RowSpans:
-    """The spans of dense or CSR ``rows``; on CSR, views into one packed buffer.
-
-    Each CSR row needs a stored entry (``make_system`` rejects a row without
-    one, since its pairing is 0).  Stored zeros count as stored: a span runs
-    from the first stored column to the last, whatever their values.
+    last: the columns ``columns[i]`` of the iterate, ``widths[i]`` of them.
+    A dense operator's spans are its rows, and ``columns`` is None: each span
+    covers the whole iterate.  On CSR the values are views into one packed
+    buffer.  Each CSR row needs a stored entry (``make_system`` rejects a row
+    without one, since its pairing is 0).  Stored zeros count as stored: a
+    span runs from the first stored column to the last, whatever their values.
     """
     m, n = rows.shape
     if not scipy.sparse.issparse(rows):
-        return RowSpans(values=list(rows), widths=[n] * m)
+        return list(rows), None, [n] * m
     indptr, indices = rows.indptr, rows.indices
     first = indices[indptr[:-1]].astype(np.intp)
     end = indices[indptr[1:] - 1].astype(np.intp) + 1
@@ -100,10 +82,10 @@ def _row_spans(rows) -> RowSpans:
     packed = np.zeros(start[-1])
     packed[np.repeat(start[:-1] - first, np.diff(indptr)) + indices] = rows.data
     bounds = start.tolist()
-    return RowSpans(
-        values=[packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
-        widths=(end - first).tolist(),
-        cols=[slice(lo, hi) for lo, hi in zip(first.tolist(), end.tolist())],
+    return (
+        [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+        [slice(lo, hi) for lo, hi in zip(first.tolist(), end.tolist())],
+        (end - first).tolist(),
     )
 
 
@@ -153,15 +135,6 @@ class SystemPair:
     def row_norms_sq(self, which="a"):
         rows = self.a if which == "a" else self.v
         return _row_dots(rows, rows)
-
-    @cached_property
-    def kernel_rows(self) -> tuple[RowSpans, RowSpans]:
-        """The spans of (a, v) the row kernel reads, made on first read and kept.
-
-        One ``RowSpans`` for both when ``v is a``.
-        """
-        a = _row_spans(self.a)
-        return a, a if self.v is self.a else _row_spans(self.v)
 
 
 def _row_dots(x, y) -> np.ndarray:
@@ -241,14 +214,10 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
 def matched_pair(sys: SystemPair) -> SystemPair:
     """The system with V = A, keeping ``sys``'s b, noise and truth.
 
-    It passes ``make_system``'s checks, and its kernel reads the spans of A
-    that ``sys`` holds (made now if ``sys`` has none yet): the pair packs no
-    second copy of A's rows.
+    It passes ``make_system``'s checks.  Its ``v is a``, so a run on it packs
+    one set of spans, of A, for both operators.
     """
-    matched = make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
-    spans = sys.kernel_rows[0]
-    vars(matched)["kernel_rows"] = (spans, spans)  # where cached_property keeps its value
-    return matched
+    return make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
 
 
 def static_step_sizes(sys: SystemPair, rule: StepRule) -> np.ndarray:
@@ -304,14 +273,22 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
 
 
 def _kernel(sys: SystemPair, x: np.ndarray):
-    """The arguments of ``_sweep`` for the iterate ``x``.
+    """The arguments of ``_sweep`` for the iterate ``x``, made afresh.
 
     These are the spans of A with their views of ``x``, then the spans of V
-    with theirs and their widths.
+    with theirs and their widths; one set serves both when ``v is a``.  Both
+    operators are packed before any view of ``x`` is made.
     """
-    a, v = sys.kernel_rows
-    a_x = a.views(x)
-    return a.values, a_x, v.values, a_x if v is a else v.views(x), v.widths
+    a = _row_spans(sys.a)
+    v = a if sys.v is sys.a else _row_spans(sys.v)
+    (a_rows, a_columns, _), (v_rows, v_columns, v_width) = a, v
+
+    def views(columns):
+        """The part of ``x`` under each span: views, so updating one updates ``x``."""
+        return [x] * sys.m if columns is None else [x[c] for c in columns]
+
+    a_x = views(a_columns)
+    return a_rows, a_x, v_rows, a_x if v is a else views(v_columns), v_width
 
 
 def _sweep(kernel, omega, beta, rows):

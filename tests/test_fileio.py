@@ -175,6 +175,22 @@ class TestMatrixMarket:
         fileio.write_matrix_market(path, m, comment="test matrix")
         np.testing.assert_array_equal(fileio.read_matrix_market(path), m)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.random.default_rng(8).standard_normal((6, 4)), sparse_matrix(20, 30, 25, 9)],
+        ids=["array", "coordinate"],
+    )
+    def test_round_trip_on_txt_path(self, tmp_path, matrix):
+        # The file is the path as given: no ".mtx" is appended to it.
+        path, reference = tmp_path / "m.txt", tmp_path / "m.mtx"
+        fileio.write_matrix_market(str(path), matrix, comment="test matrix")
+        fileio.write_matrix_market(reference, matrix, comment="test matrix")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtx", "m.txt"]
+        assert path.read_bytes() == reference.read_bytes()
+        back = fileio.read_matrix_market(str(path))
+        back = back.toarray() if scipy.sparse.issparse(back) else back
+        np.testing.assert_array_equal(back, matrix)
+
     def test_coordinate_format_readable(self, tmp_path):
         path = tmp_path / "coord.mtx"
         path.write_text(

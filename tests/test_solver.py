@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -338,6 +340,13 @@ def span_pair(draw):
     return csr(a_rows), csr(v_rows), rng
 
 
+def view_columns(view, x):
+    """The columns of ``x`` that ``view`` covers; it must be a view of ``x``."""
+    assert view.base is x
+    start = (view.ctypes.data - x.ctypes.data) // x.itemsize
+    return slice(start, start + view.size)
+
+
 class TestRowSpans:
     """The kernel's spans of a CSR system against its dense form."""
 
@@ -358,17 +367,18 @@ class TestRowSpans:
         systems = self.systems(a, a if matched else v, rng)
         assume(systems is not None)
         sys = systems[0]
-        a_spans, v_spans = sys.kernel_rows
-        assert (v_spans is a_spans) == matched
-        for spans, op in zip(sys.kernel_rows, (sys.a, sys.v)):
-            assert len({id(span.base) for span in spans.values}) == 1  # one packed buffer
+        x = np.zeros(sys.n)
+        a_rows, a_x, v_rows, v_x, v_width = _kernel(sys, x)
+        assert (v_rows is a_rows and v_x is a_x) == matched
+        for rows, views, op in ((a_rows, a_x, sys.a), (v_rows, v_x, sys.v)):
+            assert len({id(span.base) for span in rows}) == 1  # one packed buffer
             dense = op.toarray()
             for i in range(sys.m):
                 stored = op.indices[op.indptr[i]:op.indptr[i + 1]]
                 lo, hi = int(stored.min()), int(stored.max()) + 1
-                assert spans.cols[i] == slice(lo, hi)
-                assert spans.widths[i] == hi - lo
-                np.testing.assert_array_equal(spans.values[i], dense[i, lo:hi])
+                assert view_columns(views[i], x) == slice(lo, hi)
+                np.testing.assert_array_equal(rows[i], dense[i, lo:hi])
+        assert v_width == [view.size for view in v_x]
 
     @settings(max_examples=80, deadline=None)
     @given(span_pair(), st.sampled_from(ALL_RULES), st.data())
@@ -381,9 +391,10 @@ class TestRowSpans:
         x0 = rng.standard_normal(sys.n)
         x = x0.copy()
         omega = static_step_sizes(sys, rule).tolist()
-        _sweep(_kernel(sys, x), omega, sys.rhs.tolist(), [i])
+        kernel = _kernel(sys, x)
+        _sweep(kernel, omega, sys.rhs.tolist(), [i])
         outside = np.ones(sys.n, dtype=bool)
-        outside[sys.kernel_rows[1].cols[i]] = False
+        outside[view_columns(kernel[3][i], x)] = False
         np.testing.assert_array_equal(x[outside], x0[outside])
         expected = reference_step(dense, x0, i, rule)
         scale = np.abs(x0).max() + np.abs(expected).max()
@@ -423,9 +434,7 @@ class TestMatchedPair:
         assume(sys is not None)
         matched = matched_pair(sys)
         fresh = make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
-        # The pair reads the spans of A that sys holds, for A and V alike.
-        a_spans, v_spans = matched.kernel_rows
-        assert a_spans is sys.kernel_rows[0] and v_spans is a_spans
+        assert matched.v is matched.a
         assert matched.noise is sys.noise and matched.truth is sys.truth
 
         def bits(trace):
@@ -436,6 +445,26 @@ class TestMatchedPair:
         p = np.full(sys.m, 1.0 / sys.m)
         cfg = SolverConfig(rule=rule, max_iterations=iterations, log_stride=7, seed=5)
         assert bits(run(matched, p, cfg)) == bits(run(fresh, p, cfg))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_runs_leave_the_system_as_made(self, sparse):
+        # A run keeps nothing on the system: it holds its dataclass fields alone.
+        rng = np.random.default_rng(12)
+        a = np.where(rng.random((30, 10)) < 0.5, rng.standard_normal((30, 10)), 0.0)
+        a[np.arange(30), np.arange(30) % 10] = 1.0  # no empty row
+        v = a + np.where(a != 0, 0.05 * rng.standard_normal(a.shape), 0.0)
+        if sparse:
+            a, v = scipy.sparse.csr_array(a), scipy.sparse.csr_array(v)
+        truth = rng.standard_normal(10)
+        sys = make_system(a, v, a @ truth, truth=truth)
+        fields = set(vars(sys))
+        assert fields == {f.name for f in dataclasses.fields(sys)}
+        p = np.full(sys.m, 1.0 / sys.m)
+        cfg = SolverConfig(max_iterations=50, log_stride=10)
+        run(sys, p, cfg)
+        run(matched_pair(sys), p, cfg)
+        run_replicates(sys, p, cfg, 3)
+        assert set(vars(sys)) == fields
 
 
 # Small integer entries keep every pairing cosine above 1/200 and the rounding
