@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import os
 import threading
-from contextlib import nullcontext
 
 import numpy as np
 import scipy.sparse
@@ -109,8 +108,12 @@ def write_matrix_market(path, m, comment=""):
     and its dense form write the same file.  Coordinate files hold only the
     non-zero entries, in row-major order; a zero of either sign, stored or
     not, is left out and reads back as +0.  The file is ``path`` itself,
-    whatever its suffix.
+    whatever its suffix, and always plain text: a path ending in ``.gz`` or
+    ``.bz2`` is invalid input, since ``read_matrix_market`` would read it as
+    compressed.
     """
+    if os.fspath(path).endswith((".gz", ".bz2")):
+        raise InvalidInputError(f"cannot write Matrix Market file {path}: writes are uncompressed")
     from scipy.io import mmwrite
 
     if scipy.sparse.issparse(m):
@@ -125,10 +128,8 @@ def write_matrix_market(path, m, comment=""):
         m = as_matrix(m)
         if 2 * np.count_nonzero(m) <= m.size:
             m = scipy.sparse.coo_array(m)
-    # scipy appends ".mtx" to any other path.  It writes an open file as
-    # given, but 10-20% more slowly than a file it opens itself.
-    native = os.fspath(path).endswith(".mtx")
-    with _one_thread, (nullcontext(path) if native else open(path, "wb")) as target:
+    # scipy appends ".mtx" to a path without it; an open file it writes as given.
+    with _one_thread, open(path, "wb") as target:
         mmwrite(target, m, comment=comment, precision=17, symmetry="general")
 
 

@@ -338,12 +338,13 @@ def _run(
     ``residual_norms`` stays empty; the error norm is checked for finiteness
     instead.
     """
+    # The spans are packed before the per-row lists below are made, so those
+    # lists are not live at the packing's high-water mark.
+    x = initial_iterate(sys, cfg)
+    kernel = _kernel(sys, x)
     omega = static_step_sizes(sys, cfg.rule).tolist()
     rhs = sys.rhs
     beta = rhs.tolist()
-
-    x = initial_iterate(sys, cfg)
-    kernel = _kernel(sys, x)
     rhs_norm = np.linalg.norm(rhs)
     tol_abs = cfg.residual_tolerance * rhs_norm
     rows_visited = np.zeros(sys.m, dtype=np.int64)

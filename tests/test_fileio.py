@@ -191,6 +191,13 @@ class TestMatrixMarket:
         back = back.toarray() if scipy.sparse.issparse(back) else back
         np.testing.assert_array_equal(back, matrix)
 
+    @pytest.mark.parametrize("name", ["m.mtx.gz", "m.mtx.bz2"])
+    def test_compressed_suffix_rejected(self, tmp_path, name):
+        # The file would be plain text that the reader decompresses.
+        with pytest.raises(InvalidInputError, match="uncompressed"):
+            fileio.write_matrix_market(tmp_path / name, np.eye(2))
+        assert list(tmp_path.iterdir()) == []
+
     def test_coordinate_format_readable(self, tmp_path):
         path = tmp_path / "coord.mtx"
         path.write_text(

@@ -426,7 +426,7 @@ class TestCtMemory:
     def test_ct_experiment_makes_no_dense_operator(self, tmp_path):
         # Each solve packs the row spans it reads for its own run: those of A
         # and V, then one set of A's for the matched pair, after the first
-        # set is freed. The peak is 1.28 m x n matrices; spans of A kept on
+        # set is freed. The peak is 1.27 m x n matrices; spans of A kept on
         # the system for the matched pair made it 1.37, a second packed copy
         # of them alongside the first 1.8, and the dense A and V of either
         # solve make it 2.3 or more.
