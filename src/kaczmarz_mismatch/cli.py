@@ -20,7 +20,7 @@ import os
 import sys as _sys
 
 from . import __version__, experiments, problems
-from .diagnostics import compute_diagnostics
+from .diagnostics import CSV_COLUMNS, compute_diagnostics
 from .errors import (
     InvalidInputError,
     KaczmarzError,
@@ -31,8 +31,9 @@ from .fileio import (
     provenance_lines,
     read_matrix_market,
     read_vector_csv,
+    vector_table,
+    write_csv_files,
     write_matrix_market,
-    write_table_csv,
     write_vector_csv,
 )
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
@@ -224,11 +225,9 @@ def _cmd_diagnose(args, argv):
     sys_pair = _load_system(args.system_dir)
     p = _resolve_probabilities(sys_pair, args.p)
     diag = compute_diagnostics(sys_pair, p, StepRule(args.rule))
-    out = args.out or args.system_dir
-    os.makedirs(out, exist_ok=True)
-    headers = provenance_lines(_command_string(argv), "-")
-    experiments.write_diagnostics_csv(
-        os.path.join(out, "diagnostics.csv"), diag, headers
+    write_csv_files(
+        args.out or args.system_dir, provenance_lines(_command_string(argv), "-"),
+        {"diagnostics.csv": (CSV_COLUMNS, [diag.csv_row()])},
     )
     lines = diag.report_lines()
     if not diag.guarantees_convergence:
@@ -252,12 +251,11 @@ def _cmd_solve(args, argv):
         start_coefficients=start_coefficients,
     )
     trace = run(sys_pair, p, cfg)
-    os.makedirs(args.out, exist_ok=True)
     headers = provenance_lines(_command_string(argv), args.seed, {
         "rule": args.rule, "p": args.p, "iters": args.iters,
         "log_stride": args.log_stride, "tol": args.tol,
     })
-    experiments.write_trace_csv(os.path.join(args.out, "trace.csv"), trace, headers)
+    write_csv_files(args.out, headers, {"trace.csv": experiments.trace_table(trace)})
     last_err = trace.error_norms[-1] if trace.error_norms else float("nan")
     _report(
         f"ran {trace.logged_k[-1]} iterations; final residual "
@@ -274,18 +272,13 @@ def _cmd_optimize(args, argv):
         base_step=args.step,
     )
     result = optimize_probabilities(sys_pair, StepRule(args.rule), cfg)
-    os.makedirs(args.out, exist_ok=True)
     headers = provenance_lines(_command_string(argv), args.seed, {
         "objective": args.objective, "iters": args.iters, "step": args.step,
     })
-    write_vector_csv(
-        os.path.join(args.out, "p_opt.csv"), result.best_p, headers,
-        column="probability",
-    )
-    write_table_csv(
-        os.path.join(args.out, "history.csv"), ("iter", "objective"),
-        enumerate(result.objective_evals), header_lines=headers,
-    )
+    write_csv_files(args.out, headers, {
+        "p_opt.csv": vector_table(result.best_p, "probability"),
+        "history.csv": (("iter", "objective"), enumerate(result.objective_evals)),
+    })
     _report(
         f"best {args.objective} objective: {result.best_objective:.9g}",
         f"best_iteration: {result.best_iteration}",

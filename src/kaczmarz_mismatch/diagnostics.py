@@ -235,11 +235,16 @@ def noise_gamma(sys: SystemPair) -> float:
 
 
 def inconsistent_bound(k, lam, gamma, e0_sq) -> float:
-    """Expected squared-error bound (1 - lambda/2)^k * e0^2 + (2/lambda) gamma^2."""
+    """Expected squared-error bound (1 - lambda/2)^k * e0^2 + (2/lambda) gamma^2.
+
+    lambda <= 1 in exact arithmetic; a computed lambda up to 1e-12 above 1
+    (n = 1 with V = A gives 1.0000000000000002) counts as 1.
+    """
     if lam <= 0:
         raise NoGuaranteeError(f"no convergence guarantee: lambda = {lam:.3e} <= 0")
-    if lam > 1:
-        raise InvalidInputError(f"lambda = {lam:.3e} exceeds 1")
+    if lam > 1 + 1e-12:
+        raise InvalidInputError(f"lambda = {lam:.17g} exceeds 1")
+    lam = min(lam, 1.0)
     return (1.0 - lam / 2.0) ** k * e0_sq + (2.0 / lam) * gamma**2
 
 

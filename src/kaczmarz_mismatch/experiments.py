@@ -1,12 +1,13 @@
 """Named experiment pipelines producing plot-ready CSV directories.
 
 Each experiment builds its instance through ``problems.build_instance``,
-runs the relevant solves, and writes traces, diagnostics, and
-theoretical-bound curves with provenance headers.  Every solve runs through
-``_solve``, which writes its trace; a matched solve (V = A) runs on
-``solver.matched_pair`` of the mismatched system, and each solve packs the
-row spans it reads for its own run.  fig1-fig3 share the rest of their
-steps in ``_figure``.
+runs the relevant solves, and computes traces, diagnostics, and
+theoretical-bound curves.  Only then does it write its directory, every CSV
+through one ``fileio.write_csv_files`` call per header set, and last its
+``manifest.json``; a pipeline that fails leaves no directory.  A matched
+solve (V = A) runs on ``solver.matched_pair`` of the mismatched system, and
+each solve packs the row spans it reads for its own run.  fig1-fig3 share
+their steps in ``_figure``.
 ``EXPERIMENTS`` lists each pipeline's instance kind, parameters with their
 desk-scale defaults (seconds to minutes), and the ``experiment`` flags that
 reach the published problem sizes.
@@ -27,7 +28,7 @@ from .diagnostics import (
     inconsistent_bound,
 )
 from .errors import InvalidInputError
-from .fileio import FORMAT_VERSION, provenance_lines, write_table_csv, write_vector_csv
+from .fileio import FORMAT_VERSION, provenance_lines, vector_table, write_csv_files
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
 from .solver import SolverConfig, StepRule, matched_pair, run
 
@@ -91,16 +92,10 @@ def probability_scheme(sys, scheme):
     raise InvalidInputError(f"unknown probability scheme {scheme!r}")
 
 
-def write_trace_csv(path, trace, header_lines=()):
-    rows = []
-    for idx, k in enumerate(trace.logged_k):
-        err = trace.error_norms[idx] if trace.error_norms else None
-        rows.append((k, err, trace.residual_norms[idx]))
-    write_table_csv(path, TRACE_COLUMNS, rows, header_lines=header_lines)
-
-
-def write_diagnostics_csv(path, diag, header_lines=()):
-    write_table_csv(path, CSV_COLUMNS, [diag.csv_row()], header_lines=header_lines)
+def trace_table(trace):
+    """(columns, rows) of a trace CSV; the error column is empty without a truth."""
+    errors = trace.error_norms or [None] * len(trace.logged_k)
+    return TRACE_COLUMNS, list(zip(trace.logged_k, errors, trace.residual_norms))
 
 
 def write_manifest(out_dir, command, seed, parameters, **fields):
@@ -121,8 +116,8 @@ def write_manifest(out_dir, command, seed, parameters, **fields):
 def _setup(name, given):
     """(seed, instance parameters, own parameters, instance) of pipeline ``name``.
 
-    A pipeline makes its output directory only once its own configurations
-    are built, so invalid parameters leave no directory behind.
+    A pipeline writes its output directory only after its last computation,
+    so invalid parameters, like any other failure, leave no directory behind.
     """
     exp = EXPERIMENTS[name]
     params = exp.parameters(given)
@@ -130,22 +125,6 @@ def _setup(name, given):
     instance = {key: params.pop(key) for key in problems.INSTANCES[exp.kind].defaults}
     sys = problems.build_instance(exp.kind, seed, **instance)
     return seed, instance, params, sys
-
-
-def _write_manifest(out_dir, name, command, seed, instance, params):
-    kind = EXPERIMENTS[name].kind
-    write_manifest(
-        out_dir, command, seed, {"kind": kind, **instance, **params}, experiment=name
-    )
-
-
-def _solve(out_dir, headers, cfg, solves):
-    """Run each ``stem: (system, p)`` in order, write ``<stem>.csv``; the traces by stem."""
-    traces = {}
-    for stem, (system, p) in solves.items():
-        traces[stem] = run(system, p, cfg)
-        write_trace_csv(os.path.join(out_dir, f"{stem}.csv"), traces[stem], headers)
-    return traces
 
 
 def _figure(name, out_dir, command, params, table, matched):
@@ -156,19 +135,21 @@ def _figure(name, out_dir, command, params, table, matched):
     """
     seed, instance, own, sys = _setup(name, params)
     cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
     p = probability_scheme(sys, "rownorm-a")
     diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
 
-    headers = provenance_lines(command, seed, instance)
-    solves = {"rkma_trace": (sys, p)}
+    trace = run(sys, p, cfg)
+    files = {"rkma_trace.csv": trace_table(trace)}
     if matched:
-        solves["rk_trace"] = (matched_pair(sys), p)
-    traces = _solve(out_dir, headers, cfg, solves)
-    write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), diag, headers)
-    file_name, columns, rows = table(sys, diag, traces["rkma_trace"])
-    write_table_csv(os.path.join(out_dir, file_name), columns, rows, header_lines=headers)
-    _write_manifest(out_dir, name, command, seed, instance, own)
+        files["rk_trace.csv"] = trace_table(run(matched_pair(sys), p, cfg))
+    files["diagnostics.csv"] = (CSV_COLUMNS, [diag.csv_row()])
+    file_name, columns, rows = table(sys, diag, trace)
+    files[file_name] = (columns, rows)
+    write_csv_files(out_dir, provenance_lines(command, seed, instance), files)
+    write_manifest(
+        out_dir, command, seed, {"kind": EXPERIMENTS[name].kind, **instance, **own},
+        experiment=name,
+    )
     return diag
 
 
@@ -179,7 +160,8 @@ def experiment_fig1(out_dir, command="experiment fig1", **params):
         e0 = trace.error_norms[0]
         rows = []
         for k in trace.logged_k:
-            sq_bound = (1.0 - diag.lam) ** k * e0**2
+            # max: a computed lambda may exceed 1 by a rounding error.
+            sq_bound = max(1.0 - diag.lam, 0.0) ** k * e0**2
             rows.append((k, sq_bound, np.sqrt(sq_bound), diag.rho_asymptotic**k * e0))
         return "bound.csv", ("k", "sq_error_bound", "error_bound", "rate_curve"), rows
 
@@ -219,19 +201,20 @@ def experiment_ct(out_dir, command="experiment ct", **params):
     """Tomography reconstruction with a detector-bin-averaged backprojector."""
     seed, instance, own, sys = _setup("ct", params)
     cfg = SolverConfig(max_iterations=own["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
-    os.makedirs(out_dir, exist_ok=True)
 
     own = {"rows": sys.m, **own}
-    headers = provenance_lines(command, seed, {**instance, **own})
-    traces = _solve(out_dir, headers, cfg, {
-        "rkma_trace": (sys, probability_scheme(sys, "pairing")),
-        "rk_trace": (matched_pair(sys), probability_scheme(sys, "rownorm-a")),
+    trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
+    trace_matched = run(matched_pair(sys), probability_scheme(sys, "rownorm-a"), cfg)
+    write_csv_files(out_dir, provenance_lines(command, seed, {**instance, **own}), {
+        "rkma_trace.csv": trace_table(trace_mis),
+        "rk_trace.csv": trace_table(trace_matched),
+        "phantom.csv": vector_table(sys.truth),
+        "recon_rkma.csv": vector_table(trace_mis.final_x),
+        "recon_rk.csv": vector_table(trace_matched.final_x),
     })
-    trace_mis, trace_matched = traces.values()
-    write_vector_csv(os.path.join(out_dir, "phantom.csv"), sys.truth, headers)
-    write_vector_csv(os.path.join(out_dir, "recon_rkma.csv"), trace_mis.final_x, headers)
-    write_vector_csv(os.path.join(out_dir, "recon_rk.csv"), trace_matched.final_x, headers)
-    _write_manifest(out_dir, "ct", command, seed, instance, own)
+    write_manifest(
+        out_dir, command, seed, {"kind": "ct", **instance, **own}, experiment="ct"
+    )
     return trace_mis, trace_matched
 
 
@@ -257,7 +240,6 @@ def experiment_table1(out_dir, command="experiment table1", **params):
     cfg = SolverConfig(
         max_iterations=own["solve_iterations"], log_stride=own["log_stride"], seed=seed
     )
-    os.makedirs(out_dir, exist_ok=True)
 
     opt_lam = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, lam_cfg)
     opt_norm = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, norm_cfg)
@@ -268,9 +250,8 @@ def experiment_table1(out_dir, command="experiment table1", **params):
         "opt_norm": opt_norm.best_p,
     }
 
-    headers = provenance_lines(command, seed, {**instance, "iters": opt_iterations})
-
     quantities = {}
+    files = {}
     for name, p in schemes.items():
         diag = compute_diagnostics(sys, p)
         quantities[name] = {
@@ -278,41 +259,29 @@ def experiment_table1(out_dir, command="experiment table1", **params):
             "rho": diag.rho_asymptotic,
             "norm": diag.norm_expectation,
         }
-        write_vector_csv(
-            os.path.join(out_dir, f"p_{name}.csv"), p, headers, column="probability"
-        )
-    table_rows = [
+        files[f"p_{name}.csv"] = vector_table(p, "probability")
+    files["table.csv"] = (("quantity",) + tuple(schemes), [
         (quantity,) + tuple(quantities[name][quantity] for name in schemes)
         for quantity in ("one_minus_lambda", "rho", "norm")
-    ]
-    write_table_csv(
-        os.path.join(out_dir, "table.csv"),
-        ("quantity",) + tuple(schemes),
-        table_rows,
-        header_lines=headers,
-    )
-
+    ])
     for label, result in (("lambda", opt_lam), ("norm", opt_norm)):
-        write_table_csv(
-            os.path.join(out_dir, f"history_{label}.csv"),
-            ("iter", "objective"),
-            enumerate(result.objective_evals),
-            header_lines=headers,
+        files[f"history_{label}.csv"] = (("iter", "objective"), enumerate(result.objective_evals))
+
+    error_target = own["error_target"]
+    summary_rows = []
+    for name, p in schemes.items():
+        trace = run(sys, p, cfg)
+        files[f"trace_{name}.csv"] = trace_table(trace)
+        summary_rows.append(
+            (name, iterations_to_error(trace, error_target), trace.error_norms[-1])
         )
 
-    traces = _solve(
-        out_dir, headers, cfg, {f"trace_{name}": (sys, p) for name, p in schemes.items()}
+    headers = provenance_lines(command, seed, {**instance, "iters": opt_iterations})
+    write_csv_files(out_dir, headers, files)
+    write_csv_files(out_dir, headers + [f"error_target: {error_target}"], {
+        "summary.csv": (("scheme", "iterations_to_target", "final_error"), summary_rows),
+    })
+    write_manifest(
+        out_dir, command, seed, {"kind": "probopt", **instance, **own}, experiment="table1"
     )
-    error_target = own["error_target"]
-    summary_rows = [
-        (name, iterations_to_error(trace, error_target), trace.error_norms[-1])
-        for name, trace in zip(schemes, traces.values())
-    ]
-    write_table_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ("scheme", "iterations_to_target", "final_error"),
-        summary_rows,
-        header_lines=headers + [f"error_target: {error_target}"],
-    )
-    _write_manifest(out_dir, "table1", command, seed, instance, own)
     return quantities

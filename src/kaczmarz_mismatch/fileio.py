@@ -148,8 +148,25 @@ def read_matrix_market(path):
     return as_matrix(np.asarray(m, dtype=float), name)
 
 
+def vector_table(v, column="value"):
+    """(columns, rows) of a one-column CSV of ``v``; the rows are made as they are written."""
+    return (column,), ((x,) for x in as_vector(v).tolist())
+
+
 def write_vector_csv(path, v, header_lines=(), column="value"):
-    write_table_csv(path, (column,), ((x,) for x in as_vector(v).tolist()), header_lines)
+    write_table_csv(path, *vector_table(v, column), header_lines)
+
+
+def write_csv_files(out_dir, headers, files):
+    """Make ``out_dir`` and write each ``name: (columns, rows)`` of ``files`` there.
+
+    Every file starts with the comment lines ``headers``.  Commands call
+    this once all their results are computed, so a failed command leaves no
+    directory and no partial set of files.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (columns, rows) in files.items():
+        write_table_csv(os.path.join(out_dir, name), columns, rows, headers)
 
 
 def read_vector_csv(path):

@@ -13,6 +13,7 @@ import kaczmarz_mismatch
 from kaczmarz_mismatch import experiments, fileio, problems
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
+from kaczmarz_mismatch.errors import NumericError
 from kaczmarz_mismatch.solver import make_system
 
 import oracles
@@ -636,6 +637,8 @@ class TestExitCodes:
             ["experiment", "--name", "fig1", "--iters", "0", "--out", out],
             ["experiment", "--name", "fig2", "--log-stride", "0", "--out", out],
             ["experiment", "--name", "table1", "--iters", "0", "--out", out],
+            ["experiment", "--name", "table1", "--m", "1", "--n", "5", "--iters", "2",
+             "--out", out],
         ):
             capsys.readouterr()
             assert run_cli(argv) == 1, argv
@@ -672,6 +675,47 @@ class TestExitCodes:
                 "numeric failure: A V^T has rank 128 < 132: no unique solution in rg V^T\n"
             ), argv
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, size", [
+        ("fig1", ["--m", "20", "--n", "5"]),
+        ("fig2", ["--m", "20", "--n", "5"]),
+        ("fig3", ["--m", "5", "--n", "20"]),
+        ("ct", ["--grid", "8", "--rays", "24", "--sweeps", "1"]),
+        ("table1", ["--m", "20", "--n", "5", "--iters", "2"]),
+    ])
+    def test_failed_solve_leaves_no_directory(self, tmp_path, capsys, monkeypatch,
+                                              name, size):
+        def failing_run(sys_pair, p, cfg):
+            raise NumericError("solve failed")
+
+        monkeypatch.setattr(experiments, "run", failing_run)
+        out = tmp_path / "exp"
+        assert run_cli(["experiment", "--name", name, *size, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numeric failure: solve failed\n"
+        assert not out.exists()
+
+    def test_no_guarantee_pipeline_leaves_no_directory(self, tmp_path, capsys):
+        # lambda = -0.0397: the solve and diagnostics finish, then the bound fails.
+        out = tmp_path / "fig2"
+        assert run_cli(["experiment", "--name", "fig2", "--m", "3", "--n", "3",
+                        "--iters", "10", "--out", str(out)]) == 3
+        assert "lambda = -3.974e-02 <= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lambda_rounded_above_one(self, tmp_path, name, seed):
+        # n = 1 with V = A: lambda is 1 in exact arithmetic, and computes as
+        # 1.0000000000000002.  Both bounds stay finite and non-negative.
+        out = tmp_path / "exp"
+        assert run_cli(["experiment", "--name", name, "--m", "2", "--n", "1",
+                        "--tau", "0", "--seed", str(seed), "--iters", "10",
+                        "--log-stride", "5", "--out", str(out)]) == 0
+        columns, rows = read_csv(out / "bound.csv")
+        assert [row[0] for row in rows] == [0, 5, 10]
+        for column in ("sq_error_bound", "error_bound"):
+            values = np.array([row[columns.index(column)] for row in rows])
+            assert np.all(np.isfinite(values)) and np.all(values >= 0), column
 
     @pytest.mark.parametrize("argv, flag", [
         (["experiment", "--name", "ct", "--m", "100"], "--m"),

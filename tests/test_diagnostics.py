@@ -384,6 +384,12 @@ class TestNoiseQuantities:
         with pytest.raises(NoGuaranteeError):
             inconsistent_bound(5, 0.0, 0.1, 1.0)
 
+    def test_bound_takes_lambda_rounded_above_one_as_one(self):
+        lam = np.nextafter(1.0, 2.0)
+        assert inconsistent_bound(5, lam, 0.1, 1.0) == inconsistent_bound(5, 1.0, 0.1, 1.0)
+        with pytest.raises(InvalidInputError, match=r"lambda = 1\.125 exceeds 1"):
+            inconsistent_bound(5, 1.125, 0.1, 1.0)
+
     def test_fixed_point_zero_noise(self):
         a = gen_gaussian(10, 3, 7)
         sys = assemble_inconsistent(a, a, 0.0, 7)

@@ -287,3 +287,34 @@ class TestTableCsv:
         fileio.write_table_csv(p1, ["k", "x", "flag"], rows)
         fileio.write_table_csv(p2, ["k", "x", "flag"], rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteCsvFiles:
+    def test_makes_directory_and_matches_single_writes(self, tmp_path):
+        headers = fileio.provenance_lines("test", 3, {"m": 4})
+        v = np.array([0.25, -1.0, 1e-300])
+        files = {
+            "t.csv": (("k", "x"), [(0, 0.5), (1, None)]),
+            "v.csv": fileio.vector_table(v, "probability"),
+        }
+        out = tmp_path / "new" / "dir"
+        fileio.write_csv_files(out, headers, files)
+        assert sorted(p.name for p in out.iterdir()) == ["t.csv", "v.csv"]
+        fileio.write_table_csv(tmp_path / "t.csv", ("k", "x"), [(0, 0.5), (1, None)], headers)
+        fileio.write_vector_csv(tmp_path / "v.csv", v, headers, column="probability")
+        for name in files:
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_second_call_adds_its_own_header_line(self, tmp_path):
+        # table1's summary.csv: the shared headers plus one line of its own.
+        headers = fileio.provenance_lines("test", 5)
+        fileio.write_csv_files(tmp_path, headers, {"table.csv": (("a",), [(1.0,)])})
+        fileio.write_csv_files(
+            tmp_path, headers + ["error_target: 1e-06"],
+            {"summary.csv": (("scheme", "final_error"), [("uniform", 0.5)])},
+        )
+        summary = (tmp_path / "summary.csv").read_text()
+        assert summary == "".join(f"# {line}\n" for line in headers) + (
+            "# error_target: 1e-06\nscheme,final_error\nuniform,0.5\n"
+        )
+        assert "error_target" not in (tmp_path / "table.csv").read_text()
