@@ -15,15 +15,18 @@ in use: b, or b plus the stored noise vector for inconsistent systems.
 random stream.  A step is one BLAS ``ddot`` and one ``daxpy`` on the
 iterate in place.
 
-The kernel reads each row as its span: the row's values from its first
-stored column to its last, with the view of ``x`` over the same columns.
-``_kernel`` makes them once per run, and they are freed when the run ends.
-A dense row is its own span over all of ``x``, so a dense system makes
-exactly the BLAS calls of a kernel on whole rows.  The spans of a CSR
-operator are views into one packed buffer; on the tomography pair they hold
-about half of what the dense rows would, and the kernel reads no column
-outside them.  When ``v is a`` (the matched system of ``matched_pair``) one
-set of spans serves both.
+The kernel reads a row of V as its span: the row's values from its first
+stored column to its last, with the view of ``x`` over the same columns.  A
+dense row is its own span over all of ``x``, so a dense system makes exactly
+the BLAS calls of a kernel on whole rows.  The spans of a CSR operator are
+views into one packed buffer, and the kernel writes no column outside them.
+A row of A is read the same way when A is dense, or when ``v is a`` (the
+matched system of ``matched_pair``), where one set of spans serves both.  A
+row of a mismatched CSR A is read by its stored entries alone: a view of
+``A.data`` against ``x`` gathered at the row's columns.  On the tomography
+pair at grid 50 a row of A stores 50 entries but spans 1229 columns, so A
+gets no packed buffer.  ``_kernel`` makes these once per run, and they are
+freed when the run ends.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
@@ -272,23 +275,39 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
     return np.zeros(sys.n)
 
 
+def _stored_rows(rows):
+    """The stored entries of CSR ``rows``, row by row: (values, columns).
+
+    ``values[i]`` is a view of ``rows.data`` and ``columns[i]`` the matching
+    view of the column indices, taken as ``intp`` (a copy when stored
+    narrower), so that indexing the iterate with them converts nothing.
+    """
+    bounds = rows.indptr.tolist()
+    indices = rows.indices.astype(np.intp, copy=False)
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    return [rows.data[lo:hi] for lo, hi in ranges], [indices[lo:hi] for lo, hi in ranges]
+
+
 def _kernel(sys: SystemPair, x: np.ndarray):
     """The arguments of ``_sweep`` for the iterate ``x``, made afresh.
 
-    These are the spans of A with their views of ``x``, then the spans of V
-    with theirs and their widths; one set serves both when ``v is a``.  Both
-    operators are packed before any view of ``x`` is made.
+    In order: the rows of A, the part of ``x`` each is read against, the
+    spans of V, their views of ``x``, their widths, and the columns of A's
+    rows.  A mismatched CSR A is read by its stored entries
+    (``_stored_rows``), against ``x`` itself gathered at the columns, and
+    gets no packed buffer.  Any other A is read by spans, against views of
+    ``x``, and its columns are None; when ``v is a`` one set of spans serves
+    both operators.  V is packed before any view of ``x`` is made.
     """
-    a = _row_spans(sys.a)
-    v = a if sys.v is sys.a else _row_spans(sys.v)
-    (a_rows, a_columns, _), (v_rows, v_columns, v_width) = a, v
-
-    def views(columns):
-        """The part of ``x`` under each span: views, so updating one updates ``x``."""
-        return [x] * sys.m if columns is None else [x[c] for c in columns]
-
-    a_x = views(a_columns)
-    return a_rows, a_x, v_rows, a_x if v is a else views(v_columns), v_width
+    v_rows, v_columns, v_width = _row_spans(sys.v)
+    # Views of x, so that updating one updates x.
+    v_x = [x] * sys.m if v_columns is None else [x[c] for c in v_columns]
+    if scipy.sparse.issparse(sys.a) and sys.v is not sys.a:
+        a_rows, a_columns = _stored_rows(sys.a)
+        return a_rows, x, v_rows, v_x, v_width, a_columns
+    # Dense rows of A are read against all of x, as dense rows of V are.
+    a_rows = v_rows if sys.v is sys.a else list(sys.a)
+    return a_rows, v_x, v_rows, v_x, v_width, None
 
 
 def _sweep(kernel, omega, beta, rows):
@@ -296,17 +315,26 @@ def _sweep(kernel, omega, beta, rows):
 
     Each is x <- x - omega_i (<a_i, x> - beta_i) v_i, with ``omega`` the step sizes.
 
-    ``kernel`` comes from ``_kernel``; each product runs over row i's span
-    and the view of x under it.  The iterate must be a contiguous float64
-    vector, so that each view is contiguous too: ``daxpy`` silently updates a
-    copy of anything else.  ``omega`` is not folded into scaled copies of the
-    V spans, which would cost a third copy of the rows for a few percent per
-    step.
+    ``kernel`` comes from ``_kernel``.  The product with a_i runs over row
+    i's span of A and the view of x under it, or, when A is read by its
+    stored entries, over those entries and x gathered at their columns; the
+    update runs over row i's span of V and the view of x under it.  The
+    iterate must be a contiguous float64 vector, so that each view is
+    contiguous too: ``daxpy`` silently updates a copy of anything else.
+    ``omega`` is not folded into scaled copies of the V spans, which would
+    cost another copy of the rows for a few percent per step.
     """
-    a_rows, a_x, v_rows, v_x, v_width = kernel
+    a_rows, a_x, v_rows, v_x, v_width, a_columns = kernel
     # daxpy's length is passed positionally: it parses keywords much more slowly.
-    for i in rows:
-        daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
+    if a_columns is None:
+        for i in rows:
+            daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
+    else:
+        for i in rows:
+            daxpy(
+                v_rows[i], v_x[i], v_width[i],
+                omega[i] * (beta[i] - ddot(a_rows[i], a_x[a_columns[i]])),
+            )
 
 
 def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:

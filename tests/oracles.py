@@ -378,11 +378,8 @@ def rkma_step(sys, x, i, rule=StepRule.OBLIQUE_EXACT):
         raise DimensionError(f"x has length {x.shape[0]}, expected {sys.n}")
     if not 0 <= i < sys.m:
         raise InvalidInputError(f"row index {i} out of range [0, {sys.m})")
-    omega = [float(static_step_sizes(sys, rule)[i])]
     x_new = x.copy()
-    # The kernel over the one-row system: row i's spans and views of x_new.
-    one_row = tuple([part[i]] for part in _kernel(sys, x_new))
-    _sweep(one_row, omega, [float(sys.rhs[i])], [0])
+    _sweep(_kernel(sys, x_new), static_step_sizes(sys, rule).tolist(), sys.rhs.tolist(), [i])
     if not np.all(np.isfinite(x_new)):
         raise NumericError(f"non-finite iterate produced by row {i}")
     return x_new

@@ -390,9 +390,10 @@ class TestCtMemory:
             tracemalloc.stop()
         assert peak <= sys.m * sys.n * 8
 
-    def test_solve_holds_half_the_dense_pair(self):
-        # The kernel reads row spans, about half the dense pair at grid 32;
-        # the peak is 0.55 of it. Dense rows for the kernel make it >= 1.
+    def test_solve_holds_a_third_of_the_dense_pair(self):
+        # The kernel packs V's row spans, about half of dense V at grid 32,
+        # and reads A by its stored entries: the peak is 0.30 of the dense
+        # pair. Packed spans of A as well made it 0.55, dense rows >= 1.
         warm = build_ct_instance(8, 30.0, 9, 4)
         run(warm, experiments.probability_scheme(warm, "pairing"), SolverConfig(max_iterations=10))
         sys = build_ct_instance(32, 5.0, 90, 4)
@@ -403,7 +404,7 @@ class TestCtMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * (2 * sys.m * sys.n * 8)
+        assert peak <= 0.33 * (2 * sys.m * sys.n * 8)
 
     def test_rejected_diagnostics_read_two_products(self):
         # The wide pair is rejected by the rank test of the m x m product
@@ -424,12 +425,12 @@ class TestCtMemory:
         assert peak <= 4.3 * sys.m * sys.n * 8
 
     def test_ct_experiment_makes_no_dense_operator(self, tmp_path):
-        # Each solve packs the row spans it reads for its own run: those of A
-        # and V, then one set of A's for the matched pair, after the first
-        # set is freed. The peak is 1.27 m x n matrices; spans of A kept on
-        # the system for the matched pair made it 1.37, a second packed copy
-        # of them alongside the first 1.8, and the dense A and V of either
-        # solve make it 2.3 or more.
+        # Each solve packs the row spans it reads for its own run: those of V
+        # (A is read by its stored entries), then one set of A's for the
+        # matched pair, after the first set is freed. The peak is 0.78 m x n
+        # matrices; packed spans of A in the first solve too made it 1.27,
+        # spans of A kept on the system for the matched pair 1.37, and the
+        # dense A and V of either solve make it 2.3 or more.
         experiments.experiment_ct(str(tmp_path / "warm"), grid=8, rays=9, sweeps=1)
         tracemalloc.start()
         try:
@@ -438,7 +439,7 @@ class TestCtMemory:
         finally:
             tracemalloc.stop()
         sys = build_instance("ct", 4)
-        assert peak <= 1.33 * sys.m * sys.n * 8
+        assert peak <= 0.86 * sys.m * sys.n * 8
 
 
 class TestPhantom:

@@ -340,6 +340,38 @@ def span_pair(draw):
     return csr(a_rows), csr(v_rows), rng
 
 
+@st.composite
+def stored_entry_pair(draw):
+    """A random CSR pair (a, v) whose rows of ``a`` often store one entry.
+
+    Every row of ``a`` stores at least one nonzero; about a fifth of the
+    others are zeros of either sign.  ``v`` stores the entries of ``a``,
+    perturbed, and some of its own.  Both use int32 or int64 column indices,
+    so the kernel reads A with and without copying its indices.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    stored = rng.random((m, n)) < draw(st.sampled_from([0.2, 0.6]))
+    stored[rng.random(m) < 0.4] = False  # rows of one entry
+    key = (np.arange(m), rng.integers(n, size=m))
+    stored[key] = True
+    values = rng.standard_normal((m, n))
+    zeros = stored & (rng.random((m, n)) < 0.2)
+    zeros[key] = False
+    values[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    v_stored = stored | (rng.random((m, n)) < 0.3)
+    v_values = np.where(stored, values, 0.0) + 0.3 * rng.standard_normal((m, n))
+
+    def csr(mask, vals):
+        rows, cols = np.nonzero(mask)
+        indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        return scipy.sparse.csr_array(
+            (vals[rows, cols], cols.astype(index), indptr.astype(index)), shape=(m, n))
+
+    return csr(stored, values), csr(v_stored, v_values), rng
+
+
 def view_columns(view, x):
     """The columns of ``x`` that ``view`` covers; it must be a view of ``x``."""
     assert view.base is x
@@ -368,17 +400,28 @@ class TestRowSpans:
         assume(systems is not None)
         sys = systems[0]
         x = np.zeros(sys.n)
-        a_rows, a_x, v_rows, v_x, v_width = _kernel(sys, x)
-        assert (v_rows is a_rows and v_x is a_x) == matched
-        for rows, views, op in ((a_rows, a_x, sys.a), (v_rows, v_x, sys.v)):
-            assert len({id(span.base) for span in rows}) == 1  # one packed buffer
-            dense = op.toarray()
-            for i in range(sys.m):
-                stored = op.indices[op.indptr[i]:op.indptr[i + 1]]
-                lo, hi = int(stored.min()), int(stored.max()) + 1
-                assert view_columns(views[i], x) == slice(lo, hi)
-                np.testing.assert_array_equal(rows[i], dense[i, lo:hi])
+        a_rows, a_x, v_rows, v_x, v_width, a_columns = _kernel(sys, x)
+        assert len({id(span.base) for span in v_rows}) == 1  # one packed buffer
+        dense = sys.v.toarray()
+        for i in range(sys.m):
+            stored = sys.v.indices[sys.v.indptr[i]:sys.v.indptr[i + 1]]
+            lo, hi = int(stored.min()), int(stored.max()) + 1
+            assert view_columns(v_x[i], x) == slice(lo, hi)
+            np.testing.assert_array_equal(v_rows[i], dense[i, lo:hi])
         assert v_width == [view.size for view in v_x]
+        if matched:
+            # One set of spans serves both operators.
+            assert a_rows is v_rows and a_x is v_x and a_columns is None
+            return
+        # A mismatched A is read as views of its stored entries, against x.
+        assert a_x is x
+        data = sys.a.data
+        for i in range(sys.m):
+            lo, hi = int(sys.a.indptr[i]), int(sys.a.indptr[i + 1])
+            assert a_rows[i].size == hi - lo
+            assert a_rows[i].ctypes.data == data.ctypes.data + lo * data.itemsize
+            assert a_columns[i].dtype == np.intp
+            np.testing.assert_array_equal(a_columns[i], sys.a.indices[lo:hi])
 
     @settings(max_examples=80, deadline=None)
     @given(span_pair(), st.sampled_from(ALL_RULES), st.data())
@@ -400,9 +443,7 @@ class TestRowSpans:
         scale = np.abs(x0).max() + np.abs(expected).max()
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * scale)
 
-    @settings(max_examples=60, deadline=None)
-    @given(span_pair(), st.sampled_from(ALL_RULES), st.integers(1, 60))
-    def test_run_matches_dense_form(self, pair, rule, iterations):
+    def check_run_matches_dense_form(self, pair, rule, iterations):
         a, v, rng = pair
         systems = self.systems(a, v, rng)
         assume(systems is not None)
@@ -413,6 +454,16 @@ class TestRowSpans:
         scale = np.linalg.norm(sparse.truth) + max(want.error_norms)
         np.testing.assert_allclose(got.final_x, want.final_x, rtol=0, atol=1e-12 * scale)
         np.testing.assert_array_equal(got.rows_visited, want.rows_visited)
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_pair(), st.sampled_from(ALL_RULES), st.integers(1, 60))
+    def test_run_matches_dense_form(self, pair, rule, iterations):
+        self.check_run_matches_dense_form(pair, rule, iterations)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stored_entry_pair(), st.sampled_from(ALL_RULES), st.integers(1, 60))
+    def test_stored_entry_run_matches_dense_form(self, pair, rule, iterations):
+        self.check_run_matches_dense_form(pair, rule, iterations)
 
 
 class TestMatchedPair:
