@@ -223,15 +223,14 @@ def expectation_operator(
     """
     rows = analysis_rows(sys)
     omega = static_step_sizes(sys, rule)
-    return ExpectationOperator(*rows, omega, omega * sys.row_norms_sq("v"))
+    return ExpectationOperator(*rows, omega, omega * sys.norms_sq_v)
 
 
 def noise_gamma(sys: SystemPair) -> float:
     """Worst-row noise amplification max_i |r_i| ||v_i|| / <a_i, v_i>."""
     if sys.noise is None:
         raise InvalidInputError("gamma needs a stored noise vector")
-    norms_v = np.sqrt(sys.row_norms_sq("v"))
-    return float(np.max(np.abs(sys.noise) * norms_v / sys.pairing))
+    return float(np.max(np.abs(sys.noise) * np.sqrt(sys.norms_sq_v) / sys.pairing))
 
 
 def inconsistent_bound(k, lam, gamma, e0_sq) -> float:

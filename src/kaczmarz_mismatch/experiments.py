@@ -85,8 +85,7 @@ def probability_scheme(sys, scheme):
     if scheme == "uniform":
         return np.full(sys.m, 1.0 / sys.m)
     if scheme == "rownorm-a":
-        p = sys.row_norms_sq("a")
-        return p / p.sum()
+        return sys.norms_sq_a / sys.norms_sq_a.sum()
     if scheme == "pairing":
         return sys.pairing / sys.pairing.sum()
     raise InvalidInputError(f"unknown probability scheme {scheme!r}")

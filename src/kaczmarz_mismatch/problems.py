@@ -25,7 +25,7 @@ from .diagnostics import check_range_solvable
 from .errors import DimensionError, EmptySystemError, InvalidInputError
 from .linalg import as_csr, as_matrix, as_vector
 from .sampling import replicate_rng
-from .solver import PAIRING_RTOL, SystemPair, make_system
+from .solver import SystemPair, make_system, pair_rows
 
 
 def gen_gaussian(m, n, seed) -> np.ndarray:
@@ -224,9 +224,9 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     at the default ``ct`` geometry, with pairing-proportional p and the
     oblique rule, V^T D A has eigenvalues with negative real part (down to
     about -1.5e-5), so off its kernel the expected error grows slowly.
-    Rows whose forward part is zero are eliminated from A and V together;
-    rows with a vanishing pairing are dropped with a warning.  ``truth`` is
-    the solution, and b = A truth.
+    Rows whose forward part is zero are eliminated from A and V together; the
+    rest follow ``make_system``'s rule, ``solver.pair_rows``, but those with a
+    vanishing pairing are dropped with a warning.  b = A ``truth``.
 
     The pair stays sparse: A and V are CSR arrays, and the rows are
     selected, and b and the pairings computed, over their stored entries.
@@ -251,13 +251,11 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     b = a @ truth
     v = (full[0::3] + forward + full[2::3])[kept]
     v.data /= 3.0  # the dense quotients: a sparse division multiplies by 1/3
-    pairing = a.multiply(v).sum(axis=1)
-    norms = np.sqrt(a.multiply(a).sum(axis=1)) * np.sqrt(v.multiply(v).sum(axis=1))
-    ok = pairing > PAIRING_RTOL * norms  # the rows make_system would reject
-    dropped = int(np.count_nonzero(~ok))
+    v, _, _, _, vanishing = pair_rows(a, v)
+    dropped = int(np.count_nonzero(vanishing))
     if dropped:
         warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
-        a, v, b = a[ok], v[ok], b[ok]
+        a, v, b = a[~vanishing], v[~vanishing], b[~vanishing]
     if a.shape[0] == 0:
         raise EmptySystemError("all rows eliminated by the pairing filter")
     return make_system(a, v, b, truth=truth)

@@ -30,13 +30,13 @@ freed when the run ends.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
-Validation, the pairing and row norms, the starting point and the logged
-residuals run on either kind, on CSR over the stored entries only.  The
-expectation analysis (``diagnostics.analysis_rows``) reads the dense rows
-when m >= n, and two m x m products of the operators when m < n.  Sums
-over stored entries or over spans can differ from dense sums in the last
-bits, so a CSR system and its dense form can give different traces; reruns
-of either are byte-identical.
+Validation, the pairing and squared row norms (``pair_rows``, once per
+system), the starting point and the logged residuals run on either kind, on
+CSR over the stored entries only.  The expectation analysis
+(``diagnostics.analysis_rows``) reads the dense rows when m >= n, and two
+m x m products of the operators when m < n.  Sums over stored entries or
+over spans can differ from dense sums in the last bits, so a CSR system and
+its dense form can give different traces; reruns of either are byte-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .linalg import CSRArray, as_csr, as_matrix, as_vector
 from .sampling import DiscreteSampler, replicate_rng
 
 # Rows whose pairing <a_i, v_i> falls below this relative threshold make the
-# oblique step division meaningless and are rejected at construction.
+# oblique step division meaningless (``pair_rows``).
 PAIRING_RTOL = 1e-12
 # Consistency required of (A, b, truth) when no noise vector is stored.
 CONSISTENCY_RTOL = 1e-8
@@ -109,8 +109,8 @@ class SystemPair:
     actually sees b + noise.  ``truth`` is the known solution used for error
     tracking, if any.
 
-    Use ``make_system`` to construct: it enforces the row pairing sign
-    convention and the consistency invariant.
+    Use ``make_system`` to construct: it enforces the pairing rule and the
+    consistency invariant, and sets the three read-only arrays of row data.
     """
 
     a: np.ndarray | CSRArray
@@ -119,6 +119,8 @@ class SystemPair:
     noise: np.ndarray | None = None
     truth: np.ndarray | None = None
     pairing: np.ndarray = field(default=None, repr=False)  # <a_i, v_i> per row
+    norms_sq_a: np.ndarray = field(default=None, repr=False)  # ||a_i||^2 per row
+    norms_sq_v: np.ndarray = field(default=None, repr=False)  # ||v_i||^2 per row
 
     @property
     def m(self):
@@ -134,10 +136,6 @@ class SystemPair:
         if self.noise is None:
             return self.b
         return self.b + self.noise
-
-    def row_norms_sq(self, which="a"):
-        rows = self.a if which == "a" else self.v
-        return _row_dots(rows, rows)
 
 
 def _row_dots(x, y) -> np.ndarray:
@@ -163,22 +161,13 @@ def _operators(a, v):
     return a, a if same else validate(v, "v")
 
 
-def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
-    """Validate and assemble a ``SystemPair`` from dense or CSR operators.
+def pair_rows(a, v):
+    """The pairing rule: (v, pairing, norms_sq_a, norms_sq_v, vanishing).
 
-    Rows of ``v`` with negative pairing <a_i, v_i> have their sign flipped
-    (on CSR, their stored entries negated); rows with
-    |<a_i, v_i>| <= PAIRING_RTOL * ||a_i|| * ||v_i|| are rejected.  On CSR the
-    pairing and the row norms are sums over the stored entries, so they can
-    differ from those of the dense form in the last bits.
+    Rows of ``v`` with a negative pairing are flipped in a copy (on CSR, their
+    stored entries negated).  ``vanishing`` marks |<a_i, v_i>| <= PAIRING_RTOL
+    ||a_i|| ||v_i||, which ``make_system`` rejects and ``ct_mismatch_pair`` drops.
     """
-    a, v = _operators(a, v)
-    b = as_vector(b, "b")
-    if a.shape != v.shape:
-        raise DimensionError(f"a and v must share shape: {a.shape} vs {v.shape}")
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
     pairing = _row_dots(a, v)
     flip = pairing < 0
     if np.any(flip):
@@ -188,11 +177,24 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
         else:
             v[flip] *= -1.0
         pairing = np.abs(pairing)
-    norms_a = np.sqrt(_row_dots(a, a))
-    norms_v = np.sqrt(_row_dots(v, v))
-    bad = pairing <= PAIRING_RTOL * norms_a * norms_v
-    if np.any(bad):
-        rows = np.flatnonzero(bad).tolist()
+    norms_sq_a = _row_dots(a, a)
+    norms_sq_v = _row_dots(v, v)
+    vanishing = pairing <= PAIRING_RTOL * np.sqrt(norms_sq_a) * np.sqrt(norms_sq_v)
+    return v, pairing, norms_sq_a, norms_sq_v, vanishing
+
+
+def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
+    """Validate and assemble a ``SystemPair``, pairing its rows by ``pair_rows``."""
+    a, v = _operators(a, v)
+    b = as_vector(b, "b")
+    if a.shape != v.shape:
+        raise DimensionError(f"a and v must share shape: {a.shape} vs {v.shape}")
+    m, n = a.shape
+    if b.shape[0] != m:
+        raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
+    v, pairing, norms_sq_a, norms_sq_v, vanishing = pair_rows(a, v)
+    if np.any(vanishing):
+        rows = np.flatnonzero(vanishing).tolist()
         raise InvalidInputError(
             f"rows with near-orthogonal (a_i, v_i) pairing: {rows[:20]}"
             + ("..." if len(rows) > 20 else "")
@@ -211,7 +213,9 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
                 raise InvalidInputError(
                     f"truth does not solve the system: ||A truth - b|| = {residual:.3e}"
                 )
-    return SystemPair(a=a, v=v, b=b, noise=noise, truth=truth, pairing=pairing)
+    for row_data in (pairing, norms_sq_a, norms_sq_v):
+        row_data.flags.writeable = False
+    return SystemPair(a, v, b, noise, truth, pairing, norms_sq_a, norms_sq_v)
 
 
 def matched_pair(sys: SystemPair) -> SystemPair:
@@ -228,8 +232,8 @@ def static_step_sizes(sys: SystemPair, rule: StepRule) -> np.ndarray:
     if rule is StepRule.OBLIQUE_EXACT:
         return 1.0 / sys.pairing
     if rule is StepRule.INVERSE_ROW_NORM_A:
-        return 1.0 / sys.row_norms_sq("a")
-    return 1.0 / sys.row_norms_sq("v")
+        return 1.0 / sys.norms_sq_a
+    return 1.0 / sys.norms_sq_v
 
 
 @dataclass

@@ -288,7 +288,8 @@ def reference_ct_pair(full, b_full, truth=None):
 
     Every third row (the middle of each group) is a forward row, each
     group's mean is its backprojection row; zero forward rows and rows with a
-    vanishing pairing are dropped from A, V and b together.
+    vanishing pairing |<a_i, v_i>| are dropped from A, V and b together.  A
+    negative pairing is kept: ``make_system`` flips that row of V.
     """
     full = as_matrix(full, "full")
     b_full = as_vector(b_full, "b_full")
@@ -307,7 +308,7 @@ def reference_ct_pair(full, b_full, truth=None):
         raise EmptySystemError("all forward rows are zero")
     pairing = np.einsum("ij,ij->i", a, v)
     norms = np.linalg.norm(a, axis=1) * np.linalg.norm(v, axis=1)
-    ok = pairing > 1e-12 * norms
+    ok = np.abs(pairing) > 1e-12 * norms
     dropped = int(np.count_nonzero(~ok))
     if dropped:
         warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
@@ -418,7 +419,7 @@ def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):
     # Closed-form cross-check (the defining identities of the scaling matrices).
     omega = static_step_sizes(sys, rule)
     d = p * omega
-    s = omega * sys.row_norms_sq("v")
+    s = omega * sys.norms_sq_v
     e = x - sys.truth
     vtda_e = sys.v.T @ (d * (sys.a @ e))
     scale = max(float(np.linalg.norm(e)), 1.0)

@@ -51,7 +51,7 @@ def thresholded_instance(m, n, tau, seed):
 
 
 def row_norm_probabilities(sys):
-    p = sys.row_norms_sq("a")
+    p = sys.norms_sq_a
     return p / p.sum()
 
 

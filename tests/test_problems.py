@@ -25,7 +25,7 @@ from kaczmarz_mismatch.problems import (
     smooth_phantom,
 )
 from kaczmarz_mismatch.sampling import replicate_rng
-from kaczmarz_mismatch.solver import SolverConfig, run
+from kaczmarz_mismatch.solver import SolverConfig, StepRule, run
 
 import oracles
 
@@ -80,7 +80,7 @@ class TestAssembly:
 
         a = gen_gaussian(500, 200, 4)
         sys = assemble_consistent(a, mismatch_threshold(a, 0.5), 4)
-        p = sys.row_norms_sq("a")
+        p = sys.norms_sq_a
         p = p / p.sum()
         assert compute_diagnostics(sys, p).lam > 0
 
@@ -276,6 +276,20 @@ class TestCtPair:
         sys = ct_mismatch_pair(full, x)
         assert np.linalg.norm(sys.a @ x - sys.b) <= 1e-10 * np.linalg.norm(sys.b)
 
+    def test_negative_pairing_group_kept_and_flipped(self):
+        # Group 1's backprojection row is -a: its pairing, -3 = -||a|| ||v||,
+        # is far from vanishing. make_system's rule flips the row of V.
+        full = np.array([
+            [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+            [-2.0, -2.0, -2.0], [1.0, 1.0, 1.0], [-2.0, -2.0, -2.0],
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys = ct_mismatch_pair(full, np.ones(3))
+        assert sys.m == 2
+        np.testing.assert_array_equal(sys.v.toarray(), [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(sys.pairing, [1.0, 3.0])
+
     def test_row_count_not_multiple_of_three(self):
         with pytest.raises(InvalidInputError):
             ct_mismatch_pair(np.ones((4, 2)), np.ones(2))
@@ -293,7 +307,9 @@ def assert_same_pair(got, want):
     # The pair is CSR, the reference dense.
     assert scipy.sparse.issparse(got.a) and scipy.sparse.issparse(got.v)
     assert_bitwise_equal(got.a.toarray(), want.a)
-    assert_bitwise_equal(got.v.toarray(), want.v)
+    # Zeros compared as +0: a flipped dense row of the reference negates its
+    # zeros, a flipped CSR row only its stored entries.
+    assert_bitwise_equal(got.v.toarray() + 0.0, want.v + 0.0)
     assert_bitwise_equal(got.truth, want.truth)
     # b = A truth and the pairing are sums over the stored entries of each
     # CSR row, in column order; the reference sums dense rows (b by a BLAS
@@ -361,7 +377,9 @@ class TestCtPairOracle:
             want = oracles.reference_ct_pair(full, full @ truth, truth=truth)
         assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
         assert len(want_warned) == 1
-        assert want.m == 3  # groups 1 (zero forward row), 2 and 4 (pairing) are gone
+        # Groups 1 (zero forward row) and 2 (vanishing pairing) are gone; group
+        # 4's negative pairing is kept, and its row of V flipped.
+        assert want.m == 4
         assert_same_pair(got, want)
 
     @pytest.mark.parametrize("full", [
@@ -390,17 +408,21 @@ class TestCtMemory:
             tracemalloc.stop()
         assert peak <= sys.m * sys.n * 8
 
-    def test_solve_holds_a_third_of_the_dense_pair(self):
+    @pytest.mark.parametrize("rule", list(StepRule), ids=lambda rule: rule.value)
+    def test_solve_holds_a_third_of_the_dense_pair(self, rule):
         # The kernel packs V's row spans, about half of dense V at grid 32,
         # and reads A by its stored entries: the peak is 0.30 of the dense
-        # pair. Packed spans of A as well made it 0.55, dense rows >= 1.
+        # pair under every rule. Packed spans of A as well made it 0.55,
+        # dense rows >= 1, and row norms summed in the run over a CSR
+        # temporary 0.35 (rownorm-a) and 0.40 (rownorm-v).
         warm = build_ct_instance(8, 30.0, 9, 4)
-        run(warm, experiments.probability_scheme(warm, "pairing"), SolverConfig(max_iterations=10))
+        cfg = SolverConfig(rule=rule, max_iterations=10)
+        run(warm, experiments.probability_scheme(warm, "pairing"), cfg)
         sys = build_ct_instance(32, 5.0, 90, 4)
         p = experiments.probability_scheme(sys, "pairing")
         tracemalloc.start()
         try:
-            run(sys, p, SolverConfig(max_iterations=sys.m, log_stride=100))
+            run(sys, p, SolverConfig(rule=rule, max_iterations=sys.m, log_stride=100))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -75,6 +75,22 @@ class TestMakeSystem:
         )
         np.testing.assert_array_equal(sys.rhs, [1.0, 2.0])
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_row_data_is_read_only(self, sparse):
+        # Step sizes, the expectation operator, gamma and the row-norm p all
+        # read the stored row data: an in-place edit of it is refused.
+        sys = random_pair(np.random.default_rng(6), 5, 3, tau=0.3)
+        if sparse:
+            sys = make_system(scipy.sparse.csr_array(sys.a), scipy.sparse.csr_array(sys.v),
+                              sys.b, truth=sys.truth)
+        before = [static_step_sizes(sys, rule) for rule in ALL_RULES]
+        for name in ("pairing", "norms_sq_a", "norms_sq_v"):
+            row_data = getattr(sys, name)
+            with pytest.raises(ValueError, match="read-only"):
+                row_data /= row_data.sum()
+        for rule, omega in zip(ALL_RULES, before):
+            np.testing.assert_array_equal(static_step_sizes(sys, rule), omega)
+
 
 class TestOperatorKinds:
     """make_system on a CSR pair and on its dense form builds the same system."""
@@ -121,12 +137,12 @@ class TestOperatorKinds:
             return np.flatnonzero(np.any(oracles.dense(sys_pair.v) != v.toarray(), axis=1))
 
         np.testing.assert_array_equal(flips(got), flips(want))
-        scale = np.sqrt(want.row_norms_sq("a") * want.row_norms_sq("v"))
+        scale = np.sqrt(want.norms_sq_a * want.norms_sq_v)
         assert np.all(np.abs(got.pairing - want.pairing) <= 1e-13 * scale)
-        for name in ("a", "v"):
-            np.testing.assert_allclose(got.row_norms_sq(name), want.row_norms_sq(name),
+        for name in ("norms_sq_a", "norms_sq_v"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                        rtol=1e-13, atol=0)
-        for name in ("a", "v", "pairing"):
+        for name in ("a", "v", "pairing", "norms_sq_a", "norms_sq_v"):
             np.testing.assert_array_equal(getattr(mixed, name).view(np.int64),
                                           getattr(want, name).view(np.int64))
 
@@ -217,8 +233,8 @@ class TestStep:
         sys = random_pair(rng, 3, 4, tau=0.2)
         omega_a = static_step_sizes(sys, StepRule.INVERSE_ROW_NORM_A)
         omega_v = static_step_sizes(sys, StepRule.INVERSE_ROW_NORM_V)
-        np.testing.assert_allclose(omega_a, 1.0 / sys.row_norms_sq("a"))
-        np.testing.assert_allclose(omega_v, 1.0 / sys.row_norms_sq("v"))
+        np.testing.assert_allclose(omega_a, 1.0 / sys.norms_sq_a)
+        np.testing.assert_allclose(omega_v, 1.0 / sys.norms_sq_v)
         x = rng.standard_normal(4)
         for rule, omega in [
             (StepRule.INVERSE_ROW_NORM_A, omega_a),
@@ -616,7 +632,7 @@ class TestRun:
         v = np.where(np.abs(a) >= 0.5, a, 0.0)
         truth = rng.standard_normal(50)
         sys = make_system(a, v, a @ truth, truth=truth)
-        p = sys.row_norms_sq("a")
+        p = sys.norms_sq_a
         p = p / p.sum()
         cfg = SolverConfig(max_iterations=2 * 10**4, log_stride=1000, seed=3)
         trace = run(sys, p, cfg)
@@ -650,7 +666,7 @@ class TestRun:
         truth = v.T @ c
         sys_mis = make_system(a, v, a @ truth, truth=truth)
         sys_matched = make_system(a, a, a @ truth, truth=truth)
-        p = sys_mis.row_norms_sq("a")
+        p = sys_mis.norms_sq_a
         p = p / p.sum()
         cfg = SolverConfig(max_iterations=3 * 10**4, log_stride=2000, seed=11)
 
@@ -761,7 +777,7 @@ class TestReplicates:
         v = np.where(np.abs(a) >= 0.5, a, 0.0)
         truth = rng.standard_normal(12)
         sys = make_system(a, v, a @ truth, truth=truth)
-        p = sys.row_norms_sq("a")
+        p = sys.norms_sq_a
         p = p / p.sum()
         lam = compute_diagnostics(sys, p, StepRule.OBLIQUE_EXACT).lam
         assert lam > 0
