@@ -24,7 +24,6 @@ factorizations.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -253,10 +252,9 @@ def lu_solve(m, b) -> np.ndarray:
         raise DimensionError(
             f"rhs length {b.shape[0]} does not match matrix size {m.shape[0]}"
         )
-    with warnings.catch_warnings():
-        # The pivot check below is our singularity report; scipy's warning is noise.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
+    # LAPACK getrf, the call of scipy's lu_factor without its singularity
+    # warning: the pivot check below is our singularity report.
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= PIVOT_RTOL * np.linalg.norm(m):
         raise SingularMatrixError(

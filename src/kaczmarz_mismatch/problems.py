@@ -15,7 +15,6 @@ the one recipe that builds it and that recipe's parameters and defaults;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .diagnostics import check_range_solvable
 from .errors import DimensionError, EmptySystemError, InvalidInputError
 from .linalg import as_csr, as_matrix, as_vector
 from .sampling import replicate_rng
-from .solver import SystemPair, make_system, pair_rows
+from .solver import SystemPair, make_system
 
 
 def gen_gaussian(m, n, seed) -> np.ndarray:
@@ -225,8 +224,10 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     oblique rule, V^T D A has eigenvalues with negative real part (down to
     about -1.5e-5), so off its kernel the expected error grows slowly.
     Rows whose forward part is zero are eliminated from A and V together; the
-    rest follow ``make_system``'s rule, ``solver.pair_rows``, but those with a
-    vanishing pairing are dropped with a warning.  b = A ``truth``.
+    rest are paired by ``make_system``, which flips a row of V with a negative
+    pairing and rejects a vanishing one.  Ray-traced lengths are non-negative,
+    so on a traced ``full`` every pairing is at least ||a_i||^2 / 3: only a
+    hand-built signed ``full`` can vanish.  b = A ``truth``.
 
     The pair stays sparse: A and V are CSR arrays, and the rows are
     selected, and b and the pairings computed, over their stored entries.
@@ -251,13 +252,6 @@ def ct_mismatch_pair(full, truth) -> SystemPair:
     b = a @ truth
     v = (full[0::3] + forward + full[2::3])[kept]
     v.data /= 3.0  # the dense quotients: a sparse division multiplies by 1/3
-    v, _, _, _, vanishing = pair_rows(a, v)
-    dropped = int(np.count_nonzero(vanishing))
-    if dropped:
-        warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
-        a, v, b = a[~vanishing], v[~vanishing], b[~vanishing]
-    if a.shape[0] == 0:
-        raise EmptySystemError("all rows eliminated by the pairing filter")
     return make_system(a, v, b, truth=truth)
 
 

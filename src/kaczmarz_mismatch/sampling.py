@@ -65,7 +65,6 @@ class DiscreteSampler:
         for i in large + small:
             prob_table[i] = 1.0
         self.m = m
-        self.probabilities = p
         self._prob_table = prob_table
         self._alias_table = alias_table
 

@@ -30,7 +30,7 @@ freed when the run ends.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
-Validation, the pairing and squared row norms (``pair_rows``, once per
+Validation, the pairing and squared row norms (``make_system``, once per
 system), the starting point and the logged residuals run on either kind, on
 CSR over the stored entries only.  The expectation analysis
 (``diagnostics.analysis_rows``) reads the dense rows when m >= n, and two
@@ -42,7 +42,7 @@ its dense form can give different traces; reruns of either are byte-identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -53,7 +53,7 @@ from .linalg import CSRArray, as_csr, as_matrix, as_vector
 from .sampling import DiscreteSampler, replicate_rng
 
 # Rows whose pairing <a_i, v_i> falls below this relative threshold make the
-# oblique step division meaningless (``pair_rows``).
+# oblique step division meaningless; ``make_system`` rejects them.
 PAIRING_RTOL = 1e-12
 # Consistency required of (A, b, truth) when no noise vector is stored.
 CONSISTENCY_RTOL = 1e-8
@@ -161,13 +161,20 @@ def _operators(a, v):
     return a, a if same else validate(v, "v")
 
 
-def pair_rows(a, v):
-    """The pairing rule: (v, pairing, norms_sq_a, norms_sq_v, vanishing).
+def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
+    """Validate and assemble a ``SystemPair``, pairing its rows.
 
-    Rows of ``v`` with a negative pairing are flipped in a copy (on CSR, their
-    stored entries negated).  ``vanishing`` marks |<a_i, v_i>| <= PAIRING_RTOL
-    ||a_i|| ||v_i||, which ``make_system`` rejects and ``ct_mismatch_pair`` drops.
+    The pairing rule: rows of ``v`` with a negative pairing are flipped in a
+    copy (on CSR, their stored entries negated), and a row with |<a_i, v_i>|
+    <= PAIRING_RTOL ||a_i|| ||v_i|| is rejected.
     """
+    a, v = _operators(a, v)
+    b = as_vector(b, "b")
+    if a.shape != v.shape:
+        raise DimensionError(f"a and v must share shape: {a.shape} vs {v.shape}")
+    m, n = a.shape
+    if b.shape[0] != m:
+        raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
     pairing = _row_dots(a, v)
     flip = pairing < 0
     if np.any(flip):
@@ -180,19 +187,6 @@ def pair_rows(a, v):
     norms_sq_a = _row_dots(a, a)
     norms_sq_v = _row_dots(v, v)
     vanishing = pairing <= PAIRING_RTOL * np.sqrt(norms_sq_a) * np.sqrt(norms_sq_v)
-    return v, pairing, norms_sq_a, norms_sq_v, vanishing
-
-
-def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
-    """Validate and assemble a ``SystemPair``, pairing its rows by ``pair_rows``."""
-    a, v = _operators(a, v)
-    b = as_vector(b, "b")
-    if a.shape != v.shape:
-        raise DimensionError(f"a and v must share shape: {a.shape} vs {v.shape}")
-    m, n = a.shape
-    if b.shape[0] != m:
-        raise DimensionError(f"b has length {b.shape[0]}, expected {m}")
-    v, pairing, norms_sq_a, norms_sq_v, vanishing = pair_rows(a, v)
     if np.any(vanishing):
         rows = np.flatnonzero(vanishing).tolist()
         raise InvalidInputError(
@@ -221,10 +215,12 @@ def make_system(a, v, b, noise=None, truth=None) -> SystemPair:
 def matched_pair(sys: SystemPair) -> SystemPair:
     """The system with V = A, keeping ``sys``'s b, noise and truth.
 
-    It passes ``make_system``'s checks.  Its ``v is a``, so a run on it packs
-    one set of spans, of A, for both operators.
+    It is what ``make_system`` would build from them, derived rather than
+    checked again: with V = A the pairing and both squared norms are A's
+    squared row norms, the same arithmetic bit for bit.  Its ``v is a``, so a
+    run on it packs one set of spans, of A, for both operators.
     """
-    return make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
+    return replace(sys, v=sys.a, pairing=sys.norms_sq_a, norms_sq_v=sys.norms_sq_a)
 
 
 def static_step_sizes(sys: SystemPair, rule: StepRule) -> np.ndarray:

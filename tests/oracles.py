@@ -20,8 +20,6 @@ its dense form.  ``read_table_csv`` reads back the CSV tables the package
 writes.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -287,9 +285,9 @@ def reference_ct_pair(full, b_full, truth=None):
     """``problems.ct_mismatch_pair`` on a dense ``full`` with its right-hand side ``b_full``.
 
     Every third row (the middle of each group) is a forward row, each
-    group's mean is its backprojection row; zero forward rows and rows with a
-    vanishing pairing |<a_i, v_i>| are dropped from A, V and b together.  A
-    negative pairing is kept: ``make_system`` flips that row of V.
+    group's mean is its backprojection row; zero forward rows are dropped
+    from A, V and b together.  The rest go to ``make_system``: a negative
+    pairing is kept, that row of V flipped, and a vanishing one rejected.
     """
     full = as_matrix(full, "full")
     b_full = as_vector(b_full, "b_full")
@@ -306,15 +304,6 @@ def reference_ct_pair(full, b_full, truth=None):
     a, v, b = a[nonzero], v[nonzero], b[nonzero]
     if a.shape[0] == 0:
         raise EmptySystemError("all forward rows are zero")
-    pairing = np.einsum("ij,ij->i", a, v)
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(v, axis=1)
-    ok = np.abs(pairing) > 1e-12 * norms
-    dropped = int(np.count_nonzero(~ok))
-    if dropped:
-        warnings.warn(f"dropped {dropped} rows with vanishing pairing", stacklevel=2)
-        a, v, b = a[ok], v[ok], b[ok]
-    if a.shape[0] == 0:
-        raise EmptySystemError("all rows eliminated by the pairing filter")
     return make_system(a, v, b, truth=truth)
 
 

@@ -294,6 +294,21 @@ class TestCtPair:
         with pytest.raises(InvalidInputError):
             ct_mismatch_pair(np.ones((4, 2)), np.ones(2))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.integers(2, 24),
+        angle_step=st.floats(1.0, 179.0),
+        rays=st.integers(1, 20).map(lambda k: 3 * k),
+    )
+    def test_generated_pairs_never_vanish(self, grid, angle_step, rays):
+        # Traced lengths are non-negative, so <a_i, v_i> = (||a_i||^2 + <a_i,
+        # outer rays>) / 3 >= ||a_i||^2 / 3: no generated pairing vanishes.
+        try:
+            sys = build_ct_instance(grid, angle_step, rays, 0)
+        except EmptySystemError:
+            return
+        assert np.all(3.0 * sys.pairing >= sys.norms_sq_a * (1.0 - 1e-12))
+
 
 def reference_ct_instance(grid, angle_step, rays, seed, span_factor=1.4):
     """``build_ct_instance`` from the ray-by-ray tracer and the dense pair."""
@@ -364,22 +379,30 @@ class TestCtPairOracle:
         full[6:9] = 0.0
         full[6, 0], full[7, 1], full[8, 1] = 1.0, 1.0, -1.0  # v = e_0 / 3 against a = e_1
         truth = rng.standard_normal(7)
-        given = to_full(full)
-        if scipy.sparse.issparse(given):
+
+        def as_input(full):
+            if to_full is np.asarray:
+                return full
             coo = scipy.sparse.coo_array(full)
             stored = (np.append(coo.data, 0.0), (np.append(coo.row, 4), np.append(coo.col, 0)))
-            given = to_full(scipy.sparse.coo_array(stored, shape=full.shape))
-        with warnings.catch_warnings(record=True) as got_warned:
-            warnings.simplefilter("always")
-            got = ct_mismatch_pair(given, truth)
-        with warnings.catch_warnings(record=True) as want_warned:
-            warnings.simplefilter("always")
-            want = oracles.reference_ct_pair(full, full @ truth, truth=truth)
-        assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
-        assert len(want_warned) == 1
-        # Groups 1 (zero forward row) and 2 (vanishing pairing) are gone; group
+            return to_full(scipy.sparse.coo_array(stored, shape=full.shape))
+
+        # Group 2's vanishing pairing is rejected, as make_system rejects it.
+        with pytest.raises(InvalidInputError, match="near-orthogonal"):
+            ct_mismatch_pair(as_input(full), truth)
+        with pytest.raises(InvalidInputError, match="near-orthogonal"):
+            oracles.reference_ct_pair(full, full @ truth, truth=truth)
+        # With group 2 zeroed, groups 1 and 2 (zero forward rows) are gone; group
         # 4's negative pairing is kept, and its row of V flipped.
+        full[6:9] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ct_mismatch_pair(as_input(full), truth)
+            want = oracles.reference_ct_pair(full, full @ truth, truth=truth)
         assert want.m == 4
+        group_4_mean = (full[12] + full[13] + full[14]) / 3.0
+        assert full[13] @ group_4_mean < 0
+        assert_bitwise_equal(want.v[2] + 0.0, -group_4_mean + 0.0)
         assert_same_pair(got, want)
 
     @pytest.mark.parametrize("full", [

@@ -503,6 +503,12 @@ class TestMatchedPair:
         fresh = make_system(sys.a, sys.a, sys.b, noise=sys.noise, truth=sys.truth)
         assert matched.v is matched.a
         assert matched.noise is sys.noise and matched.truth is sys.truth
+        # The row data is derived, not computed again: A's squared row norms,
+        # which are what make_system computes for all three when V = A.
+        row_data = (matched.pairing, matched.norms_sq_a, matched.norms_sq_v)
+        assert all(r is sys.norms_sq_a for r in row_data)
+        for r, want in zip(row_data, (fresh.pairing, fresh.norms_sq_a, fresh.norms_sq_v)):
+            assert r.view(np.int64).tolist() == want.view(np.int64).tolist()
 
         def bits(trace):
             floats = (trace.error_norms, trace.residual_norms, trace.final_x)
