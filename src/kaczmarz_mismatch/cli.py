@@ -33,8 +33,8 @@ from .fileio import (
     read_vector_csv,
     vector_table,
     write_csv_files,
+    write_manifest,
     write_matrix_market,
-    write_vector_csv,
 )
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
 from .sampling import replicate_rng
@@ -134,7 +134,7 @@ def _build_parser():
     exp = sub.add_parser("experiment", help="run a named benchmark pipeline")
     exp.add_argument("--name", choices=tuple(experiments.EXPERIMENTS), required=True)
     _add_parameter_flags(
-        exp, {name: pipeline.flags() for name, pipeline in experiments.EXPERIMENTS.items()}
+        exp, {name: pipeline.parameters({}) for name, pipeline in experiments.EXPERIMENTS.items()}
     )
     exp.add_argument("--out", required=True)
     return parser
@@ -196,24 +196,23 @@ def _cmd_generate(args, argv):
     params = recipe.parameters(given)
     sys_pair = problems.build_instance(args.kind, seed, **params)
     out = args.out
-    os.makedirs(out, exist_ok=True)
+    files = {"b.csv": vector_table(sys_pair.b)}
+    for name, vector in (("r.csv", sys_pair.noise), ("xhat.csv", sys_pair.truth)):
+        if vector is not None:
+            files[name] = vector_table(vector)
+    # An earlier instance's: _load_system would read them with this one.
+    for name in ("r.csv", "xhat.csv", "diagnostics.csv"):
+        path = os.path.join(out, name)
+        if name not in files and os.path.exists(path):
+            os.remove(path)
 
     command = _command_string(argv)
     headers = provenance_lines(command, seed)
+    write_csv_files(out, headers, files)
     comment = "\n".join(headers)
     write_matrix_market(os.path.join(out, "A.mtx"), sys_pair.a, comment=comment)
     write_matrix_market(os.path.join(out, "V.mtx"), sys_pair.v, comment=comment)
-    write_vector_csv(os.path.join(out, "b.csv"), sys_pair.b, headers)
-    for name, vector in (("r.csv", sys_pair.noise), ("xhat.csv", sys_pair.truth)):
-        path = os.path.join(out, name)
-        if vector is not None:
-            write_vector_csv(path, vector, headers)
-        elif os.path.exists(path):
-            os.remove(path)  # an earlier instance's: _load_system would read it
-    stale = os.path.join(out, "diagnostics.csv")  # diagnose of an earlier instance
-    if os.path.exists(stale):
-        os.remove(stale)
-    experiments.write_manifest(
+    write_manifest(
         out, command, seed, {"kind": args.kind, **params},
         rows=sys_pair.m, cols=sys_pair.n,
     )
@@ -289,7 +288,7 @@ def _cmd_optimize(args, argv):
 
 def _cmd_experiment(args, argv):
     params = _given_flags(
-        args, experiments.EXPERIMENTS[args.name].flags(), f"--name {args.name}"
+        args, experiments.EXPERIMENTS[args.name].parameters({}), f"--name {args.name}"
     )
     # Looked up at call time, so a wrapper installed on the module sees the call.
     runner = getattr(experiments, f"experiment_{args.name}")

@@ -8,27 +8,26 @@ through one ``fileio.write_csv_files`` call per header set, and last its
 solve (V = A) runs on ``solver.matched_pair`` of the mismatched system, and
 each solve packs the row spans it reads for its own run.  fig1-fig3 share
 their steps in ``_figure``.
-``EXPERIMENTS`` lists each pipeline's instance kind, parameters with their
-desk-scale defaults (seconds to minutes), and the ``experiment`` flags that
-reach the published problem sizes.
+``EXPERIMENTS`` lists each pipeline's instance kind and parameters with their
+desk-scale defaults (seconds to minutes).  Every parameter, its instance's
+included, is an ``experiment`` flag; the flags reach the published sizes.
+table1's solve length and error target are the constants ``TABLE1_*``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, problems
+from . import problems
 from .diagnostics import (
     CSV_COLUMNS,
     compute_diagnostics,
     inconsistent_bound,
 )
 from .errors import InvalidInputError
-from .fileio import FORMAT_VERSION, provenance_lines, vector_table, write_csv_files
+from .fileio import provenance_lines, vector_table, write_csv_files, write_manifest
 from .probopt import Objective, ProbOptConfig, optimize_probabilities
 from .solver import SolverConfig, StepRule, matched_pair, run
 
@@ -39,13 +38,11 @@ class Experiment:
 
     ``kind`` is the instance it builds (a key of ``problems.INSTANCES``).
     ``defaults`` holds its seed, its own parameters and the instance defaults
-    it overrides.  Each parameter is also an ``experiment`` flag of the same
-    name, except those in ``python_only``.
+    it overrides.
     """
 
     kind: str
     defaults: dict[str, object]
-    python_only: tuple[str, ...] = ()
 
     def parameters(self, given):
         """``given`` over every default; a parameter the pipeline lacks is invalid input."""
@@ -55,27 +52,17 @@ class Experiment:
             raise InvalidInputError(f"pipeline takes no parameter {', '.join(unknown)}")
         return {**params, **given}
 
-    def flags(self):
-        """The parameters the ``experiment`` flags reach, with their defaults."""
-        params = self.parameters({})
-        return {key: value for key, value in params.items() if key not in self.python_only}
-
 
 EXPERIMENTS = {
     "fig1": Experiment("consistent", {"seed": 1, "iters": 20000, "log_stride": 500}),
     "fig2": Experiment("inconsistent", {"seed": 2, "iters": 20000, "log_stride": 500}),
     "fig3": Experiment("underdetermined", {"seed": 3, "iters": 20000, "log_stride": 500}),
-    "ct": Experiment("ct", {"seed": 4, "sweeps": 20}, python_only=("angle_step",)),
-    # iters counts optimizer iterations; each solve runs solve_iterations.
-    "table1": Experiment(
-        "probopt",
-        {
-            "seed": 5, "m": 150, "iters": 500, "solve_iterations": 40000,
-            "log_stride": 200, "error_target": 1e-6,
-        },
-        python_only=("solve_iterations", "error_target"),
-    ),
+    "ct": Experiment("ct", {"seed": 4, "sweeps": 20}),
+    # iters counts optimizer iterations; each solve runs TABLE1_SOLVE_ITERATIONS.
+    "table1": Experiment("probopt", {"seed": 5, "m": 150, "iters": 500, "log_stride": 200}),
 }
+TABLE1_SOLVE_ITERATIONS = 40000
+TABLE1_ERROR_TARGET = 1e-6
 
 TRACE_COLUMNS = ("k", "error_norm", "residual_norm")
 
@@ -95,21 +82,6 @@ def trace_table(trace):
     """(columns, rows) of a trace CSV; the error column is empty without a truth."""
     errors = trace.error_norms or [None] * len(trace.logged_k)
     return TRACE_COLUMNS, list(zip(trace.logged_k, errors, trace.residual_norms))
-
-
-def write_manifest(out_dir, command, seed, parameters, **fields):
-    """``manifest.json`` of an output directory: provenance, parameters and ``fields``."""
-    manifest = {
-        "tool_version": __version__,
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "seed": seed,
-        "parameters": parameters,
-        **fields,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _setup(name, given):
@@ -212,7 +184,8 @@ def experiment_ct(out_dir, command="experiment ct", **params):
         "recon_rk.csv": vector_table(trace_matched.final_x),
     })
     write_manifest(
-        out_dir, command, seed, {"kind": "ct", **instance, **own}, experiment="ct"
+        out_dir, command, seed, {"kind": EXPERIMENTS["ct"].kind, **instance, **own},
+        experiment="ct",
     )
     return trace_mis, trace_matched
 
@@ -237,7 +210,7 @@ def experiment_table1(out_dir, command="experiment table1", **params):
     lam_cfg = ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations)
     norm_cfg = ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations)
     cfg = SolverConfig(
-        max_iterations=own["solve_iterations"], log_stride=own["log_stride"], seed=seed
+        max_iterations=TABLE1_SOLVE_ITERATIONS, log_stride=own["log_stride"], seed=seed
     )
 
     opt_lam = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, lam_cfg)
@@ -266,21 +239,21 @@ def experiment_table1(out_dir, command="experiment table1", **params):
     for label, result in (("lambda", opt_lam), ("norm", opt_norm)):
         files[f"history_{label}.csv"] = (("iter", "objective"), enumerate(result.objective_evals))
 
-    error_target = own["error_target"]
     summary_rows = []
     for name, p in schemes.items():
         trace = run(sys, p, cfg)
         files[f"trace_{name}.csv"] = trace_table(trace)
         summary_rows.append(
-            (name, iterations_to_error(trace, error_target), trace.error_norms[-1])
+            (name, iterations_to_error(trace, TABLE1_ERROR_TARGET), trace.error_norms[-1])
         )
 
     headers = provenance_lines(command, seed, {**instance, "iters": opt_iterations})
     write_csv_files(out_dir, headers, files)
-    write_csv_files(out_dir, headers + [f"error_target: {error_target}"], {
+    write_csv_files(out_dir, headers + [f"error_target: {TABLE1_ERROR_TARGET}"], {
         "summary.csv": (("scheme", "iterations_to_target", "final_error"), summary_rows),
     })
-    write_manifest(
-        out_dir, command, seed, {"kind": "probopt", **instance, **own}, experiment="table1"
-    )
+    write_manifest(out_dir, command, seed, {
+        "kind": EXPERIMENTS["table1"].kind, **instance, **own,
+        "solve_iterations": TABLE1_SOLVE_ITERATIONS, "error_target": TABLE1_ERROR_TARGET,
+    }, experiment="table1")
     return quantities

@@ -10,6 +10,10 @@ as CSV with '#' comment headers.  Writers are deterministic: identical data
 and header text produce byte-identical files, and floats are rendered with
 17 significant digits so round-trips are exact.
 
+Every command writes its CSV files through ``write_csv_files`` and its
+``manifest.json`` through ``write_manifest``, so this module alone writes
+the provenance (tool and format version, command, seed) of every output.
+
 ``scipy.io`` is imported inside the two Matrix Market functions, not at
 module level: it loads its matlab, arff, netcdf and fast_matrix_market
 submodules, and the ``experiment`` pipelines, which move no ``.mtx`` file,
@@ -35,6 +39,7 @@ matrix under 100 rows for symmetry and write only its lower triangle.
 from __future__ import annotations
 
 import io
+import json
 import os
 import threading
 
@@ -56,6 +61,21 @@ def provenance_lines(command, seed, params=None):
         f"command: {command}",
         f"seed: {seed}",
     ] + [f"{key}: {value}" for key, value in (params or {}).items()]
+
+
+def write_manifest(out_dir, command, seed, parameters, **fields):
+    """``manifest.json`` of an output directory: provenance, parameters and ``fields``."""
+    manifest = {
+        "tool_version": __version__,
+        "format_version": FORMAT_VERSION,
+        "command": command,
+        "seed": seed,
+        "parameters": parameters,
+        **fields,
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _set_parallelism(threads):
@@ -151,10 +171,6 @@ def read_matrix_market(path):
 def vector_table(v, column="value"):
     """(columns, rows) of a one-column CSV of ``v``; the rows are made as they are written."""
     return (column,), ((x,) for x in as_vector(v).tolist())
-
-
-def write_vector_csv(path, v, header_lines=(), column="value"):
-    write_table_csv(path, *vector_table(v, column), header_lines)
 
 
 def write_csv_files(out_dir, headers, files):

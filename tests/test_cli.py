@@ -13,7 +13,7 @@ import kaczmarz_mismatch
 from kaczmarz_mismatch import experiments, fileio, problems
 from kaczmarz_mismatch.cli import main
 from kaczmarz_mismatch.diagnostics import inconsistent_bound
-from kaczmarz_mismatch.errors import NumericError
+from kaczmarz_mismatch.errors import InvalidInputError, NumericError
 from kaczmarz_mismatch.solver import make_system
 
 import oracles
@@ -200,7 +200,7 @@ class TestDiagnose:
         eye = np.eye(3)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(3))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(3)))
         code = run_cli(["diagnose", "--system-dir", str(sys_dir), "--p", "uniform"])
         assert code == 0
         report = capsys.readouterr().out
@@ -214,7 +214,7 @@ class TestDiagnose:
         v = np.array([[1.0, 4.0], [1.0, -3.0]])
         fileio.write_matrix_market(sys_dir / "A.mtx", a)
         fileio.write_matrix_market(sys_dir / "V.mtx", v)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(2))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(2)))
         code = run_cli(["diagnose", "--system-dir", str(sys_dir), "--p", "uniform"])
         assert code == 3
 
@@ -231,7 +231,7 @@ class TestDiagnose:
         sys_dir.mkdir()
         fileio.write_matrix_market(sys_dir / "A.mtx", np.array([[1.0, 0.0], [1.0, 0.2]]))
         fileio.write_matrix_market(sys_dir / "V.mtx", np.array(v))
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(2))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(2)))
 
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -272,7 +272,7 @@ class TestDiagnose:
         assert run_cli(["generate", "--kind", "consistent", "--m", "10", "--n", "12",
                         "--seed", "5", "--out", out]) == 0
         p_path = tmp_path / "p.csv"
-        fileio.write_vector_csv(p_path, np.full(10, 0.1))
+        fileio.write_table_csv(p_path, *fileio.vector_table(np.full(10, 0.1)))
         assert run_cli(["diagnose", "--system-dir", out,
                         "--p", f"file:{p_path}"]) in (0, 3)
 
@@ -287,8 +287,8 @@ class TestSolve:
         eye = np.eye(4)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(4))
-        fileio.write_vector_csv(sys_dir / "xhat.csv", np.ones(4))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(4)))
+        fileio.write_table_csv(sys_dir / "xhat.csv", *fileio.vector_table(np.ones(4)))
         out = str(tmp_path / "run")
         code = run_cli(["solve", "--system-dir", str(sys_dir), "--p", "uniform",
                         "--iters", "200", "--log-stride", "50", "--seed", "1",
@@ -314,7 +314,7 @@ class TestSolve:
         eye = np.eye(3)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(3))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(3)))
         run_dir = str(tmp_path / "run")
         run_cli(["solve", "--system-dir", str(sys_dir), "--iters", "10",
                  "--log-stride", "5", "--seed", "0", "--out", run_dir])
@@ -373,7 +373,7 @@ class TestHeaders:
         eye = np.eye(3)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.ones(3))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(3)))
         runs = {
             "trace.csv": (["solve", "--system-dir", str(sys_dir), "--iters", "20",
                            "--log-stride", "5", "--seed", "4", "--tol", "1e-09",
@@ -401,7 +401,7 @@ class TestOptimize:
         eye = np.eye(3)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.zeros(3))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.zeros(3)))
         out = str(tmp_path / "opt")
         code = run_cli(["optimize", "--system-dir", str(sys_dir),
                         "--objective", "lambda", "--iters", "30", "--out", out])
@@ -417,7 +417,7 @@ class TestOptimize:
         eye = np.eye(3)
         fileio.write_matrix_market(sys_dir / "A.mtx", eye)
         fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_vector_csv(sys_dir / "b.csv", np.zeros(3))
+        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.zeros(3)))
         assert run_cli(["optimize", "--system-dir", str(sys_dir), "--iters", "7",
                         "--out", str(tmp_path / "eye")]) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == [
@@ -553,6 +553,20 @@ class TestExperiments:
         assert cols == ["quantity", "uniform", "pairing", "opt_lambda", "opt_norm"]
         assert [row[0] for row in rows] == ["one_minus_lambda", "rho", "norm"]
         assert os.path.exists(os.path.join(out, "summary.csv"))
+        # The solve length and the error target are fixed, and still recorded.
+        with open(os.path.join(out, "manifest.json")) as fh:
+            parameters = json.load(fh)["parameters"]
+        assert parameters["solve_iterations"] == 40000
+        assert parameters["error_target"] == 1e-06
+        with open(os.path.join(out, "summary.csv")) as fh:
+            assert "# error_target: 1e-06\n" in fh.read()
+
+    def test_table1_takes_no_solve_length_or_error_target(self, tmp_path):
+        out = tmp_path / "table1"
+        for keyword in ("solve_iterations", "error_target"):
+            with pytest.raises(InvalidInputError, match=keyword):
+                experiments.experiment_table1(str(out), **{keyword: 10})
+            assert not out.exists()
 
     def test_ct_small_contract(self, tmp_path):
         out = str(tmp_path / "ct")
@@ -573,6 +587,7 @@ class TestExperiments:
         ("fig3", "underdetermined", ["--m", "12", "--n", "40", "--tau", "0.3"]),
         ("ct", "ct", ["--grid", "8", "--rays", "24"]),
         ("table1", "probopt", ["--m", "30", "--n", "8", "--zero-frac", "0.1"]),
+        ("ct", "ct", ["--grid", "8", "--rays", "24", "--angle-step", "10"]),
     ])
     def test_instance_matches_generate(self, tmp_path, monkeypatch, name, kind, size):
         class Solved(Exception):
@@ -634,6 +649,7 @@ class TestExitCodes:
             ["generate", "--kind", "ct", "--rays", "-1", "--out", out],
             ["generate", "--kind", "ct", "--rays", "4", "--out", out],
             ["experiment", "--name", "ct", "--rays", "0", "--out", out],
+            ["experiment", "--name", "ct", "--angle-step", "0", "--out", out],
             ["experiment", "--name", "fig1", "--iters", "0", "--out", out],
             ["experiment", "--name", "fig2", "--log-stride", "0", "--out", out],
             ["experiment", "--name", "table1", "--iters", "0", "--out", out],

@@ -224,8 +224,9 @@ class TestVectorCsv:
     def test_round_trip_with_header(self, tmp_path):
         v = np.array([1.0, -2.5, 1e-17, 3.141592653589793])
         path = tmp_path / "v.csv"
-        fileio.write_vector_csv(
-            path, v, header_lines=fileio.provenance_lines("test", 7, {"rule": "oblique"})
+        fileio.write_table_csv(
+            path, *fileio.vector_table(v),
+            fileio.provenance_lines("test", 7, {"rule": "oblique"}),
         )
         np.testing.assert_array_equal(fileio.read_vector_csv(path), v)
         assert path.read_text().startswith(
@@ -301,7 +302,7 @@ class TestWriteCsvFiles:
         fileio.write_csv_files(out, headers, files)
         assert sorted(p.name for p in out.iterdir()) == ["t.csv", "v.csv"]
         fileio.write_table_csv(tmp_path / "t.csv", ("k", "x"), [(0, 0.5), (1, None)], headers)
-        fileio.write_vector_csv(tmp_path / "v.csv", v, headers, column="probability")
+        fileio.write_table_csv(tmp_path / "v.csv", *fileio.vector_table(v, "probability"), headers)
         for name in files:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
