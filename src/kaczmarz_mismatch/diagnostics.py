@@ -20,14 +20,18 @@ m < n, read off the m x m products A V^T and V V^T.
 step rule from those rows and the static step sizes.  Only
 D = diag(p_i omega_i) depends on the row distribution, so its matrices take
 p as an argument: ``vtda(p)`` forms V^T D A and ``w(p)`` forms W as
-sym(A^T D (2V - S A)), each a new matrix by one GEMM, so a caller that reads
-one of them never pays for the other.  2V - S A is formed once, on the
-first ``w``.  Its ``iteration_matrix`` is the one place I - V^T D A is
+sym(A^T D (2V - S A)), each a new matrix, so a caller that reads one of them
+never pays for the other.  Each is summed over row blocks of at most
+``BLOCK_BYTES``, the block of D A or D (2V - S A) formed as it is read, so
+the analysis holds the pair, one block and a few n x n matrices: no m x n
+copy of the rows.  Rows that fit one block give the single matrix product,
+bit for bit.  Its ``iteration_matrix`` is the one place I - V^T D A is
 built.  On the coordinates the matrices are Z^T V^T D A Z and Z^T W Z, so
 the restricted analysis forms no m x n or n x n matrix.
-``compute_diagnostics`` reads lambda off W, forms V^T D A once and reads
-rho, the norm and the fixed-point error off it, and returns them with the
-noise quantities in one ``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
+``compute_diagnostics`` reads lambda off W, forms V^T D A once, reads the
+fixed-point error off it, then rho and the norm off I - V^T D A with
+V^T D A released, and returns them with the noise quantities in one
+``RateDiagnostics`` record.  Both objectives of ``probopt`` read the same
 operator with the same ``linalg`` calls (``symmetric_eigensystem`` for
 lambda, ``top_singular_triplet`` for the norm), so ``diagnose`` reports bit
 for bit the values the optimizer reached.  The spectral norm is read off
@@ -42,10 +46,10 @@ asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import dgemm
 
 from .errors import (
     DimensionError,
@@ -65,6 +69,9 @@ from .linalg import (
 from .sampling import check_probability_vector
 from .solver import StepRule, SystemPair, static_step_sizes
 
+# Bytes of one row block of the m x n products ``ExpectationOperator`` sums:
+# the analysis holds its rows, one block and a few n x n matrices.
+BLOCK_BYTES = 1 << 20
 # Columns of the one-row CSV serialization, in order.
 CSV_COLUMNS = (
     "lambda",
@@ -134,10 +141,16 @@ class ExpectationOperator:
 
     Only D = diag(p_i omega_i) depends on the row distribution p, so one
     operator serves every p: ``vtda(p)`` (V^T D A) and ``w(p)``
-    (W = V^T D A + A^T D V - A^T S D A) each return a new matrix, formed by
-    one matrix product, for the p passed.  ``s`` is the diagonal of S,
-    omega_i ||v_i||^2.  ``a`` and ``v`` are the system's rows, or their
-    coordinates in a basis of a subspace that holds every v_i.
+    (W = V^T D A + A^T D V - A^T S D A) each return a new matrix for the p
+    passed.  ``s`` is the diagonal of S, omega_i ||v_i||^2.  ``a`` and ``v``
+    are the system's rows, or their coordinates in a basis of a subspace
+    that holds every v_i.
+
+    Both matrices are sums over row blocks of at most ``BLOCK_BYTES``
+    (``_row_blocks``), each block's scaled rows formed in one reused buffer,
+    so a call holds one block and two n x n matrices besides the rows.  When
+    the rows fit one block, the sum is the single matrix product of the
+    unblocked formula, bit for bit.
     """
 
     def __init__(self, a: np.ndarray, v: np.ndarray, omega: np.ndarray, s: np.ndarray):
@@ -149,31 +162,80 @@ class ExpectationOperator:
             raise DimensionError(f"p has shape {p.shape}, expected ({self.a.shape[0]},)")
         return p * self.omega
 
-    def vtda(self, p) -> np.ndarray:
-        return self.v.T @ (self._d(p)[:, None] * self.a)
+    def _sum_blocks(self, left, scaled_rows) -> np.ndarray:
+        """The sum over row blocks of left[block]^T scaled_rows(block, buffer).
 
-    @cached_property
-    def y(self) -> np.ndarray:
-        """Y = 2V - S A, the rows of W that do not depend on p; formed on the first ``w``."""
-        y = 2.0 * self.v
-        y -= self.s[:, None] * self.a
-        return y
+        ``scaled_rows`` fills the buffer's leading rows, one per row of the
+        block, and returns them.  The first block's product is numpy's, as
+        in the unblocked formula; each later block is added into it in place
+        by one ``dgemm``, which reads the C-ordered arrays as their Fortran
+        transposes: total^T += rows^T left[block].
+        """
+        blocks = _row_blocks(*self.a.shape)
+        buffer = np.empty((blocks[0].stop, self.a.shape[1]))
+        total = left[blocks[0]].T @ scaled_rows(blocks[0], buffer)
+        for block in blocks[1:]:
+            rows = scaled_rows(block, buffer)
+            total = dgemm(
+                1.0, rows.T, left[block].T, beta=1.0, c=total.T, trans_b=1, overwrite_c=1
+            ).T
+        return total
+
+    def vtda(self, p) -> np.ndarray:
+        """V^T D A, summed over row blocks of D A."""
+        d = self._d(p)[:, None]
+
+        def scaled_rows(block, buffer):
+            return np.multiply(d[block], self.a[block], out=buffer[: block.stop - block.start])
+
+        return self._sum_blocks(self.v, scaled_rows)
 
     def w(self, p) -> np.ndarray:
-        """W = sym(G) with G = A^T (D Y).
+        """W = sym(G) with G = A^T (D (2V - S A)), summed over row blocks.
 
         Its 2 A^T D V term symmetrizes to V^T D A + A^T D V, and A^T S D A
-        is symmetric; W is symmetric bit for bit.
+        is symmetric; W is symmetric bit for bit.  A block of D (2V - S A) is
+        formed as (V - (S/2) A)(2D): halving and doubling are exact, so each
+        entry is (2 v_ij - s_i a_ij) d_i to the last bit.
         """
-        g = self.a.T @ (self.y * self._d(p)[:, None])
+        d2 = 2.0 * self._d(p)[:, None]
+        half_s = 0.5 * self.s[:, None]
+
+        def scaled_rows(block, buffer):
+            rows = buffer[: block.stop - block.start]
+            np.multiply(half_s[block], self.a[block], out=rows)
+            np.subtract(self.v[block], rows, out=rows)
+            rows *= d2[block]
+            return rows
+
+        g = self._sum_blocks(self.a, scaled_rows)
         w = g + g.T
         w *= 0.5
         return w
 
     @staticmethod
     def iteration_matrix(vtda: np.ndarray) -> np.ndarray:
-        """I - V^T D A, the map from e_k to E[e_{k+1}]; a new matrix per call."""
-        return np.eye(vtda.shape[0]) - vtda
+        """I - V^T D A, the map from e_k to E[e_{k+1}]; a new matrix per call.
+
+        Formed without an identity matrix, but equal bit for bit to
+        ``np.eye(n) - vtda``: 0.0 - x off the diagonal, which keeps the sign
+        of a zero, and 1.0 - x on it.
+        """
+        m_mat = np.subtract(0.0, vtda)
+        np.fill_diagonal(m_mat, 1.0 - np.diagonal(vtda))
+        return m_mat
+
+
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """Row slices of an m x n float64 matrix, each at most ``BLOCK_BYTES``.
+
+    The blocks are as even as their count allows (at least one row each), so
+    that no short last block costs a small matrix product of its own.
+    """
+    most = max(1, BLOCK_BYTES // (8 * n))
+    count = -(-m // most)
+    rows = -(-m // count)
+    return [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def _dense(m) -> np.ndarray:
@@ -267,19 +329,21 @@ def compute_diagnostics(
     op = expectation_operator(sys, rule)
     lam, _, _ = symmetric_eigensystem(op.w(p))
     vtda = op.vtda(p)
+    gamma = fixed_point_error = None
+    if sys.noise is not None:
+        gamma = noise_gamma(sys)
+        if sys.m >= sys.n:
+            try:
+                fixed_point_error = _fixed_point_error(sys, p * op.omega, vtda)
+            except (SingularMatrixError, InvalidInputError):
+                pass
     m_mat = op.iteration_matrix(vtda)
-    diag = RateDiagnostics(
+    del vtda  # not kept alive through the factorizations of I - V^T D A
+    return RateDiagnostics(
         lam=lam,
         rho_asymptotic=spectral_radius(m_mat),
         norm_expectation=top_singular_triplet(m_mat).sigma,
+        gamma=gamma,
+        fixed_point_error=fixed_point_error,
         restricted=sys.m < sys.n,
     )
-    del m_mat  # not kept alive through the fixed-point LU
-    if sys.noise is not None:
-        diag.gamma = noise_gamma(sys)
-        if sys.m >= sys.n:
-            try:
-                diag.fixed_point_error = _fixed_point_error(sys, p * op.omega, vtda)
-            except (SingularMatrixError, InvalidInputError):
-                diag.fixed_point_error = None
-    return diag

@@ -200,7 +200,7 @@ def top_singular_triplet(m) -> SingularTriplet:
     """
     m = as_matrix(m, "matrix")
     rows, cols = m.shape
-    peak = np.abs(m).max()
+    peak = max(m.max(), -m.min())  # max |m_ij|, without a copy of |M|
     if peak == 0.0:
         left = np.zeros(rows)
         right = np.zeros(cols)

@@ -11,8 +11,9 @@ Both gradients take an ``ExpectationOperator`` from
 on the rows ``diagnose`` analyses: (A, V) when m >= n and the coordinates
 (A Z, V Z) of rg V^T when m < n.  The gradient formulas hold unchanged in
 coordinates, because <Z^T a_i, y> = <a_i, Z y>.  ``optimize_probabilities``
-builds one operator per call and reads it at each iterate, so the rows, and
-W's rows 2V - S A, are formed once.  The lambda side forms only W and solves
+builds one operator per call and reads it at each iterate, so the rows are
+formed once, and an iterate holds them, one row block and a few n x n
+matrices (see ``diagnostics``).  The lambda side forms only W and solves
 only for its two lowest eigenpairs (``symmetric_eigensystem``, which also
 decides the tie flag), the norm side forms only V^T D A and solves only for
 the top singular pair of ``iteration_matrix``.  Each gradient also returns

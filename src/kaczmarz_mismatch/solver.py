@@ -25,8 +25,9 @@ matched system of ``matched_pair``), where one set of spans serves both.  A
 row of a mismatched CSR A is read by its stored entries alone: a view of
 ``A.data`` against ``x`` gathered at the row's columns.  On the tomography
 pair at grid 50 a row of A stores 50 entries but spans 1229 columns, so A
-gets no packed buffer.  ``_kernel`` makes these once per run, and they are
-freed when the run ends.
+gets no packed buffer.  ``_rows`` makes these once per ``run``, or once per
+batch of ``run_replicates``, and they are freed when it ends; ``_kernel``
+makes each run's views of its own iterate.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
@@ -288,26 +289,38 @@ def _stored_rows(rows):
     return [rows.data[lo:hi] for lo, hi in ranges], [indices[lo:hi] for lo, hi in ranges]
 
 
-def _kernel(sys: SystemPair, x: np.ndarray):
-    """The arguments of ``_sweep`` for the iterate ``x``, made afresh.
+def _rows(sys: SystemPair):
+    """The rows ``_sweep`` reads, for every iterate of ``sys``.
+
+    In order: the rows of A, the spans of V, their columns (None when
+    dense), their widths, and the columns of A's rows.  A mismatched CSR A
+    is read by its stored entries (``_stored_rows``) and gets no packed
+    buffer.  Any other A is read by spans, and its columns are None; when
+    ``v is a`` one set of spans serves both operators.
+    """
+    v_rows, v_columns, v_width = _row_spans(sys.v)
+    if scipy.sparse.issparse(sys.a) and sys.v is not sys.a:
+        a_rows, a_columns = _stored_rows(sys.a)
+    else:
+        a_rows, a_columns = (v_rows if sys.v is sys.a else list(sys.a)), None
+    return a_rows, v_rows, v_columns, v_width, a_columns
+
+
+def _kernel(sys: SystemPair, x: np.ndarray, rows=None):
+    """The arguments of ``_sweep`` for the iterate ``x``, on ``rows`` from
+    ``_rows(sys)``, made afresh when not given.
 
     In order: the rows of A, the part of ``x`` each is read against, the
     spans of V, their views of ``x``, their widths, and the columns of A's
-    rows.  A mismatched CSR A is read by its stored entries
-    (``_stored_rows``), against ``x`` itself gathered at the columns, and
-    gets no packed buffer.  Any other A is read by spans, against views of
-    ``x``, and its columns are None; when ``v is a`` one set of spans serves
-    both operators.  V is packed before any view of ``x`` is made.
+    rows.  A row read by its stored entries is read against ``x`` itself,
+    gathered at its columns; a span is read against the view of ``x`` under
+    it.  Only the views of ``x`` are made here, so one set of rows serves
+    every run on ``sys``.
     """
-    v_rows, v_columns, v_width = _row_spans(sys.v)
+    a_rows, v_rows, v_columns, v_width, a_columns = rows or _rows(sys)
     # Views of x, so that updating one updates x.
     v_x = [x] * sys.m if v_columns is None else [x[c] for c in v_columns]
-    if scipy.sparse.issparse(sys.a) and sys.v is not sys.a:
-        a_rows, a_columns = _stored_rows(sys.a)
-        return a_rows, x, v_rows, v_x, v_width, a_columns
-    # Dense rows of A are read against all of x, as dense rows of V are.
-    a_rows = v_rows if sys.v is sys.a else list(sys.a)
-    return a_rows, v_x, v_rows, v_x, v_width, None
+    return a_rows, v_x if a_columns is None else x, v_rows, v_x, v_width, a_columns
 
 
 def _sweep(kernel, omega, beta, rows):
@@ -357,19 +370,19 @@ def _sampler(sys: SystemPair, p) -> DiscreteSampler:
 
 
 def _run(
-    sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng, residuals=True
+    sys: SystemPair, sampler: DiscreteSampler, cfg: SolverConfig, rng, residuals=True, rows=None
 ) -> Trace:
     """The logged iteration of ``run``, drawing rows from ``sampler`` with ``rng``.
 
     Without ``residuals`` (for ``run_replicates``, which keeps error norms
     only, and needs a known truth) no residual is computed and
     ``residual_norms`` stays empty; the error norm is checked for finiteness
-    instead.
+    instead.  ``rows`` are ``_rows(sys)``, made for this run when None.
     """
     # The spans are packed before the per-row lists below are made, so those
     # lists are not live at the packing's high-water mark.
     x = initial_iterate(sys, cfg)
-    kernel = _kernel(sys, x)
+    kernel = _kernel(sys, x, rows)
     omega = static_step_sizes(sys, cfg.rule).tolist()
     rhs = sys.rhs
     beta = rhs.tolist()
@@ -457,8 +470,9 @@ def run_replicates(sys: SystemPair, p, cfg: SolverConfig, n_replicates) -> Repli
     if cfg.residual_tolerance > 0:
         raise InvalidInputError("replicate statistics need residual_tolerance = 0")
     sampler = _sampler(sys, p)
+    rows = _rows(sys)
     traces = [
-        _run(sys, sampler, cfg, replicate_rng(cfg.seed, r), residuals=False)
+        _run(sys, sampler, cfg, replicate_rng(cfg.seed, r), residuals=False, rows=rows)
         for r in range(n_replicates)
     ]
     return ReplicateStats(

@@ -295,6 +295,85 @@ class TestExpectationOperator:
         np.testing.assert_array_equal(vtda1, kept_vtda)
         assert not np.array_equal(w1, w2)
 
+    @pytest.mark.parametrize(
+        "m, rows, sizes",
+        [
+            (12, 12, [12]),  # one block: the single matrix product
+            (12, 1, [1] * 12),  # one row per block
+            (13, 5, [5, 5, 3]),  # a ragged last block
+            (12, 4, [4, 4, 4]),  # an exact multiple
+        ],
+        ids=["one", "single-row", "ragged", "exact-multiple"],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        rule=st.sampled_from(list(StepRule)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocked_matrices_match_one_product(self, m, rows, sizes, n, rule, seed):
+        # Summed over row blocks, W and V^T D A are the one-product formulas
+        # bit for bit when the rows fit one block.  Over several blocks both
+        # are sums of the same m computed terms in another order, each within
+        # gamma_m = m u / (1 - m u) of the exact sum (u = 2^-53) times the sum
+        # of the terms' moduli: they differ by at most 2 gamma_{m+2} times it,
+        # which also covers the rounding of W's symmetrization.
+        rng = np.random.default_rng(seed)
+        sys = random_system(m, n, 0.3, rng)
+        op = expectation_operator(sys, rule)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagnostics, "BLOCK_BYTES", 8 * n * rows)
+            assert [b.stop - b.start for b in diagnostics._row_blocks(m, n)] == sizes
+            for p in some_distributions(rng, m):
+                d = (p * op.omega)[:, None]
+                da = d * op.a
+                dy = (2.0 * op.v - op.s[:, None] * op.a) * d
+                g = op.a.T @ dy
+                want = {"vtda": op.v.T @ da, "w": 0.5 * (g + g.T)}
+                g_moduli = np.abs(op.a).T @ np.abs(dy)
+                moduli = {
+                    "vtda": np.abs(op.v).T @ np.abs(da),
+                    "w": 0.5 * (g_moduli + g_moduli.T),
+                }
+                u = 2.0**-53
+                gamma = (m + 2) * u / (1 - (m + 2) * u)
+                for name in ("vtda", "w"):
+                    got = getattr(op, name)(p)
+                    if len(sizes) == 1:
+                        np.testing.assert_array_equal(
+                            got.view(np.int64), want[name].view(np.int64)
+                        )
+                    else:
+                        assert np.all(np.abs(got - want[name]) <= 2 * gamma * moduli[name])
+                w = op.w(p)
+                np.testing.assert_array_equal(w, w.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 4000))
+    def test_row_blocks_cover_the_rows_within_budget(self, m, n, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagnostics, "BLOCK_BYTES", budget)
+            blocks = diagnostics._row_blocks(m, n)
+        most = max(1, budget // (8 * n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == -(-m // most)  # as few blocks as the budget allows
+        assert max(sizes) <= most and min(sizes) >= 1
+        assert all(size == sizes[0] for size in sizes[:-1])
+
+    def test_iteration_matrix_is_identity_minus_bit_for_bit(self):
+        # Signed zeros included: 0.0 - 0.0 is +0.0 off the diagonal, where a
+        # negation would give -0.0.
+        vtda = np.array([[1.0, 0.0, -0.0], [0.0, -0.0, 0.25], [-3.5, 0.0, 0.5]])
+        want = np.eye(3) - vtda
+        got = ExpectationOperator.iteration_matrix(vtda)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        rng = np.random.default_rng(5)
+        vtda = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.5)
+        got = ExpectationOperator.iteration_matrix(vtda)
+        np.testing.assert_array_equal(got.view(np.int64), (np.eye(6) - vtda).view(np.int64))
+
     def test_iteration_matrix_built_per_call(self):
         sys = thresholded_instance(30, 8, 0.5, 3)
         op = expectation_operator(sys)
@@ -322,6 +401,49 @@ class TestExpectationOperator:
         sys = thresholded_instance(6, 3, 0.2, 5)
         with pytest.raises(DimensionError):
             read(expectation_operator(sys), np.full(k, 1.0 / k))
+
+
+class TestAnalysisMemory:
+    """The analysis holds the pair, one row block and a few n x n matrices."""
+
+    # 600 x 200 in blocks of 64 rows: the rows span ten blocks.  Before the
+    # blocked sums the peaks were 8.25 (compute_diagnostics), 7.10 (lambda)
+    # and 4.10 (norm) n x n matrices: 2V - S A and its scaled copy are each
+    # three of them.  Now they are about 4.0, 2.1 and 3.1 plus the block.
+    M, N, BLOCK_ROWS = 600, 200, 64
+
+    def peak_above_system(self, call):
+        sys = thresholded_instance(self.M, self.N, 0.5, 11)
+        p = row_norm_probabilities(sys)
+        warm = thresholded_instance(30, 10, 0.5, 11)
+        call(warm, row_norm_probabilities(warm))
+        tracemalloc.start()
+        try:
+            call(sys, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "BLOCK_BYTES", 8 * self.N * self.BLOCK_ROWS)
+        assert len(diagnostics._row_blocks(self.M, self.N)) > 1
+        return 8 * self.N * self.BLOCK_ROWS
+
+    def test_diagnostics_peak(self, budget):
+        peak = self.peak_above_system(compute_diagnostics)
+        # I - V^T D A, its scaled copy, their Gram matrix and the
+        # eigensolver's copy of it.
+        assert peak <= 4.5 * 8 * self.N**2 + budget
+
+    @pytest.mark.parametrize("objective", list(probopt.Objective), ids=lambda o: o.value)
+    def test_optimizer_peak(self, budget, objective):
+        cfg = probopt.ProbOptConfig(objective=objective, iterations=3)
+        peak = self.peak_above_system(
+            lambda sys, p: probopt.optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+        )
+        assert peak <= 3.5 * 8 * self.N**2 + budget
 
 
 class TestNormCrossCheck:

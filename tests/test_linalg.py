@@ -279,6 +279,17 @@ class TestTopSingularTriplet:
             lam, _, _ = linalg.symmetric_eigensystem(-(m.T @ m))
             assert sigma**2 == pytest.approx(-lam, rel=1e-6)
 
+    def test_scaling_reads_the_largest_modulus(self):
+        # The power-of-two scaling comes from max |m_ij|, here a negative
+        # entry: scaled by the largest positive entry alone, the Gram
+        # matrix would overflow.
+        m = np.array([[-1e300, 1.0], [2.0, 3.0]])
+        assert linalg.top_singular_triplet(m).sigma == pytest.approx(1e300, rel=1e-12)
+        rng = np.random.default_rng(29)
+        m = rng.standard_normal((5, 4))
+        flipped, trip = linalg.top_singular_triplet(-m), linalg.top_singular_triplet(m)
+        assert (flipped.sigma, flipped.second) == (trip.sigma, trip.second)
+
     def test_radius_below_norm(self):
         rng = np.random.default_rng(23)
         for _ in range(20):

@@ -12,6 +12,7 @@ from kaczmarz_mismatch.errors import (
     InvalidInputError,
     NumericError,
 )
+from kaczmarz_mismatch import solver as solver_module
 from kaczmarz_mismatch.sampling import DiscreteSampler, replicate_rng
 from kaczmarz_mismatch.solver import (
     ROW_BLOCK,
@@ -843,6 +844,25 @@ class TestReplicates:
             run(sys, [1.0], cfg)
         with pytest.raises(NumericError, match="non-finite error at iteration 52$"):
             run_replicates(sys, [1.0], cfg, 3)
+
+    def test_rows_built_once_per_batch(self, monkeypatch):
+        # The rows of A and V are read from one set per batch; each replicate
+        # makes only the views of its own iterate.
+        built = []
+        rows = solver_module._rows
+
+        def counted(sys):
+            built.append(sys)
+            return rows(sys)
+
+        monkeypatch.setattr(solver_module, "_rows", counted)
+        rng = np.random.default_rng(33)
+        sys = random_pair(rng, 8, 3)
+        cfg = SolverConfig(max_iterations=50, log_stride=10, seed=5)
+        run_replicates(sys, np.full(8, 1 / 8), cfg, 5)
+        assert built == [sys]
+        run(sys, np.full(8, 1 / 8), cfg)
+        assert built == [sys, sys]
 
     def test_replicates_compute_no_residual(self):
         rng = np.random.default_rng(32)
