@@ -13,9 +13,10 @@ S = diag(omega_i * ||v_i||^2) of the one-step expectation analysis:
     the plain quantities: the same operator on the m x m coordinates
     (A Z, V Z) of an orthonormal basis Z of rg V^T.
 
-``analysis_rows`` is the one place that decides which rows the analysis
-reads: the dense rows (A, V) when m >= n, the coordinates (A Z, V Z) when
-m < n, read off the m x m products A V^T and V V^T.
+``analysis_rows`` is the one place that tests a system's shape: the dense
+rows (A, V) when m >= n, the coordinates (A Z, V Z) when m < n, read off
+the m x m products A V^T and V V^T after the rank test of A V^T.  Every
+quantity below, ``restricted`` included, is read off the rows it returns.
 ``expectation_operator`` builds one ``ExpectationOperator`` per system and
 step rule from those rows and the static step sizes.  Only
 D = diag(p_i omega_i) depends on the row distribution, so its matrices take
@@ -38,9 +39,9 @@ for bit the values the optimizer reached.  The spectral norm is read off
 the top singular pair alone; its identity ||M||^2 = rho(M^T M) is checked
 in the tests.
 
-The three rate expressions coincide for V = A; under mismatch they are
-generally different, and their empirical ordering is recorded but never
-asserted.
+The three rate expressions coincide for V = A; under mismatch the one-step
+identity orders them as rho <= ||I - V^T D A|| <= sqrt(1 - lambda), a chain
+``RateDiagnostics.ordering_observed`` checks on each instance.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ class RateDiagnostics:
 
     @property
     def ordering_observed(self):
-        """Whether rho <= norm <= 1 - lambda held on this instance (reported only)."""
+        """Whether rho <= norm <= sqrt(max(1 - lambda, 0)) held on this instance.
+
+        The one-step identity E[M_i^T M_i] = I - W gives M^T M <= I - W by
+        Jensen, so norm^2 <= 1 - lambda, compared squared: a square root
+        would magnify the rounding of lambda near 1.  Each x <= y is allowed
+        1e-12 max(1, y), the identity in M = I - V^T D A setting the scale.
+        """
+        norm, improvement = self.norm_expectation, self.expected_improvement
         return (
-            self.rho_asymptotic <= self.norm_expectation + 1e-12
-            and self.norm_expectation <= self.expected_improvement + 1e-12
+            self.rho_asymptotic <= norm + 1e-12 * max(1.0, norm)
+            and norm * norm <= improvement + 1e-12 * max(1.0, improvement)
         )
 
     def report_lines(self):
@@ -121,7 +129,7 @@ class RateDiagnostics:
             + ("" if self.fixed_point_error is None else format(self.fixed_point_error, ".17g")),
             f"restricted: {str(self.restricted).lower()}",
             f"guarantees_convergence: {str(self.guarantees_convergence).lower()}",
-            f"ordering_rho_le_norm_le_improvement: {str(self.ordering_observed).lower()}",
+            f"ordering_rho_le_norm_le_sqrt_improvement: {str(self.ordering_observed).lower()}",
         ]
         return lines
 
@@ -242,32 +250,25 @@ def _dense(m) -> np.ndarray:
     return m.toarray() if scipy.sparse.issparse(m) else m
 
 
-def check_range_solvable(av: np.ndarray) -> None:
-    """Reject a wide pair unless A V^T (m x m) has rank m, by pivoted QR.
-
-    Rank m means one solution in rg V^T, and full row rank of A and V.
-    """
-    rank = numerical_rank(av)
-    if rank < av.shape[0]:
-        raise RankDeficiencyError(
-            f"A V^T has rank {rank} < {av.shape[0]}: no unique solution in rg V^T"
-        )
-
-
 def analysis_rows(sys: SystemPair) -> tuple[np.ndarray, np.ndarray]:
     """The rows the expectation analysis reads: (A, V) as dense arrays when m >= n.
 
     When m < n the rates are stated on rg V^T, so the rows are the m x m
     coordinates (A Z, V Z) in an orthonormal basis Z of rg V^T, read off the
-    products A V^T and V V^T (sparse on CSR) after the rank test of A V^T:
-    no m x n or n x n matrix is formed.
+    products A V^T and V V^T (sparse on CSR) after the one rank test of
+    A V^T by pivoted QR (rank m: one solution in rg V^T, full row rank of A
+    and V): no m x n or n x n matrix is formed.
     """
     a, v = sys.a, sys.v
     if sys.m >= sys.n:
         dense_a = _dense(a)
         return dense_a, dense_a if v is a else _dense(v)
     av = _dense(a @ v.T)
-    check_range_solvable(av)
+    rank = numerical_rank(av)
+    if rank < sys.m:
+        raise RankDeficiencyError(
+            f"A V^T has rank {rank} < {sys.m}: no unique solution in rg V^T"
+        )
     return cholesky_coordinates(_dense(v @ v.T), av)
 
 
@@ -309,21 +310,17 @@ def inconsistent_bound(k, lam, gamma, e0_sq) -> float:
     return (1.0 - lam / 2.0) ** k * e0_sq + (2.0 / lam) * gamma**2
 
 
-def _fixed_point_error(sys, d, vtda) -> float:
-    rhs = sys.v.T @ (d * sys.noise)
-    z = lu_solve(vtda, rhs)  # singular when p is non-zero on fewer than n rows
-    return float(np.linalg.norm(z))
-
-
 def compute_diagnostics(
     sys: SystemPair, p, rule: StepRule = StepRule.OBLIQUE_EXACT
 ) -> RateDiagnostics:
     """Assemble the full diagnostics record for a system and row distribution.
 
-    The rates are range-restricted when m < n (see ``analysis_rows``).  Noise
-    quantities are filled in when the system carries a noise vector; the
-    fixed-point error stays None when m < n, where V^T D A (rank <= m) is
-    singular.
+    Every quantity is read on the rows of ``analysis_rows``.  Noise
+    quantities are filled in when the system carries a noise vector: the
+    fixed-point error ||x_bar - x*|| solves V^T D A z = V^T D r on those rows
+    (when m < n, x_bar and x* are the points of rg V^T with A x = b + r and
+    A x = b; every run from rg V^T reaches x_bar), and stays None where
+    V^T D A is singular.
     """
     p = check_probability_vector(p)
     op = expectation_operator(sys, rule)
@@ -332,11 +329,11 @@ def compute_diagnostics(
     gamma = fixed_point_error = None
     if sys.noise is not None:
         gamma = noise_gamma(sys)
-        if sys.m >= sys.n:
-            try:
-                fixed_point_error = _fixed_point_error(sys, p * op.omega, vtda)
-            except (SingularMatrixError, InvalidInputError):
-                pass
+        try:  # V^T D A is singular when p is non-zero on too few rows
+            z = lu_solve(vtda, op.v.T @ (p * op.omega * sys.noise))
+            fixed_point_error = float(np.linalg.norm(z))
+        except (SingularMatrixError, InvalidInputError):
+            pass
     m_mat = op.iteration_matrix(vtda)
     del vtda  # not kept alive through the factorizations of I - V^T D A
     return RateDiagnostics(
@@ -345,5 +342,5 @@ def compute_diagnostics(
         norm_expectation=top_singular_triplet(m_mat).sigma,
         gamma=gamma,
         fixed_point_error=fixed_point_error,
-        restricted=sys.m < sys.n,
+        restricted=op.a.shape[1] < sys.n,
     )

@@ -310,10 +310,10 @@ class TestCtPair:
         assert np.all(3.0 * sys.pairing >= sys.norms_sq_a * (1.0 - 1e-12))
 
 
-def reference_ct_instance(grid, angle_step, rays, seed, span_factor=1.4):
+def reference_ct_instance(grid, angle_step, rays, seed):
     """``build_ct_instance`` from the ray-by-ray tracer and the dense pair."""
     angles = np.arange(0.0, 180.0, angle_step)
-    full = oracles.reference_parallel_beam_matrix(grid, angles, rays, span_factor * grid)
+    full = oracles.reference_parallel_beam_matrix(grid, angles, rays, 1.4 * grid)
     phantom = smooth_phantom(grid, seed)
     return oracles.reference_ct_pair(full, full @ phantom, truth=phantom)
 
@@ -355,17 +355,17 @@ class TestCtPairOracle:
         angle_step=st.sampled_from([5.0, 15.0, 45.0, 90.0]) | st.floats(1.0, 179.0),
         rays=st.integers(1, 10).map(lambda k: 3 * k),
         seed=st.integers(0, 2**16),
-        span_factor=st.floats(0.5, 3.0),
     )
-    def test_matches_reference_on_any_geometry(self, grid, angle_step, rays, seed,
-                                               span_factor):
+    def test_matches_reference_on_any_geometry(self, grid, angle_step, rays, seed):
+        # The span is fixed at 1.4 grid widths; the tracer's own property
+        # varies it from 0.5 to 3.0.
         try:
-            want = reference_ct_instance(grid, angle_step, rays, seed, span_factor)
+            want = reference_ct_instance(grid, angle_step, rays, seed)
         except EmptySystemError:
             with pytest.raises(EmptySystemError):
-                build_ct_instance(grid, angle_step, rays, seed, span_factor)
+                build_ct_instance(grid, angle_step, rays, seed)
             return
-        assert_same_pair(build_ct_instance(grid, angle_step, rays, seed, span_factor), want)
+        assert_same_pair(build_ct_instance(grid, angle_step, rays, seed), want)
 
     @pytest.mark.parametrize("to_full", [np.asarray, scipy.sparse.csr_array,
                                          scipy.sparse.coo_array])
