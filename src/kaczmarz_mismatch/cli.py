@@ -122,10 +122,6 @@ def _build_parser():
     opt.add_argument("--rule", default="oblique",
                      choices=[r.value for r in StepRule])
     opt.add_argument("--iters", type=int, default=200)
-    opt.add_argument("--step", type=float, default=1.0,
-                     help="the step at iterate k is STEP / sqrt(k + 1). On generate "
-                          "--kind underdetermined --seed 1 the default 1.0 never "
-                          "leaves uniform; 0.1 reaches lambda 6.20e-3")
     opt.add_argument("--seed", type=int, default=0,
                      help="recorded in the output headers only: the optimizer "
                           "draws no random numbers")
@@ -265,14 +261,10 @@ def _cmd_solve(args, argv):
 
 def _cmd_optimize(args, argv):
     sys_pair = _load_system(args.system_dir)
-    cfg = ProbOptConfig(
-        objective=Objective(args.objective),
-        iterations=args.iters,
-        base_step=args.step,
-    )
+    cfg = ProbOptConfig(objective=Objective(args.objective), iterations=args.iters)
     result = optimize_probabilities(sys_pair, StepRule(args.rule), cfg)
     headers = provenance_lines(_command_string(argv), args.seed, {
-        "objective": args.objective, "iters": args.iters, "step": args.step,
+        "objective": args.objective, "iters": args.iters,
     })
     write_csv_files(args.out, headers, {
         "p_opt.csv": vector_table(result.best_p, "probability"),

@@ -44,28 +44,47 @@ def mismatch_threshold(a, tau) -> np.ndarray:
     return np.where(np.abs(a) >= tau, a, 0.0)
 
 
+def _solution(v, seed, rng) -> np.ndarray:
+    """The solution x_hat of a Gaussian instance on the rows ``v``.
+
+    Tall (m >= n): the next n Gaussian draws of ``rng``.  Wide (m < n):
+    V^T c with Gaussian c from stream (seed, 2), so that x_hat lies in
+    rg V^T, the subspace the mismatched iteration converges in from
+    x_0 = 0; generically x_hat is then *not* in rg A^T, so the matched
+    iteration stalls at the range gap.  ``rng`` advances by n draws either
+    way, so what it draws next (the noise) does not depend on the shape.
+    """
+    v = as_matrix(v, "v")
+    m, n = v.shape
+    gaussian = rng.standard_normal(n)
+    if m < n:
+        return v.T @ replicate_rng(seed, 2).standard_normal(m)
+    return gaussian
+
+
 def assemble_consistent(a, v, seed) -> SystemPair:
-    """Consistent system with a Gaussian solution: b = A x_hat."""
+    """Consistent system with a Gaussian solution (``_solution``): b = A x_hat."""
     a = as_matrix(a, "a")
-    truth = replicate_rng(seed, 1).standard_normal(a.shape[1])
+    truth = _solution(v, seed, replicate_rng(seed, 1))
     return make_system(a, v, a @ truth, truth=truth)
 
 
 def assemble_inconsistent(a, v, noise_scale, seed) -> SystemPair:
     """Noisy right-hand side: the solver sees b + r with Gaussian r.
 
-    The consistent part b = A x_hat and the noise r are stored separately so
-    the noise amplification and fixed-point error stay computable.
+    The consistent part b = A x_hat (``_solution``) and the noise r are
+    stored separately so the noise amplification and fixed-point error stay
+    computable.
     """
     a = as_matrix(a, "a")
     rng = replicate_rng(seed, 1)
-    truth = rng.standard_normal(a.shape[1])
+    truth = _solution(v, seed, rng)
     noise = noise_scale * rng.standard_normal(a.shape[0])
     return make_system(a, v, a @ truth, noise=noise, truth=truth)
 
 
 def gaussian_instance(m, n, tau, seed, noise_scale=None) -> SystemPair:
-    """Gaussian A with its threshold mismatch V (``tau``) and a Gaussian solution.
+    """Gaussian A with its threshold mismatch V (``tau``) and ``_solution``'s x_hat.
 
     With ``noise_scale`` the right-hand side carries Gaussian noise of that
     scale (``assemble_inconsistent``); without, it is consistent.
@@ -78,18 +97,10 @@ def gaussian_instance(m, n, tau, seed, noise_scale=None) -> SystemPair:
 
 
 def assemble_underdetermined(m, n, tau, seed) -> SystemPair:
-    """Wide system whose solution lies in rg V^T (x_hat = V^T c).
-
-    Generically x_hat is then *not* in rg A^T, so the matched iteration
-    stalls at the range gap while the mismatched one can converge.
-    """
+    """The consistent ``gaussian_instance``, which must be wide (m < n)."""
     if m >= n:
         raise InvalidInputError(f"underdetermined instance needs m < n, got {m} x {n}")
-    a = gen_gaussian(m, n, seed)
-    v = mismatch_threshold(a, tau)
-    c = replicate_rng(seed, 2).standard_normal(m)
-    truth = v.T @ c
-    return make_system(a, v, a @ truth, truth=truth)
+    return gaussian_instance(m, n, tau, seed)
 
 
 def assemble_scaled_for_probopt(m, n, zero_frac, seed) -> SystemPair:
@@ -97,7 +108,7 @@ def assemble_scaled_for_probopt(m, n, zero_frac, seed) -> SystemPair:
 
     Row i (1-based) of A is scaled by 2 / (sqrt(i) + 2), giving decaying row
     norms; V equals A with floor(zero_frac * m * n) uniformly chosen entries
-    set to zero.
+    set to zero.  The solution is ``_solution``'s.
     """
     if not 0 <= zero_frac < 1:
         raise InvalidInputError(f"zero_frac = {zero_frac} must be in [0, 1)")
@@ -109,7 +120,7 @@ def assemble_scaled_for_probopt(m, n, zero_frac, seed) -> SystemPair:
     if n_zero:
         flat = rng.choice(m * n, size=n_zero, replace=False)
         v.flat[flat] = 0.0
-    truth = replicate_rng(seed, 1).standard_normal(n)
+    truth = _solution(v, seed, replicate_rng(seed, 1))
     return make_system(a, v, a @ truth, truth=truth)
 
 

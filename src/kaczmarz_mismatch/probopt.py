@@ -4,7 +4,10 @@ Two objectives over the probability simplex: maximize the contraction
 constant lambda_min(W(p)) (concave in p, projected supergradient ascent) or
 minimize the spectral norm ||I - V^T D A|| (convex in p, projected
 subgradient descent).  Both use the exact Euclidean simplex projection and a
-best-iterate tracker, since subgradient methods are not monotone.
+best-iterate tracker, since subgradient methods are not monotone.  The move
+at iterate k has length ``STEP_LENGTH * ||u|| / sqrt(k + 1)``, u the uniform
+distribution, whatever the gradient's scale: the "nonsummable diminishing
+step length" of Boyd, Xiao & Mutapcic, *Subgradient Methods* (2003).
 
 Both gradients take an ``ExpectationOperator`` from
 ``diagnostics.expectation_operator`` and a distribution p.  The operator is
@@ -38,6 +41,9 @@ from .errors import InvalidInputError
 from .linalg import TIE_RTOL, as_vector, symmetric_eigensystem, top_singular_triplet
 from .solver import StepRule, SystemPair
 
+# Length of the first move in p-space, in units of ||u|| = 1 / sqrt(m).
+STEP_LENGTH = 0.3
+
 
 class Objective(enum.Enum):
     MAX_LAMBDA_MIN = "lambda"
@@ -48,13 +54,10 @@ class Objective(enum.Enum):
 class ProbOptConfig:
     objective: Objective = Objective.MAX_LAMBDA_MIN
     iterations: int = 200
-    base_step: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInputError("iterations must be >= 1")
-        if not 0 < self.base_step < math.inf:
-            raise InvalidInputError(f"base_step = {self.base_step} must be finite and > 0")
 
 
 @dataclass
@@ -120,11 +123,12 @@ def optimize_probabilities(
 ) -> ProbOptResult:
     """Projected super/subgradient iteration from the uniform distribution.
 
-    Ascent for the lambda objective, descent for the norm objective, a step of
-    ``cfg.base_step / sqrt(k + 1)`` times the gradient at iterate k, exact
-    simplex projection after every step, best iterate kept (the raw iterate
-    sequence is not monotone).  Each iterate's objective value comes with its
-    gradient, the final iterate's too.
+    Ascent for the lambda objective, descent for the norm objective.  The
+    move at iterate k is ``STEP_LENGTH / (sqrt(k + 1) sqrt(m) ||g_k||) g_k``,
+    followed by the exact simplex projection; a zero gradient moves nothing.
+    The best iterate is kept (the raw iterate sequence is not monotone).
+    Each iterate's objective value comes with its gradient, the final
+    iterate's too.
     """
     if sys.m < 2:
         raise InvalidInputError("probability optimization needs at least 2 rows")
@@ -148,8 +152,10 @@ def optimize_probabilities(
             break
         if degenerate:
             degenerate_iterations.append(k)
-        step = cfg.base_step / math.sqrt(k + 1.0) * g
-        p = project_simplex(p + step if maximizing else p - step)
+        size = math.sqrt(k + 1.0) * math.sqrt(sys.m) * np.linalg.norm(g)
+        if size > 0:
+            step = STEP_LENGTH / size * g
+            p = project_simplex(p + step if maximizing else p - step)
 
     return ProbOptResult(
         best_p=best_p,

@@ -96,17 +96,34 @@ class TestAssembly:
         sys = assemble_inconsistent(a, a, 0.1, 6)
         assert noise_gamma(sys) > 0
 
-    def test_underdetermined_truth_in_range(self):
-        sys = assemble_underdetermined(30, 100, 0.3, 7)
-        z = oracles.range_basis(sys.v.T)
-        gap = np.linalg.norm(sys.truth - z @ (z.T @ sys.truth))
-        assert gap <= 1e-8 * np.linalg.norm(sys.truth)
-
     def test_underdetermined_range_gap_for_matched_rows(self):
         sys = assemble_underdetermined(30, 100, 0.3, 8)
         za = oracles.range_basis(sys.a.T)
         gap = np.linalg.norm(sys.truth - za @ (za.T @ sys.truth))
         assert gap > 1e-3  # generically far from rg A^T
+
+    @pytest.mark.parametrize("kind", ["underdetermined", "consistent", "inconsistent", "probopt"])
+    def test_wide_truth_in_range(self, kind):
+        # Every wide Gaussian instance draws its solution in rg V^T, where the
+        # mismatched iteration converges from x_0 = 0.
+        sys = build_instance(kind, 1, m=40, n=120)
+        z = oracles.range_basis(sys.v.T)
+        gap = np.linalg.norm(sys.truth - z @ (z.T @ sys.truth))
+        assert gap <= 1e-8 * np.linalg.norm(sys.truth)
+
+    def test_wide_consistent_solve_reaches_truth(self):
+        sys = build_instance("consistent", 1, m=40, n=120)
+        trace = run(sys, np.full(40, 1 / 40), SolverConfig(max_iterations=20000, log_stride=20000))
+        assert trace.error_norms[-1] < 1e-10 * np.linalg.norm(sys.truth)
+
+    def test_wide_inconsistent_solve_ends_at_fixed_point_error(self):
+        # A noisy wide system is consistent on rg V^T: the iterates reach the
+        # fixed point, whose distance from truth diagnose reports.
+        sys = build_instance("inconsistent", 1, m=40, n=120)
+        p = np.full(40, 1 / 40)
+        trace = run(sys, p, SolverConfig(max_iterations=20000, log_stride=20000))
+        expected = compute_diagnostics(sys, p).fixed_point_error
+        assert trace.error_norms[-1] == pytest.approx(expected, rel=1e-10)
 
     def test_underdetermined_requires_wide_shape(self):
         with pytest.raises(InvalidInputError):

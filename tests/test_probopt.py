@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ class TestDiagnosedValue:
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     def test_equals_best_objective_bit_for_bit(self, kind, params, objective):
         sys = problems.build_instance(kind, 1, **params)
-        cfg = ProbOptConfig(objective=objective, iterations=30, base_step=0.1)
+        cfg = ProbOptConfig(objective=objective, iterations=30)
         res = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         diag = compute_diagnostics(sys, res.best_p)
         if objective is Objective.MAX_LAMBDA_MIN:
@@ -442,7 +443,7 @@ class TestOptimize:
     def test_values_paired_with_iterates(self, objective, evaluate, better):
         # Values come with the gradients; a shift between values and
         # iterates would pair best_p with a neighbour's value.
-        sys = assemble_scaled_for_probopt(20, 8, 0.05, 66)
+        sys = assemble_scaled_for_probopt(20, 8, 0.05, 74)
         cfg = ProbOptConfig(objective=objective, iterations=25)
         result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
         assert 0 < better(result.objective_evals) < 25  # best is a middle iterate
@@ -485,6 +486,21 @@ class TestOptimize:
             # One matrix per iterate, the final one included, and never the
             # other objective's.
             assert reads == [name] * 26
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    def test_zero_gradient_takes_no_step(self, objective):
+        # With a zero column in A = V both gradients vanish at uniform p
+        # (lambda = 0, norm = 1): the normalized step must not divide 0 / 0.
+        a = np.random.default_rng(0).standard_normal((6, 3))
+        a[:, 2] = 0.0
+        sys = make_system(a, a, a @ np.ones(3))
+        cfg = ProbOptConfig(objective=objective, iterations=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, cfg)
+        np.testing.assert_array_equal(result.best_p, np.full(6, 1 / 6))
+        assert np.all(np.isfinite(result.objective_evals))
+        assert len(result.objective_evals) == 11
 
     def test_requires_two_rows(self):
         sys = make_system(np.ones((1, 2)), np.ones((1, 2)), np.zeros(1))
