@@ -92,20 +92,19 @@ def _build_parser():
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
-    diag = sub.add_parser("diagnose", help="compute convergence diagnostics")
-    diag.add_argument("--system-dir", required=True)
-    diag.add_argument("--p", default="uniform",
-                      help="uniform | rownorm-a | pairing | file:PATH")
-    diag.add_argument("--rule", default="oblique",
-                      choices=[r.value for r in StepRule])
+    # The flags diagnose, solve and optimize share; they lead each header.
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--system-dir", required=True)
+    system.add_argument("--rule", default="oblique", choices=[r.value for r in StepRule])
+    p_flag = argparse.ArgumentParser(add_help=False)
+    p_flag.add_argument("--p", default="uniform", help="uniform | rownorm-a | pairing | file:PATH")
+
+    diag = sub.add_parser("diagnose", parents=[system, p_flag],
+                          help="compute convergence diagnostics")
     diag.add_argument("--out", default=None,
                       help="directory for diagnostics.csv (default: system dir)")
 
-    solve = sub.add_parser("solve", help="run the randomized iteration")
-    solve.add_argument("--system-dir", required=True)
-    solve.add_argument("--p", default="uniform")
-    solve.add_argument("--rule", default="oblique",
-                       choices=[r.value for r in StepRule])
+    solve = sub.add_parser("solve", parents=[system, p_flag], help="run the randomized iteration")
     solve.add_argument("--iters", type=int, default=10000)
     solve.add_argument("--log-stride", type=int, default=100)
     solve.add_argument("--seed", type=int, default=0)
@@ -115,12 +114,9 @@ def _build_parser():
                        help="start from V^T c with Gaussian c instead of zero")
     solve.add_argument("--out", required=True)
 
-    opt = sub.add_parser("optimize", help="optimize the row probabilities")
-    opt.add_argument("--system-dir", required=True)
+    opt = sub.add_parser("optimize", parents=[system], help="optimize the row probabilities")
     opt.add_argument("--objective", choices=[o.value for o in Objective],
                      default="lambda")
-    opt.add_argument("--rule", default="oblique",
-                     choices=[r.value for r in StepRule])
     opt.add_argument("--iters", type=int, default=200)
     opt.add_argument("--seed", type=int, default=0,
                      help="recorded in the output headers only: the optimizer "
@@ -159,6 +155,12 @@ def _command_string(argv):
     return "kaczmarz-mismatch " + " ".join(argv)
 
 
+def _flag_headers(args, argv):
+    """Header of a diagnose, solve or optimize file: every flag as parsed but ``--out``."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "seed")}
+    return provenance_lines(_command_string(argv), getattr(args, "seed", "-"), params)
+
+
 def _load_system(system_dir):
     a = read_matrix_market(os.path.join(system_dir, "A.mtx"))
     v = read_matrix_market(os.path.join(system_dir, "V.mtx"))
@@ -189,8 +191,8 @@ def _cmd_generate(args, argv):
     recipe = problems.INSTANCES[args.kind]
     given = _given_flags(args, {"seed", *recipe.defaults}, f"--kind {args.kind}")
     seed = given.pop("seed")
-    params = recipe.parameters(given)
-    sys_pair = problems.build_instance(args.kind, seed, **params)
+    params = {"kind": args.kind, **recipe.parameters(given)}
+    sys_pair = problems.build_instance(seed=seed, **params)
     out = args.out
     files = {"b.csv": vector_table(sys_pair.b)}
     for name, vector in (("r.csv", sys_pair.noise), ("xhat.csv", sys_pair.truth)):
@@ -203,15 +205,12 @@ def _cmd_generate(args, argv):
             os.remove(path)
 
     command = _command_string(argv)
-    headers = provenance_lines(command, seed)
+    headers = provenance_lines(command, seed, params)
     write_csv_files(out, headers, files)
     comment = "\n".join(headers)
     write_matrix_market(os.path.join(out, "A.mtx"), sys_pair.a, comment=comment)
     write_matrix_market(os.path.join(out, "V.mtx"), sys_pair.v, comment=comment)
-    write_manifest(
-        out, command, seed, {"kind": args.kind, **params},
-        rows=sys_pair.m, cols=sys_pair.n,
-    )
+    write_manifest(out, command, seed, params, rows=sys_pair.m, cols=sys_pair.n)
     _report(f"wrote {args.kind} instance ({sys_pair.m} x {sys_pair.n}) to {out}")
     return EXIT_OK
 
@@ -220,10 +219,8 @@ def _cmd_diagnose(args, argv):
     sys_pair = _load_system(args.system_dir)
     p = _resolve_probabilities(sys_pair, args.p)
     diag = compute_diagnostics(sys_pair, p, StepRule(args.rule))
-    write_csv_files(
-        args.out or args.system_dir, provenance_lines(_command_string(argv), "-"),
-        {"diagnostics.csv": (CSV_COLUMNS, [diag.csv_row()])},
-    )
+    write_csv_files(args.out or args.system_dir, _flag_headers(args, argv),
+                    {"diagnostics.csv": (CSV_COLUMNS, [diag.csv_row()])})
     lines = diag.report_lines()
     if not diag.guarantees_convergence:
         lines.append("warning: no convergence guarantee (lambda <= 0)")
@@ -246,11 +243,8 @@ def _cmd_solve(args, argv):
         start_coefficients=start_coefficients,
     )
     trace = run(sys_pair, p, cfg)
-    headers = provenance_lines(_command_string(argv), args.seed, {
-        "rule": args.rule, "p": args.p, "iters": args.iters,
-        "log_stride": args.log_stride, "tol": args.tol,
-    })
-    write_csv_files(args.out, headers, {"trace.csv": experiments.trace_table(trace)})
+    write_csv_files(args.out, _flag_headers(args, argv),
+                    {"trace.csv": experiments.trace_table(trace)})
     last_err = trace.error_norms[-1] if trace.error_norms else float("nan")
     _report(
         f"ran {trace.logged_k[-1]} iterations; final residual "
@@ -263,10 +257,7 @@ def _cmd_optimize(args, argv):
     sys_pair = _load_system(args.system_dir)
     cfg = ProbOptConfig(objective=Objective(args.objective), iterations=args.iters)
     result = optimize_probabilities(sys_pair, StepRule(args.rule), cfg)
-    headers = provenance_lines(_command_string(argv), args.seed, {
-        "objective": args.objective, "iters": args.iters,
-    })
-    write_csv_files(args.out, headers, {
+    write_csv_files(args.out, _flag_headers(args, argv), {
         "p_opt.csv": vector_table(result.best_p, "probability"),
         "history.csv": (("iter", "objective"), enumerate(result.objective_evals)),
     })

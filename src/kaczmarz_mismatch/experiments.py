@@ -2,16 +2,18 @@
 
 Each experiment builds its instance through ``problems.build_instance``,
 runs the relevant solves, and computes traces, diagnostics, and
-theoretical-bound curves.  Only then does it write its directory, every CSV
-through one ``fileio.write_csv_files`` call per header set, and last its
-``manifest.json``; a pipeline that fails leaves no directory.  A matched
+theoretical-bound curves.  Only then does it write its directory through
+``_write``: every CSV, then its ``manifest.json``, each recording the same
+parameters (the instance kind, the instance's, the pipeline's own); a
+pipeline that fails leaves no directory.  A matched
 solve (V = A) runs on ``solver.matched_pair`` of the mismatched system, and
 each solve packs the row spans it reads for its own run.  fig1-fig3 share
 their steps in ``_figure``.
 ``EXPERIMENTS`` lists each pipeline's instance kind and parameters with their
 desk-scale defaults (seconds to minutes).  Every parameter, its instance's
 included, is an ``experiment`` flag; the flags reach the published sizes.
-table1's solve length and error target are the constants ``TABLE1_*``.
+table1's solve length and error target are the constants ``TABLE1_*``,
+recorded with its parameters.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def trace_table(trace):
 
 
 def _setup(name, given):
-    """(seed, instance parameters, own parameters, instance) of pipeline ``name``.
+    """(seed, parameters: the instance's then its own, instance) of pipeline ``name``.
 
     A pipeline writes its output directory only after its last computation,
     so invalid parameters, like any other failure, leave no directory behind.
@@ -93,9 +95,15 @@ def _setup(name, given):
     exp = EXPERIMENTS[name]
     params = exp.parameters(given)
     seed = params.pop("seed")
-    instance = {key: params.pop(key) for key in problems.INSTANCES[exp.kind].defaults}
-    sys = problems.build_instance(exp.kind, seed, **instance)
-    return seed, instance, params, sys
+    instance = {key: params[key] for key in problems.INSTANCES[exp.kind].defaults}
+    return seed, params, problems.build_instance(exp.kind, seed, **instance)
+
+
+def _write(name, out_dir, command, seed, parameters, files):
+    """Write the CSV ``files``, then ``manifest.json``; each records kind and ``parameters``."""
+    parameters = {"kind": EXPERIMENTS[name].kind, **parameters}
+    write_csv_files(out_dir, provenance_lines(command, seed, parameters), files)
+    write_manifest(out_dir, command, seed, parameters, experiment=name)
 
 
 def _figure(name, out_dir, command, params, table, matched):
@@ -104,8 +112,8 @@ def _figure(name, out_dir, command, params, table, matched):
     ``table(sys, diag, mismatched trace)`` gives the file name, columns and
     rows of the figure's own table.  ``matched`` adds the matched solve.
     """
-    seed, instance, own, sys = _setup(name, params)
-    cfg = SolverConfig(max_iterations=own["iters"], log_stride=own["log_stride"], seed=seed)
+    seed, params, sys = _setup(name, params)
+    cfg = SolverConfig(max_iterations=params["iters"], log_stride=params["log_stride"], seed=seed)
     p = probability_scheme(sys, "rownorm-a")
     diag = compute_diagnostics(sys, p)  # auto-restricted for m < n
 
@@ -116,11 +124,7 @@ def _figure(name, out_dir, command, params, table, matched):
     files["diagnostics.csv"] = (CSV_COLUMNS, [diag.csv_row()])
     file_name, columns, rows = table(sys, diag, trace)
     files[file_name] = (columns, rows)
-    write_csv_files(out_dir, provenance_lines(command, seed, instance), files)
-    write_manifest(
-        out_dir, command, seed, {"kind": EXPERIMENTS[name].kind, **instance, **own},
-        experiment=name,
-    )
+    _write(name, out_dir, command, seed, params, files)
     return diag
 
 
@@ -170,23 +174,18 @@ def experiment_fig3(out_dir, command="experiment fig3", **params):
 
 def experiment_ct(out_dir, command="experiment ct", **params):
     """Tomography reconstruction with a detector-bin-averaged backprojector."""
-    seed, instance, own, sys = _setup("ct", params)
-    cfg = SolverConfig(max_iterations=own["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
+    seed, params, sys = _setup("ct", params)
+    cfg = SolverConfig(max_iterations=params["sweeps"] * sys.m, log_stride=sys.m, seed=seed)
 
-    own = {"rows": sys.m, **own}
     trace_mis = run(sys, probability_scheme(sys, "pairing"), cfg)
     trace_matched = run(matched_pair(sys), probability_scheme(sys, "rownorm-a"), cfg)
-    write_csv_files(out_dir, provenance_lines(command, seed, {**instance, **own}), {
+    _write("ct", out_dir, command, seed, {**params, "rows": sys.m}, {
         "rkma_trace.csv": trace_table(trace_mis),
         "rk_trace.csv": trace_table(trace_matched),
         "phantom.csv": vector_table(sys.truth),
         "recon_rkma.csv": vector_table(trace_mis.final_x),
         "recon_rk.csv": vector_table(trace_matched.final_x),
     })
-    write_manifest(
-        out_dir, command, seed, {"kind": EXPERIMENTS["ct"].kind, **instance, **own},
-        experiment="ct",
-    )
     return trace_mis, trace_matched
 
 
@@ -205,12 +204,12 @@ def experiment_table1(out_dir, command="experiment table1", **params):
     two optimized distributions, plus a solve trace and an
     iterations-to-target summary per distribution.
     """
-    seed, instance, own, sys = _setup("table1", params)
-    opt_iterations = own["iters"]
+    seed, params, sys = _setup("table1", params)
+    opt_iterations = params["iters"]
     lam_cfg = ProbOptConfig(objective=Objective.MAX_LAMBDA_MIN, iterations=opt_iterations)
     norm_cfg = ProbOptConfig(objective=Objective.MIN_SPECTRAL_NORM, iterations=opt_iterations)
     cfg = SolverConfig(
-        max_iterations=TABLE1_SOLVE_ITERATIONS, log_stride=own["log_stride"], seed=seed
+        max_iterations=TABLE1_SOLVE_ITERATIONS, log_stride=params["log_stride"], seed=seed
     )
 
     opt_lam = optimize_probabilities(sys, StepRule.OBLIQUE_EXACT, lam_cfg)
@@ -247,13 +246,9 @@ def experiment_table1(out_dir, command="experiment table1", **params):
             (name, iterations_to_error(trace, TABLE1_ERROR_TARGET), trace.error_norms[-1])
         )
 
-    headers = provenance_lines(command, seed, {**instance, "iters": opt_iterations})
-    write_csv_files(out_dir, headers, files)
-    write_csv_files(out_dir, headers + [f"error_target: {TABLE1_ERROR_TARGET}"], {
-        "summary.csv": (("scheme", "iterations_to_target", "final_error"), summary_rows),
-    })
-    write_manifest(out_dir, command, seed, {
-        "kind": EXPERIMENTS["table1"].kind, **instance, **own,
+    files["summary.csv"] = (("scheme", "iterations_to_target", "final_error"), summary_rows)
+    _write("table1", out_dir, command, seed, {
+        **params,
         "solve_iterations": TABLE1_SOLVE_ITERATIONS, "error_target": TABLE1_ERROR_TARGET,
-    }, experiment="table1")
+    }, files)
     return quantities

@@ -13,6 +13,8 @@ and header text produce byte-identical files, and floats are rendered with
 Every command writes its CSV files through ``write_csv_files`` and its
 ``manifest.json`` through ``write_manifest``, so this module alone writes
 the provenance (tool and format version, command, seed) of every output.
+After those four lines, a header lists every parameter of the command that
+wrote the file, as resolved; a ``manifest.json`` lists the same parameters.
 
 ``scipy.io`` is imported inside the two Matrix Market functions, not at
 module level: it loads its matlab, arff, netcdf and fast_matrix_market
@@ -54,13 +56,16 @@ FORMAT_VERSION = "2"
 
 
 def provenance_lines(command, seed, params=None):
-    """Header block of every output file: provenance, then one line per parameter."""
+    """Header block of every output file: provenance, then one line per parameter.
+
+    A bool renders as ``true``/``false``, as in a CSV cell.
+    """
     return [
         f"tool_version: {__version__}",
         f"format_version: {FORMAT_VERSION}",
         f"command: {command}",
         f"seed: {seed}",
-    ] + [f"{key}: {value}" for key, value in (params or {}).items()]
+    ] + [f"{k}: {str(v).lower() if isinstance(v, bool) else v}" for k, v in (params or {}).items()]
 
 
 def write_manifest(out_dir, command, seed, parameters, **fields):

@@ -349,7 +349,7 @@ class TestSolve:
         assert run_cli(["generate", "--kind", "consistent", "--m", "30", "--n", "8",
                         "--seed", "1", "--out", str(out)]) == 0
         lines = (out / "b.csv").read_text().splitlines(keepends=True)
-        lines[9] = "0.12x5\n"  # a value row: the header block is 5 lines
+        lines[9] = "0.12x5\n"  # the first value row, after 9 header lines
         (out / "b.csv").write_text("".join(lines))
         capsys.readouterr()
         run_dir = tmp_path / "run"
@@ -361,37 +361,120 @@ class TestSolve:
         assert not run_dir.exists()
 
 
-def header_lines(path):
+def header_lines(path, marker="# "):
     with open(path) as fh:
-        return [line[2:].rstrip("\n") for line in fh if line.startswith("# ")]
+        return [line[len(marker):].rstrip("\n") for line in fh
+                if line.startswith(marker) and not line.startswith("%%")]
+
+
+def identity_system(sys_dir):
+    sys_dir.mkdir()
+    eye = np.eye(3)
+    fileio.write_matrix_market(sys_dir / "A.mtx", eye)
+    fileio.write_matrix_market(sys_dir / "V.mtx", eye)
+    fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(3)))
+    return str(sys_dir)
+
+
+def provenance(argv, seed):
+    return [
+        f"tool_version: {kaczmarz_mismatch.__version__}",
+        "format_version: 2",
+        "command: kaczmarz-mismatch " + " ".join(argv),
+        f"seed: {seed}",
+    ]
+
+
+def assert_headers_match_manifest(out):
+    """Every CSV and .mtx header of ``out`` holds the manifest's provenance and parameters."""
+    with open(os.path.join(out, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    parameters = sorted(
+        f"{key}: {str(value).lower() if isinstance(value, bool) else value}"
+        for key, value in manifest["parameters"].items()
+    )
+    names = sorted(os.listdir(out))
+    assert any(name.endswith(".csv") for name in names)
+    for name in names:
+        if not name.endswith((".csv", ".mtx")):
+            continue
+        lines = header_lines(os.path.join(out, name), "# " if name.endswith(".csv") else "%")
+        assert lines[:4] == fileio.provenance_lines(manifest["command"], manifest["seed"]), name
+        assert sorted(lines[4:]) == parameters, name
 
 
 class TestHeaders:
     def test_solve_and_optimize_header_lines(self, tmp_path):
-        sys_dir = tmp_path / "sys"
-        sys_dir.mkdir()
-        eye = np.eye(3)
-        fileio.write_matrix_market(sys_dir / "A.mtx", eye)
-        fileio.write_matrix_market(sys_dir / "V.mtx", eye)
-        fileio.write_table_csv(sys_dir / "b.csv", *fileio.vector_table(np.ones(3)))
+        sys_dir = identity_system(tmp_path / "sys")
         runs = {
-            "trace.csv": (["solve", "--system-dir", str(sys_dir), "--iters", "20",
+            "trace.csv": (["solve", "--system-dir", sys_dir, "--iters", "20",
                            "--log-stride", "5", "--seed", "4", "--tol", "1e-09",
                            "--out", str(tmp_path / "solve")],
-                          ["rule: oblique", "p: uniform", "iters: 20", "log_stride: 5",
-                           "tol: 1e-09"]),
-            "p_opt.csv": (["optimize", "--system-dir", str(sys_dir), "--iters", "3",
+                          [f"system_dir: {sys_dir}", "rule: oblique", "p: uniform",
+                           "iters: 20", "log_stride: 5", "tol: 1e-09",
+                           "start_in_range: false"]),
+            "p_opt.csv": (["optimize", "--system-dir", sys_dir, "--iters", "3",
                            "--seed", "6", "--out", str(tmp_path / "opt")],
-                          ["objective: lambda", "iters: 3"]),
+                          [f"system_dir: {sys_dir}", "rule: oblique", "objective: lambda",
+                           "iters: 3"]),
         }
         for name, (argv, own) in runs.items():
             assert run_cli(argv) == 0
-            assert header_lines(os.path.join(argv[-1], name)) == [
-                f"tool_version: {kaczmarz_mismatch.__version__}",
-                "format_version: 2",
-                "command: kaczmarz-mismatch " + " ".join(argv),
-                f"seed: {argv[argv.index('--seed') + 1]}",
-            ] + own
+            assert header_lines(os.path.join(argv[-1], name)) == provenance(
+                argv, argv[argv.index("--seed") + 1]
+            ) + own
+
+    def test_required_flags_only_record_every_resolved_flag(self, tmp_path):
+        sys_dir = identity_system(tmp_path / "sys")
+        runs = {
+            "diagnostics.csv": (["diagnose", "--system-dir", sys_dir], "-",
+                                ["rule: oblique", "p: uniform"]),
+            "trace.csv": (["solve", "--system-dir", sys_dir, "--out", str(tmp_path / "solve")],
+                          "0", ["rule: oblique", "p: uniform", "iters: 10000",
+                                "log_stride: 100", "tol: 0.0", "start_in_range: false"]),
+            "history.csv": (["optimize", "--system-dir", sys_dir, "--out", str(tmp_path / "opt")],
+                            "0", ["rule: oblique", "objective: lambda", "iters: 200"]),
+        }
+        for name, (argv, seed, own) in runs.items():
+            assert run_cli(argv) == 0
+            out = argv[-1] if "--out" in argv else sys_dir
+            assert header_lines(os.path.join(out, name)) == provenance(argv, seed) + [
+                f"system_dir: {sys_dir}"
+            ] + own, name
+
+    def test_solve_help_names_the_probability_sources(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(["solve", "--help"])
+        assert "uniform | rownorm-a | pairing | file:PATH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("consistent", ["--m", "12", "--n", "4"]),
+        ("inconsistent", ["--m", "12", "--n", "4"]),
+        ("underdetermined", ["--m", "4", "--n", "12"]),
+        ("probopt", ["--m", "12", "--n", "4"]),
+        ("ct", ["--grid", "8", "--rays", "12"]),
+    ])
+    def test_generate_headers_match_manifest(self, tmp_path, kind, flags):
+        out = str(tmp_path / kind)
+        assert run_cli(["generate", "--kind", kind, *flags, "--seed", "2", "--out", out]) == 0
+        assert {"A.mtx", "V.mtx", "b.csv"} <= set(os.listdir(out))
+        assert_headers_match_manifest(out)
+        assert f"kind: {kind}" in header_lines(os.path.join(out, "A.mtx"), "%")
+
+    @pytest.mark.parametrize("name, flags", [
+        ("fig1", ["--m", "30", "--n", "8", "--iters", "200", "--log-stride", "50"]),
+        ("fig2", ["--m", "30", "--n", "8", "--iters", "200", "--log-stride", "50"]),
+        ("fig3", ["--m", "10", "--n", "30", "--iters", "400", "--log-stride", "100"]),
+        ("ct", ["--grid", "8", "--rays", "12", "--sweeps", "1"]),
+        ("table1", ["--m", "20", "--n", "6", "--iters", "5"]),
+    ])
+    def test_experiment_headers_match_manifest(self, tmp_path, name, flags):
+        out = str(tmp_path / name)
+        assert run_cli(["experiment", "--name", name, *flags, "--out", out]) == 0
+        assert_headers_match_manifest(out)
+        parameters = header_lines(os.path.join(out, "rkma_trace.csv" if name != "table1"
+                                               else "trace_uniform.csv"))
+        assert f"kind: {experiments.EXPERIMENTS[name].kind}" in parameters
 
 
 class TestOptimize:

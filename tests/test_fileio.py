@@ -307,7 +307,7 @@ class TestWriteCsvFiles:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_second_call_adds_its_own_header_line(self, tmp_path):
-        # table1's summary.csv: the shared headers plus one line of its own.
+        # A later call's own header lines reach only the files it writes.
         headers = fileio.provenance_lines("test", 5)
         fileio.write_csv_files(tmp_path, headers, {"table.csv": (("a",), [(1.0,)])})
         fileio.write_csv_files(
