@@ -7,7 +7,7 @@ for underdetermined systems, and simplex-constrained optimization of the
 row-selection probabilities.
 """
 
-__version__ = "0.29.0"
+__version__ = "0.30.0"
 
 from .diagnostics import (  # noqa: E402
     RateDiagnostics,

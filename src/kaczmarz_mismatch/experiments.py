@@ -7,7 +7,7 @@ theoretical-bound curves.  Only then does it write its directory through
 parameters (the instance kind, the instance's, the pipeline's own); a
 pipeline that fails leaves no directory.  A matched
 solve (V = A) runs on ``solver.matched_pair`` of the mismatched system, and
-each solve packs the row spans it reads for its own run.  fig1-fig3 share
+each solve makes the rows it reads for its own run.  fig1-fig3 share
 their steps in ``_figure``.
 ``EXPERIMENTS`` lists each pipeline's instance kind and parameters with their
 desk-scale defaults (seconds to minutes).  Every parameter, its instance's

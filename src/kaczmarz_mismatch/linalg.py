@@ -14,8 +14,9 @@ The symmetric and singular-value functions compute only the end of the
 spectrum they return, by LAPACK ``syevr`` over an index range:
 ``symmetric_eigensystem`` the lowest two eigenpairs (and lambda_max only
 when its tie test needs it), and ``top_singular_triplet`` the top two
-eigenpairs of the smaller Gram matrix.  Where syevr drops eigenvalues of a
-cluster that the range splits, the full decomposition is used instead.
+eigenpairs of the smaller Gram matrix, which syevr overwrites.  Where syevr
+drops eigenvalues of a cluster that the range splits, the full
+decomposition is used instead.
 Each factorizing function makes its own LAPACK calls instead of calling
 another factorizing function, so counting calls to them counts
 factorizations.
@@ -122,14 +123,17 @@ _SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), d
 _SYEVR_WORK: dict[int, tuple[int, int]] = {}
 
 
-def _eigh_range(sym, lo, hi, eigvals_only=False):
+def _eigh_range(sym, lo, hi, eigvals_only=False, rebuild=None):
     """Eigenvalues lo..hi (0-based, ascending), with eigenvectors unless
     ``eigvals_only``, of a symmetric matrix by LAPACK syevr.
 
-    syevr reads the lower triangle.  It can return fewer eigenvalues than
-    asked for, or fail, when the index range splits a cluster of equal
-    eigenvalues, as in the Gram matrix of an oblique projector
-    I - v a^T / <a, v>; the full decomposition is sliced instead.
+    syevr reads the lower triangle.  Given ``rebuild``, a function that
+    makes ``sym`` again, syevr overwrites ``sym`` instead of a copy of it;
+    ``sym`` must then be bitwise symmetric and C-ordered, since syevr reads
+    its transpose, the same matrix in Fortran order.  syevr can return
+    fewer eigenvalues than asked for, or fail, when the index range splits a
+    cluster of equal eigenvalues, as in the Gram matrix of an oblique
+    projector I - v a^T / <a, v>; the full decomposition is sliced instead.
     """
     n = sym.shape[0]
     if n not in _SYEVR_WORK:
@@ -137,11 +141,14 @@ def _eigh_range(sym, lo, hi, eigvals_only=False):
         _SYEVR_WORK[n] = (int(work), int(iwork))
     lwork, liwork = _SYEVR_WORK[n]
     vals, vecs, found, _, info = _SYEVR(
-        sym, compute_v=0 if eigvals_only else 1, range="I", lower=1,
-        il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork,
+        sym if rebuild is None else sym.T, compute_v=0 if eigvals_only else 1,
+        range="I", lower=1, il=lo + 1, iu=hi + 1, lwork=lwork, liwork=liwork,
+        overwrite_a=int(rebuild is not None),
     )
     if info == 0 and found == hi - lo + 1:
         return vals[:found] if eigvals_only else (vals[:found], vecs)
+    if rebuild is not None:
+        sym = rebuild()
     if eigvals_only:
         return np.linalg.eigvalsh(sym)[lo : hi + 1]
     vals, vecs = np.linalg.eigh(sym)
@@ -212,9 +219,14 @@ def top_singular_triplet(m) -> SingularTriplet:
     exponent = int(np.frexp(peak)[1])
     m = np.ldexp(m, -exponent)
     wide = rows < cols
-    gram = m @ m.T if wide else m.T @ m
-    k = gram.shape[0]
-    vals, vecs = _eigh_range(gram, max(k - 2, 0), k - 1)
+
+    def gram():
+        # numpy forms either product by BLAS syrk: bitwise symmetric.
+        return m @ m.T if wide else m.T @ m
+
+    k = min(rows, cols)
+    # syevr overwrites this Gram matrix: no copy of it is made.
+    vals, vecs = _eigh_range(gram(), max(k - 2, 0), k - 1, rebuild=gram)
     sigma = math.sqrt(vals[-1])
     second = math.sqrt(max(vals[0], 0.0)) if k > 1 else 0.0
     top = vecs[:, -1].copy()

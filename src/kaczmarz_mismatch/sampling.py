@@ -47,11 +47,13 @@ class DiscreteSampler:
     def __init__(self, p):
         p = check_probability_vector(p)
         m = len(p)
-        scaled = p * m
-        prob_table = np.ones(m)
-        alias_table = np.arange(m)
-        small = [i for i in range(m) if scaled[i] < 1.0]
-        large = [i for i in range(m) if scaled[i] >= 1.0]
+        # Python floats: the arithmetic of numpy float64 scalars, at a
+        # fraction of their cost per operation.
+        scaled = (p * m).tolist()
+        prob_table = [1.0] * m
+        alias_table = list(range(m))
+        small = [i for i, s in enumerate(scaled) if s < 1.0]
+        large = [i for i, s in enumerate(scaled) if s >= 1.0]
         while small and large:
             s = small.pop()
             l = large.pop()
@@ -65,8 +67,8 @@ class DiscreteSampler:
         for i in large + small:
             prob_table[i] = 1.0
         self.m = m
-        self._prob_table = prob_table
-        self._alias_table = alias_table
+        self._prob_table = np.array(prob_table)
+        self._alias_table = np.array(alias_table)
 
     def draw(self, rng) -> int:
         j = int(rng.integers(self.m))

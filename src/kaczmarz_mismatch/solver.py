@@ -15,19 +15,17 @@ in use: b, or b plus the stored noise vector for inconsistent systems.
 random stream.  A step is one BLAS ``ddot`` and one ``daxpy`` on the
 iterate in place.
 
-The kernel reads a row of V as its span: the row's values from its first
-stored column to its last, with the view of ``x`` over the same columns.  A
-dense row is its own span over all of ``x``, so a dense system makes exactly
-the BLAS calls of a kernel on whole rows.  The spans of a CSR operator are
-views into one packed buffer, and the kernel writes no column outside them.
-A row of A is read the same way when A is dense, or when ``v is a`` (the
-matched system of ``matched_pair``), where one set of spans serves both.  A
-row of a mismatched CSR A is read by its stored entries alone: a view of
-``A.data`` against ``x`` gathered at the row's columns.  On the tomography
-pair at grid 50 a row of A stores 50 entries but spans 1229 columns, so A
-gets no packed buffer.  ``_rows`` makes these once per ``run``, or once per
-batch of ``run_replicates``, and they are freed when it ends; ``_kernel``
-makes each run's views of its own iterate.
+A dense row is read against the whole iterate.  A CSR row is read by its
+stored entries: row i reads x at A's stored columns, in A's order, then at
+V's other stored columns (one set of columns when ``v is a``, the matched
+system of ``matched_pair``).  The kernel gathers x there once, takes
+<a_i, x> with ``ddot`` over the first columns, against a view of
+``A.data``, updates the gathered copy with ``daxpy`` and V's values over
+all of them (0.0 where V stores none), and writes it back.  It writes no
+other column.  ``_rows`` makes the O(nnz) layout once per ``run``, or once
+per batch of ``run_replicates``, and it is freed when that ends; at grid
+50 of the tomography pair it holds 2.25 MB where V's rows from first to
+last stored column held 16.5 MB.
 
 A ``SystemPair`` keeps its operators as they were built or read: dense
 arrays, or CSR arrays (the tomography pair, and coordinate ``.mtx`` files).
@@ -35,9 +33,9 @@ Validation, the pairing and squared row norms (``make_system``, once per
 system), the starting point and the logged residuals run on either kind, on
 CSR over the stored entries only.  The expectation analysis
 (``diagnostics.analysis_rows``) reads the dense rows when m >= n, and two
-m x m products of the operators when m < n.  Sums over stored entries or
-over spans can differ from dense sums in the last bits, so a CSR system and
-its dense form can give different traces; reruns of either are byte-identical.
+m x m products of the operators when m < n.  Sums over stored entries can
+differ from dense sums in the last bits, so a CSR system and its dense form
+can give different traces; reruns of either are byte-identical.
 """
 
 from __future__ import annotations
@@ -62,35 +60,6 @@ CONSISTENCY_RTOL = 1e-8
 # fixed, so the row sequence depends on the seed alone, not on the iteration
 # count or the logging stride.
 ROW_BLOCK = 1024
-
-
-def _row_spans(rows):
-    """The spans of dense or CSR ``rows``: (values, columns, widths).
-
-    ``values[i]`` holds row i's values from its first stored column to its
-    last: the columns ``columns[i]`` of the iterate, ``widths[i]`` of them.
-    A dense operator's spans are its rows, and ``columns`` is None: each span
-    covers the whole iterate.  On CSR the values are views into one packed
-    buffer.  Each CSR row needs a stored entry (``make_system`` rejects a row
-    without one, since its pairing is 0).  Stored zeros count as stored: a
-    span runs from the first stored column to the last, whatever their values.
-    """
-    m, n = rows.shape
-    if not scipy.sparse.issparse(rows):
-        return list(rows), None, [n] * m
-    indptr, indices = rows.indptr, rows.indices
-    first = indices[indptr[:-1]].astype(np.intp)
-    end = indices[indptr[1:] - 1].astype(np.intp) + 1
-    start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(end - first, out=start[1:])
-    packed = np.zeros(start[-1])
-    packed[np.repeat(start[:-1] - first, np.diff(indptr)) + indices] = rows.data
-    bounds = start.tolist()
-    return (
-        [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
-        [slice(lo, hi) for lo, hi in zip(first.tolist(), end.tolist())],
-        (end - first).tolist(),
-    )
 
 
 class StepRule(enum.Enum):
@@ -219,7 +188,7 @@ def matched_pair(sys: SystemPair) -> SystemPair:
     It is what ``make_system`` would build from them, derived rather than
     checked again: with V = A the pairing and both squared norms are A's
     squared row norms, the same arithmetic bit for bit.  Its ``v is a``, so a
-    run on it packs one set of spans, of A, for both operators.
+    run on it reads one set of rows, of A, for both operators.
     """
     return replace(sys, v=sys.a, pairing=sys.norms_sq_a, norms_sq_v=sys.norms_sq_a)
 
@@ -276,51 +245,82 @@ def initial_iterate(sys: SystemPair, cfg: SolverConfig) -> np.ndarray:
     return np.zeros(sys.n)
 
 
-def _stored_rows(rows):
-    """The stored entries of CSR ``rows``, row by row: (values, columns).
+def _merged_columns(a, v):
+    """Row i's columns of CSR ``a`` and ``v`` and v's values over them.
 
-    ``values[i]`` is a view of ``rows.data`` and ``columns[i]`` the matching
-    view of the column indices, taken as ``intp`` (a copy when stored
-    narrower), so that indexing the iterate with them converts nothing.
+    Returns (columns, values, bounds): row i is ``columns[lo:hi]`` and
+    ``values[lo:hi]`` with lo, hi = ``bounds[i:i + 2]``.  Its columns are
+    those ``a`` stores, in a's order, then the others ``v`` stores, in v's
+    order; ``values`` holds v's entries, 0.0 where v stores none.  O(nnz),
+    with no loop over rows; each temporary is freed once it is used.  Both
+    operators are canonical (``as_csr``), so their entries sorted by row,
+    then column, are sorted by the flat index row * n + column.
     """
-    bounds = rows.indptr.tolist()
-    indices = rows.indices.astype(np.intp, copy=False)
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    return [rows.data[lo:hi] for lo, hi in ranges], [indices[lo:hi] for lo, hi in ranges]
+    m, n = a.shape
+    a_count, v_count = np.diff(a.indptr), np.diff(v.indptr)
+    offsets = np.arange(m, dtype=np.int64) * n
+    a_keys = np.repeat(offsets, a_count)
+    a_keys += a.indices
+    v_keys = np.repeat(offsets, v_count)
+    v_keys += v.indices
+    del offsets
+    # The entry of a at the column of each entry of v, where a stores one.
+    match = np.searchsorted(a_keys, v_keys)
+    own = np.take(a_keys, match, mode="clip") != v_keys
+    del a_keys, v_keys
+    # own_before[k]: the entries of v before entry k that a does not store;
+    # row_shift[i]: those in the rows before row i.
+    own_before = np.zeros(v.nnz + 1, dtype=np.int64)
+    np.cumsum(own, out=own_before[1:])
+    row_shift = own_before[v.indptr]
+    bounds = a.indptr + row_shift
+    own_before = own_before[:-1]
+    # Row i starts at bounds[i] with a's entries; v's own start at
+    # a.indptr[i + 1] + row_shift[i].
+    own_before += np.repeat(a.indptr[1:], v_count)
+    match += np.repeat(row_shift[:-1], v_count)
+    np.copyto(match, own_before, where=own)
+    del own_before, own
+    columns = np.empty(int(bounds[-1]), dtype=np.intp)
+    values = np.zeros(columns.size)
+    columns[match] = v.indices
+    values[match] = v.data
+    del match
+    columns[np.arange(a.nnz) + np.repeat(row_shift[:-1], a_count)] = a.indices
+    return columns, values, bounds.tolist()
 
 
 def _rows(sys: SystemPair):
     """The rows ``_sweep`` reads, for every iterate of ``sys``.
 
-    In order: the rows of A, the spans of V, their columns (None when
-    dense), their widths, and the columns of A's rows.  A mismatched CSR A
-    is read by its stored entries (``_stored_rows``) and gets no packed
-    buffer.  Any other A is read by spans, and its columns are None; when
-    ``v is a`` one set of spans serves both operators.
+    In order: the rows of A, the rows of V, the columns of x each row is
+    read at (None when dense), and the rows' lengths.  A dense row covers
+    all of x.  On CSR, row i of V covers the columns ``_merged_columns``
+    gives row i, and row i of A, a view of ``A.data``, the first of them.
+    When ``v is a`` one set of rows, over A's stored columns, serves both.
     """
-    v_rows, v_columns, v_width = _row_spans(sys.v)
-    if scipy.sparse.issparse(sys.a) and sys.v is not sys.a:
-        a_rows, a_columns = _stored_rows(sys.a)
+    a = sys.a
+    if not scipy.sparse.issparse(a):
+        a_rows = list(a)
+        return a_rows, a_rows if sys.v is a else list(sys.v), None, [sys.n] * sys.m
+    if sys.v is a:
+        columns, bounds = a.indices.astype(np.intp, copy=False), a.indptr.tolist()
+        a_rows = v_rows = _pieces(a.data, bounds)
     else:
-        a_rows, a_columns = (v_rows if sys.v is sys.a else list(sys.a)), None
-    return a_rows, v_rows, v_columns, v_width, a_columns
+        columns, values, bounds = _merged_columns(a, sys.v)
+        a_rows, v_rows = _pieces(a.data, a.indptr.tolist()), _pieces(values, bounds)
+    return a_rows, v_rows, _pieces(columns, bounds), np.diff(bounds).tolist()
+
+
+def _pieces(array, bounds):
+    """The views ``array[bounds[i]:bounds[i + 1]]``, row by row."""
+    return [array[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _kernel(sys: SystemPair, x: np.ndarray, rows=None):
-    """The arguments of ``_sweep`` for the iterate ``x``, on ``rows`` from
-    ``_rows(sys)``, made afresh when not given.
-
-    In order: the rows of A, the part of ``x`` each is read against, the
-    spans of V, their views of ``x``, their widths, and the columns of A's
-    rows.  A row read by its stored entries is read against ``x`` itself,
-    gathered at its columns; a span is read against the view of ``x`` under
-    it.  Only the views of ``x`` are made here, so one set of rows serves
-    every run on ``sys``.
-    """
-    a_rows, v_rows, v_columns, v_width, a_columns = rows or _rows(sys)
-    # Views of x, so that updating one updates x.
-    v_x = [x] * sys.m if v_columns is None else [x[c] for c in v_columns]
-    return a_rows, v_x if a_columns is None else x, v_rows, v_x, v_width, a_columns
+    """The arguments of ``_sweep`` for the iterate ``x``: ``rows`` from
+    ``_rows(sys)``, made afresh when not given, followed by ``x``."""
+    return (*(rows or _rows(sys)), x)
 
 
 def _sweep(kernel, omega, beta, rows):
@@ -328,26 +328,26 @@ def _sweep(kernel, omega, beta, rows):
 
     Each is x <- x - omega_i (<a_i, x> - beta_i) v_i, with ``omega`` the step sizes.
 
-    ``kernel`` comes from ``_kernel``.  The product with a_i runs over row
-    i's span of A and the view of x under it, or, when A is read by its
-    stored entries, over those entries and x gathered at their columns; the
-    update runs over row i's span of V and the view of x under it.  The
-    iterate must be a contiguous float64 vector, so that each view is
-    contiguous too: ``daxpy`` silently updates a copy of anything else.
-    ``omega`` is not folded into scaled copies of the V spans, which would
-    cost another copy of the rows for a few percent per step.
+    ``kernel`` comes from ``_kernel``.  A dense row is read against x
+    itself.  A CSR row gathers x at its columns once: ``ddot`` reads A's
+    entries against the first of them, ``daxpy`` updates the gathered copy
+    with V's, and the copy is written back.  The iterate must be a
+    contiguous float64 vector: ``daxpy`` silently updates a copy of
+    anything else.  ``omega`` is not folded into scaled copies of the V
+    rows, which would cost another copy of the rows for a few percent per
+    step.
     """
-    a_rows, a_x, v_rows, v_x, v_width, a_columns = kernel
+    a_rows, v_rows, columns, width, x = kernel
     # daxpy's length is passed positionally: it parses keywords much more slowly.
-    if a_columns is None:
+    if columns is None:
         for i in rows:
-            daxpy(v_rows[i], v_x[i], v_width[i], omega[i] * (beta[i] - ddot(a_rows[i], a_x[i])))
+            daxpy(v_rows[i], x, width[i], omega[i] * (beta[i] - ddot(a_rows[i], x)))
     else:
         for i in rows:
-            daxpy(
-                v_rows[i], v_x[i], v_width[i],
-                omega[i] * (beta[i] - ddot(a_rows[i], a_x[a_columns[i]])),
-            )
+            c = columns[i]
+            g = x[c]
+            daxpy(v_rows[i], g, width[i], omega[i] * (beta[i] - ddot(a_rows[i], g)))
+            x[c] = g
 
 
 def run(sys: SystemPair, p, cfg: SolverConfig) -> Trace:
@@ -379,8 +379,8 @@ def _run(
     ``residual_norms`` stays empty; the error norm is checked for finiteness
     instead.  ``rows`` are ``_rows(sys)``, made for this run when None.
     """
-    # The spans are packed before the per-row lists below are made, so those
-    # lists are not live at the packing's high-water mark.
+    # The rows are made before the per-row lists below, so those lists are
+    # not live at the rows' high-water mark.
     x = initial_iterate(sys, cfg)
     kernel = _kernel(sys, x, rows)
     omega = static_step_sizes(sys, cfg.rule).tolist()

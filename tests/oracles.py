@@ -16,8 +16,9 @@ package never forms (it reads only ranks, by ``linalg.numerical_rank``).
 from the ``range_basis`` of V^T, the oracle for the Gram coordinates of
 ``diagnostics.analysis_rows``.  ``random_csr`` draws
 the sparse operators of the property tests that compare a CSR operator with
-its dense form.  ``read_table_csv`` reads back the CSV tables the package
-writes.
+its dense form.  ``reference_alias_tables`` is Walker's alias construction
+on numpy scalars, the plain form of ``sampling.DiscreteSampler``'s.
+``read_table_csv`` reads back the CSV tables the package writes.
 """
 
 import numpy as np
@@ -425,6 +426,31 @@ def exact_one_step_expectation(sys, x, p, rule=StepRule.OBLIQUE_EXACT):
             f"{mean_sq:.16e} vs {quad:.16e}"
         )
     return mean, mean_sq
+
+
+def reference_alias_tables(p):
+    """(probabilities, aliases) of Walker's alias tables for ``p``, built on
+    numpy float64 scalars in the order of ``sampling.DiscreteSampler``."""
+    p = check_probability_vector(p)
+    m = len(p)
+    scaled = p * m
+    prob_table = np.ones(m)
+    alias_table = np.arange(m)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob_table[s] = scaled[s]
+        alias_table[s] = l
+        scaled[l] = (scaled[l] + scaled[s]) - 1.0
+        if scaled[l] < 1.0:
+            small.append(l)
+        else:
+            large.append(l)
+    for i in large + small:
+        prob_table[i] = 1.0
+    return prob_table, alias_table
 
 
 def read_table_csv(path):

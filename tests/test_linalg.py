@@ -297,6 +297,46 @@ class TestTopSingularTriplet:
             assert linalg.spectral_radius(m) <= linalg.top_singular_triplet(m).sigma + 1e-10
 
 
+class TestGramOverwrite:
+    """syevr overwrites the triplet's own Gram matrix, read as its transpose."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(-6, 6),
+           st.integers(0, 2**32 - 1))
+    def test_gram_products_are_bitwise_symmetric(self, rows, cols, log_scale, seed):
+        m = shaped_matrix(rows, cols, None, seed) * 10.0**log_scale
+        for gram in (m.T @ m, m @ m.T):
+            assert gram.view(np.int64).tolist() == gram.T.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (30, 30), (1, 5)])
+    def test_overwrite_matches_a_copy(self, shape):
+        m = shaped_matrix(*shape, None, 31)
+        gram = m.T @ m
+        k = gram.shape[0]
+        want = linalg._eigh_range(gram, max(k - 2, 0), k - 1)
+        got = linalg._eigh_range(m.T @ m, max(k - 2, 0), k - 1, rebuild=lambda: m.T @ m)
+        for w, g in zip(want, got):
+            assert w.view(np.int64).tolist() == g.view(np.int64).tolist()
+
+    def test_cluster_fallback_rebuilds_the_gram(self, monkeypatch):
+        # A range that syevr cannot finish falls back to the full
+        # decomposition of the Gram matrix made again, not of the one syevr
+        # overwrote.
+        syevr = linalg._SYEVR
+
+        def short(*args, **kwargs):
+            vals, vecs, found, isuppz, info = syevr(*args, **kwargs)
+            return vals, vecs, found - 1, isuppz, info
+
+        m = shaped_matrix(7, 5, None, 37)
+        want = linalg.top_singular_triplet(m)
+        monkeypatch.setattr(linalg, "_SYEVR", short)
+        got = linalg.top_singular_triplet(m)
+        assert got.sigma == pytest.approx(want.sigma, rel=1e-14)
+        assert got.second == pytest.approx(want.second, rel=1e-12)
+        assert np.linalg.norm(m @ got.right - got.sigma * got.left) <= 1e-12 * got.sigma
+
+
 def shaped_matrix(rows, cols, rank, seed):
     """rows x cols Gaussian matrix of the given rank (full when rank is None)."""
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from kaczmarz_mismatch.problems import (
     smooth_phantom,
 )
 from kaczmarz_mismatch.sampling import replicate_rng
-from kaczmarz_mismatch.solver import SolverConfig, StepRule, run
+from kaczmarz_mismatch.solver import SolverConfig, StepRule, matched_pair, run
 
 import oracles
 
@@ -450,11 +450,11 @@ class TestCtMemory:
 
     @pytest.mark.parametrize("rule", list(StepRule), ids=lambda rule: rule.value)
     def test_solve_holds_a_third_of_the_dense_pair(self, rule):
-        # The kernel packs V's row spans, about half of dense V at grid 32,
-        # and reads A by its stored entries: the peak is 0.30 of the dense
-        # pair under every rule. Packed spans of A as well made it 0.55,
-        # dense rows >= 1, and row norms summed in the run over a CSR
-        # temporary 0.35 (rownorm-a) and 0.40 (rownorm-v).
+        # The kernel holds V's values over the row's stored columns of A and
+        # V, and reads A by its stored entries: the peak is 0.11 of the dense
+        # pair under every rule. Packed row spans of V made it 0.30, of A as
+        # well 0.55, dense rows >= 1, and row norms summed in the run over a
+        # CSR temporary 0.35 (rownorm-a) and 0.40 (rownorm-v).
         warm = build_ct_instance(8, 30.0, 9, 4)
         cfg = SolverConfig(rule=rule, max_iterations=10)
         run(warm, experiments.probability_scheme(warm, "pairing"), cfg)
@@ -467,6 +467,25 @@ class TestCtMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.33 * (2 * sys.m * sys.n * 8)
+
+    @pytest.mark.parametrize("matched", [False, True], ids=["mismatched", "matched"])
+    def test_paper_scale_solve_holds_its_stored_entries(self, matched):
+        # One sweep of the grid-50 pair, 1636 x 2500: the rows are made
+        # whatever the iteration count. The peak is 4.1 MiB (0.7 matched);
+        # packed row spans made it 17.0 (16.1).
+        warm = build_ct_instance(8, 30.0, 9, 4)
+        run(warm, experiments.probability_scheme(warm, "pairing"), SolverConfig(max_iterations=10))
+        sys = build_ct_instance(50, 5.0, 150, 4)
+        if matched:
+            sys = matched_pair(sys)
+        p = experiments.probability_scheme(sys, "pairing")
+        tracemalloc.start()
+        try:
+            run(sys, p, SolverConfig(max_iterations=sys.m, log_stride=sys.m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 if matched else 6) * 2**20
 
     def test_rejected_diagnostics_read_two_products(self):
         # The wide pair is rejected by the rank test of the m x m product
@@ -487,12 +506,12 @@ class TestCtMemory:
         assert peak <= 4.3 * sys.m * sys.n * 8
 
     def test_ct_experiment_makes_no_dense_operator(self, tmp_path):
-        # Each solve packs the row spans it reads for its own run: those of V
-        # (A is read by its stored entries), then one set of A's for the
-        # matched pair, after the first set is freed. The peak is 0.78 m x n
-        # matrices; packed spans of A in the first solve too made it 1.27,
-        # spans of A kept on the system for the matched pair 1.37, and the
-        # dense A and V of either solve make it 2.3 or more.
+        # Each solve makes the rows it reads for its own run: V's values over
+        # the stored columns of A and V, then, after those are freed, views of
+        # A alone for the matched pair. The peak is 0.67 m x n matrices;
+        # packed row spans made it 0.78, spans of A in the first solve too
+        # 1.27, spans of A kept on the system for the matched pair 1.37, and
+        # the dense A and V of either solve make it 2.3 or more.
         experiments.experiment_ct(str(tmp_path / "warm"), grid=8, rays=9, sweeps=1)
         tracemalloc.start()
         try:

@@ -11,6 +11,8 @@ from kaczmarz_mismatch.sampling import (
     replicate_rng,
 )
 
+import oracles
+
 
 def inverse_cdf_draws(p, rng, size):
     """Reference sampler: inverse CDF on the cumulative weights."""
@@ -109,6 +111,38 @@ class TestAliasSamplerProperties:
         if support.sum() > 1:
             result = scipy.stats.chisquare(counts[support], n * p[support])
             assert result.pvalue > 1e-6
+
+
+@st.composite
+def alias_distributions(draw):
+    """Probability vectors mixing zeros, entries of exactly 1/m and free weights."""
+    m = draw(st.integers(1, 60))
+    kinds = draw(st.lists(st.sampled_from(["zero", "uniform", "free"]), min_size=m, max_size=m))
+    if "free" not in kinds:
+        kinds = ["uniform"] * m
+    kinds = np.array(kinds)
+    free = kinds == "free"
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=int(free.sum()),
+                                     max_size=int(free.sum()))))
+    if not weights.sum() > 0:
+        weights = np.ones(weights.size)
+    p = np.zeros(m)
+    p[kinds == "uniform"] = 1.0 / m
+    p[free] = weights / weights.sum() * (1.0 - np.count_nonzero(kinds == "uniform") / m)
+    return p
+
+
+class TestAliasTables:
+    @settings(max_examples=200, deadline=None)
+    @given(alias_distributions())
+    def test_tables_match_numpy_scalar_construction(self, p):
+        # The tables are built on Python floats, the IEEE arithmetic of
+        # numpy float64 scalars: they agree bit for bit.
+        sampler = DiscreteSampler(p)
+        prob, alias = oracles.reference_alias_tables(p)
+        assert sampler._prob_table.view(np.int64).tolist() == prob.view(np.int64).tolist()
+        assert sampler._alias_table.dtype == alias.dtype
+        assert sampler._alias_table.tolist() == alias.tolist()
 
 
 class TestReplicateStreams:
